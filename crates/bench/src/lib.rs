@@ -6,8 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod gate;
-
 use hopper_micro::paper;
 use hopper_micro::report::Report;
 use hopper_sim::DeviceConfig;

@@ -204,6 +204,13 @@ fn report_invariants_hold() {
             r.iterations,
             r.prefill_iterations + r.decode_iterations + r.mixed_iterations
         );
+        assert_eq!(
+            r.gpus,
+            scn.tp * if mode == Mode::Disaggregated { 2 } else { 1 }
+        );
+        // Throughput identity: tokens/s × seconds covers the unique tokens.
+        let total = (r.tokens_in + r.tokens_out) as f64;
+        assert!((r.tokens_per_s * r.sim_seconds - total).abs() <= 0.01 * total);
     }
 }
 

@@ -7,9 +7,10 @@ use hopper_sim::RunStats;
 use hopper_trace::{wait_bucket_label, StallReason, N_WAIT_BUCKETS};
 use serde_json::Value;
 
-/// Build an object with its keys sorted (the report's determinism
-/// contract: byte-identical output for identical runs).
-fn obj(mut fields: Vec<(&str, Value)>) -> Value {
+/// Build an object with its keys sorted (the determinism contract of
+/// every report, response and CLI summary in the workspace:
+/// byte-identical output for identical runs).
+pub fn obj(mut fields: Vec<(&str, Value)>) -> Value {
     fields.sort_by(|a, b| a.0.cmp(b.0));
     Value::Object(
         fields

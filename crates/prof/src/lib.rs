@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod render;
 pub mod workloads;
 

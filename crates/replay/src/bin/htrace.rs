@@ -20,7 +20,7 @@
 //! snapshotted: a replay needs no input buffers (addresses come from the
 //! capture), which is exactly what makes traces portable.
 
-use hopper_prof::run_stats_to_json;
+use hopper_prof::{json::obj, run_stats_to_json};
 use hopper_replay::{Trace, TraceError};
 use hopper_sim::{DeviceConfig, Gpu, Launch, ReplayConfig, RunBudget};
 use serde_json::Value;
@@ -60,18 +60,6 @@ fn parse_u64_auto(tok: &str) -> Option<u64> {
 fn load_trace(path: &str) -> Trace {
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
     Trace::parse(&bytes).unwrap_or_else(|e| fail(e))
-}
-
-/// Sorted-key JSON object (the determinism contract shared with
-/// hopper-prof and hsimd).
-fn obj(mut fields: Vec<(&str, Value)>) -> Value {
-    fields.sort_by(|a, b| a.0.cmp(b.0));
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 fn cmd_capture(args: &[String]) {

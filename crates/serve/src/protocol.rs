@@ -400,17 +400,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// Build an object with sorted keys (the determinism contract shared with
-/// `hopper-prof`'s JSON renderer).
-pub fn obj(mut fields: Vec<(&str, Value)>) -> Value {
-    fields.sort_by(|a, b| a.0.cmp(b.0));
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+/// The workspace's one sorted-key object builder.
+pub use hopper_prof::json::obj;
 
 fn id_value(id: &Option<String>) -> Value {
     match id {
@@ -545,6 +536,24 @@ mod tests {
             }
             other => panic!("expected Run, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn megabyte_string_field_parses_in_linear_time() {
+        // The vendored parser used to re-validate the whole remaining
+        // input per character: ~12 s for this line, quadratic in length.
+        let half = "add.s32 %r1, %r1, 1; ".repeat(25_000);
+        let kernel = format!("{half}\n// \"µ → é\" \\ \t{half}\u{1}");
+        assert!(kernel.len() > 1 << 20);
+        let line = RunSpec::new(kernel.clone(), "h800", 1, 32).to_request_line();
+        let t0 = std::time::Instant::now();
+        let parsed = parse_request(&line).unwrap();
+        let took = t0.elapsed();
+        match parsed {
+            Request::Run(back) => assert!(back.kernel == kernel, "1 MB kernel must round-trip"),
+            other => panic!("expected Run, got {other:?}"),
+        }
+        assert!(took.as_millis() < 1000, "1 MB request took {took:?}");
     }
 
     #[test]

@@ -433,6 +433,16 @@ fn initiate_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
+/// Hand `stream` to a handler thread, then drop the handles of handlers
+/// that have already returned: a long-lived daemon keeps one handle per
+/// live connection, not one per connection ever accepted.  The reap
+/// comes second so the waiting client's handler starts first.
+fn spawn_conn(conns: &mut Vec<JoinHandle<()>>, shared: &Arc<Shared>, stream: TcpStream) {
+    let sh = shared.clone();
+    conns.push(std::thread::spawn(move || handle_conn(&sh, stream)));
+    conns.retain(|h| !h.is_finished());
+}
+
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
@@ -440,10 +450,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             break;
         }
         match stream {
-            Ok(s) => {
-                let sh = shared.clone();
-                conns.push(std::thread::spawn(move || handle_conn(&sh, s)));
-            }
+            Ok(s) => spawn_conn(&mut conns, shared, s),
             Err(_) => {
                 // Transient accept errors (e.g. aborted handshake).
                 continue;
@@ -1152,4 +1159,39 @@ fn run_infer_job(
             )
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_connection_handles_are_dropped_on_accept() {
+        // A real daemon supplies the shared state; the test owns the
+        // listener so it can watch the handle list `accept_loop` keeps.
+        let server = Server::start(ServerConfig::default()).expect("bind ephemeral port");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let mut conns = Vec::new();
+        let mut high_water = 0;
+        for _ in 0..2000 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            spawn_conn(&mut conns, &server.shared, stream);
+            let mut resp = String::new();
+            BufReader::new(&client).read_line(&mut resp).unwrap();
+            assert!(resp.contains("\"pong\""), "{resp}");
+            drop(client);
+            high_water = high_water.max(conns.len());
+        }
+        // A handler may still be returning when the next connection
+        // lands, so a few handles overlap; 2 000 would mean none is reaped.
+        assert!(high_water < 64, "{high_water} handles retained");
+        for c in conns {
+            c.join().unwrap();
+        }
+        server.shutdown();
+        server.join();
+    }
 }

@@ -329,3 +329,18 @@ fn hsimd_queue_stage_visible_in_stats_and_metrics_after_traffic() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn exposition_layout_is_sorted_help_type_samples() {
+    // The whole layout a scraper relies on, in one exact render: families
+    // sorted however registered, each `# HELP` then `# TYPE` then its
+    // samples, no blank lines, a final newline.
+    let reg = Registry::new();
+    reg.gauge("b_depth", "B.", &[]).set(2);
+    reg.counter("a_total", "A.", &[("k", "v")]).inc();
+    assert_eq!(
+        reg.render(),
+        "# HELP a_total A.\n# TYPE a_total counter\na_total{k=\"v\"} 1\n\
+         # HELP b_depth B.\n# TYPE b_depth gauge\nb_depth 2\n"
+    );
+}

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, the tier-1 build/test pair, and the
-# no-default-features build of the simulator (serde stays optional).
+# Pre-merge gate: formatting, lints, the tier-1 build/test pair (which
+# drives the real binaries: crates/*/tests/*_bin.rs, bins_smoke.rs), the
+# engine-equivalence and feature-gate extras, a fuzz pass, and the
+# benchmark workspace's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,16 +12,14 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: cargo build --release"
+echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
-
-echo "== tier-1: cargo test -q"
 cargo test -q --workspace
 
 echo "== scheduler equivalence (ready-set vs legacy vs sim_threads {2,4})"
-# Debug profile = debug assertions on; the suite replays every workload
-# serially and under the sharded parallel engine and demands bitwise-
-# identical metrics, so data races or grant-order bugs fail loudly here.
+# The suite replays every workload serially and under the sharded parallel
+# engine and demands bitwise-identical metrics with debug assertions on,
+# so data races or grant-order bugs fail loudly here.
 cargo test -q -p hopper-sim --test sched_equivalence --test par_fallback
 
 echo "== hopper-sim under the threaded rayon shim"
@@ -31,134 +31,10 @@ cargo test -q --manifest-path vendor/rayon/Cargo.toml
 echo "== feature gate: hopper-sim without serde"
 cargo build -p hopper-sim --no-default-features
 
-echo "== hprof smoke: one kernel per device, JSON schema vs golden"
-cargo build --release -q -p hopper-bench --bin hprof
-smoke="$(mktemp -d)"
-trap 'rm -rf "$smoke"' EXIT
-for dev in h800 a100 rtx4090; do
-    target/release/hprof "$dev" pchase --json --out "$smoke" >/dev/null
-    python3 scripts/validate_hprof.py \
-        "$smoke/hprof_${dev}_pchase.json" \
-        "crates/prof/golden/hprof_${dev}_pchase.json"
-done
-
-echo "== hsimd smoke: daemon round-trip + schema on every device"
-cargo build --release -q -p hopper-serve -p hopper-replay
-target/release/hsimd --addr 127.0.0.1:0 --workers 2 >"$smoke/hsimd.log" 2>&1 &
-hsimd_pid=$!
-trap 'kill "$hsimd_pid" 2>/dev/null || true; rm -rf "$smoke"' EXIT
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^hsimd listening on //p' "$smoke/hsimd.log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "hsimd did not start"; cat "$smoke/hsimd.log"; exit 1; }
-cat > "$smoke/pchase.asm" <<'EOF'
-// Pointer-chase smoke: dependent b64 loads over a self-looping ring
-// (unmapped memory reads as 0, so the chain revisits address 0).
-    mov.s64 %r3, %r0;
-    mov %r4, 0;
-LOOP:
-    ld.global.ca.b64 %r3, [%r3];
-    add.s32 %r4, %r4, 1;
-    setp.lt.s32 %p0, %r4, 256;
-    @%p0 bra LOOP;
-    exit;
-EOF
-for dev in h800 a100 rtx4090; do
-    target/release/hsim-client --addr "$addr" run "$smoke/pchase.asm" \
-        --device "$dev" --grid 1 --block 32 --id "smoke-$dev" \
-        > "$smoke/hserve_${dev}.json"
-    python3 scripts/validate_hserve.py "$smoke/hserve_${dev}.json"
-done
-target/release/hsim-client --addr "$addr" run "$smoke/pchase.asm" \
-    --device h800 --grid 1 --block 32 --report profile \
-    > "$smoke/hserve_profile.json"
-python3 scripts/validate_hserve.py --report profile "$smoke/hserve_profile.json"
-target/release/hsim-client --addr "$addr" run "$smoke/pchase.asm" \
-    --device h800 --grid 1 --block 32 --timings \
-    > "$smoke/hserve_timings.json"
-python3 scripts/validate_hserve.py "$smoke/hserve_timings.json"
-
-echo "== htrace golden-trace smoke: info/replay schema + replay via hsimd"
-golden="crates/replay/golden/histogram.htrace"
-target/release/htrace info "$golden" > "$smoke/htrace_info.json"
-python3 scripts/validate_htrace.py --mode info "$smoke/htrace_info.json"
-target/release/htrace replay "$golden" > "$smoke/htrace_replay.json"
-python3 scripts/validate_htrace.py --mode stats "$smoke/htrace_replay.json"
-target/release/hsim-client --addr "$addr" run --trace "$golden" \
-    > "$smoke/hserve_trace.json"
-python3 scripts/validate_hserve.py "$smoke/hserve_trace.json"
-
-echo "== infer smoke: serving scenario through hsimd + hload, error paths"
-cat > "$smoke/infer_scn.json" <<'EOF'
-{"model":"llama2-7b","precision":"fp16","qps":200.0,"requests":24,"seed":7}
-EOF
-target/release/hsim-client --addr "$addr" run --report infer \
-    --scenario "$smoke/infer_scn.json" --device h800 \
-    > "$smoke/hserve_infer.json"
-python3 scripts/validate_hserve.py --report infer "$smoke/hserve_infer.json"
-python3 scripts/validate_hinfer.py "$smoke/hserve_infer.json"
-# Cold vs cached must agree byte-for-byte in canonical form.
-target/release/hsim-client --addr "$addr" run --report infer \
-    --scenario "$smoke/infer_scn.json" --device h800 \
-    > "$smoke/hserve_infer2.json"
-python3 - "$smoke/hserve_infer.json" "$smoke/hserve_infer2.json" <<'EOF'
-import json, sys
-strip = lambda p: {k: v for k, v in json.load(open(p)).items()
-                   if k not in ("corr_id", "timings")}
-a, b = strip(sys.argv[1]), strip(sys.argv[2])
-assert a == b, f"cold vs cached infer response diverged:\n{a}\n{b}"
-EOF
-# A one-iteration budget must surface as a deterministic deadline error.
-# Distinct seed: a cache hit would return the stored result and never
-# consult the budget (same semantics as the kernel path).
-cat > "$smoke/infer_scn_deadline.json" <<'EOF'
-{"model":"llama2-7b","precision":"fp16","qps":200.0,"requests":24,"seed":8}
-EOF
-target/release/hsim-client --addr "$addr" run --report infer \
-    --scenario "$smoke/infer_scn_deadline.json" --device h800 --max-cycles 1 \
-    > "$smoke/hserve_infer_deadline.json" || true
-python3 scripts/validate_hserve.py --expect-error deadline_exceeded \
-    "$smoke/hserve_infer_deadline.json"
-# An invalid scenario must be rejected before it reaches the queue.
-echo '{"model":"gpt-5"}' > "$smoke/infer_bad.json"
-target/release/hsim-client --addr "$addr" run --report infer \
-    --scenario "$smoke/infer_bad.json" --device h800 \
-    > "$smoke/hserve_infer_bad.json" || true
-python3 scripts/validate_hserve.py --expect-error bad_request \
-    "$smoke/hserve_infer_bad.json"
-# hload: a two-point QPS sweep against the same daemon, then validate.
-target/release/hload --addr "$addr" --device h800 \
-    --scenario "$smoke/infer_scn.json" --qps 100,200 \
-    > "$smoke/hload_sweep.json"
-python3 scripts/validate_hinfer.py --hload "$smoke/hload_sweep.json"
-
-echo "== hsimd metrics: exposition schema, op/HTTP parity, determinism"
-target/release/hsim-client --addr "$addr" metrics > "$smoke/metrics_op.txt"
-python3 -c 'import sys, urllib.request
-sys.stdout.write(urllib.request.urlopen(
-    f"http://{sys.argv[1]}/metrics").read().decode())' "$addr" \
-    > "$smoke/metrics_http.txt"
-python3 scripts/validate_hmetrics.py "$smoke/metrics_op.txt" \
-    "$smoke/metrics_http.txt"
-target/release/hsim-top --addr "$addr" --once > "$smoke/hsim_top.txt"
-grep -q "queue" "$smoke/hsim_top.txt" \
-    || { echo "hsim-top frame missing queue line"; cat "$smoke/hsim_top.txt"; exit 1; }
-grep -q "infer" "$smoke/hsim_top.txt" \
-    || { echo "hsim-top frame missing infer panel"; cat "$smoke/hsim_top.txt"; exit 1; }
-
-target/release/hsim-client --addr "$addr" shutdown >/dev/null
-wait "$hsimd_pid"
-trap 'rm -rf "$smoke"' EXIT
-echo "hsimd smoke passed (addr $addr, clean shutdown)"
-
 echo "== hfuzz: 200 random kernels through the differential oracles"
-cargo build --release -q -p hopper-audit
-target/release/hfuzz --seed 0xh0pper --iters 200 --out "$smoke"
+target/release/hfuzz --seed 0xh0pper --iters 200 --out target/hfuzz
 
-echo "== bench regression gate vs pr6-replay (10%)"
-scripts/bench.sh gate --baseline pr6-replay --threshold 10
+echo "== benchmark workspace: fmt, clippy, tests, selftest"
+benchmark/check.sh
 
 echo "all checks passed"
