@@ -42,15 +42,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn device_by_name(name: &str) -> Option<DeviceConfig> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "h800" | "hopper" => Some(DeviceConfig::h800()),
-        "a100" | "ampere" => Some(DeviceConfig::a100()),
-        "rtx4090" | "4090" | "ada" => Some(DeviceConfig::rtx4090()),
-        _ => None,
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         seed: seed_from_str("0xh0pper"),
@@ -77,7 +68,7 @@ fn parse_args() -> Args {
             "--devices" => {
                 args.devices = val()
                     .split(',')
-                    .map(|n| device_by_name(n).unwrap_or_else(|| usage()))
+                    .map(|n| DeviceConfig::by_name(n.trim()).unwrap_or_else(|| usage()))
                     .collect();
                 if args.devices.is_empty() {
                     usage();
@@ -103,7 +94,7 @@ fn dump_repro(args: &Args, plan: &KernelPlan, dev: &DeviceConfig, why: &str) -> 
     let k = plan.kernel();
     let mut body = String::new();
     body.push_str(&format!("// hfuzz reproducer, seed {:#018x}\n", plan.seed));
-    body.push_str(&format!("// device: {}\n", ServeOracle::wire_name(dev)));
+    body.push_str(&format!("// device: {}\n", dev.wire_name()));
     body.push_str(&format!(
         "// failure: {}\n",
         why.lines().next().unwrap_or("?")
@@ -117,7 +108,7 @@ fn dump_repro(args: &Args, plan: &KernelPlan, dev: &DeviceConfig, why: &str) -> 
             body.push_str(&format!(
                 "// run with: hsim-client --addr HOST:PORT run {} --device {} --grid {} --block {}{}\n",
                 path.display(),
-                ServeOracle::wire_name(dev),
+                dev.wire_name(),
                 plan.geom.grid,
                 plan.geom.block,
                 if plan.geom.cluster > 1 {
@@ -166,7 +157,7 @@ fn main() -> ExitCode {
         args.iters,
         args.devices
             .iter()
-            .map(|d| ServeOracle::wire_name(d))
+            .map(|d| d.wire_name())
             .collect::<Vec<_>>()
             .join(","),
         if serve.is_some() {
@@ -193,7 +184,7 @@ fn main() -> ExitCode {
         if let Err(why) = check_plan(&plan, dev, use_serve) {
             eprintln!(
                 "\nhfuzz: FAILURE at iter {i} on {} (kernel seed {:#018x})\n{why}",
-                ServeOracle::wire_name(dev),
+                dev.wire_name(),
                 seed
             );
             let final_plan = if args.minimize {
@@ -211,7 +202,7 @@ fn main() -> ExitCode {
                  hfuzz: reproduce with: hfuzz --seed {:#x} --iters 1 --devices {} --serve-every 1",
                 path.display(),
                 seed,
-                ServeOracle::wire_name(dev)
+                dev.wire_name()
             );
             if let Some(s) = serve {
                 s.stop();
@@ -225,10 +216,10 @@ fn main() -> ExitCode {
                 eprintln!(
                     "\nhfuzz: FAILURE at iter {i} on {} (infer seed {:#018x})\n{why}\n\
                      hfuzz: reproduce with: hfuzz --seed {:#x} --iters 1 --devices {} --serve-every 1",
-                    ServeOracle::wire_name(dev),
+                    dev.wire_name(),
                     seed,
                     seed,
-                    ServeOracle::wire_name(dev)
+                    dev.wire_name()
                 );
                 if let Some(s) = serve {
                     s.stop();

@@ -327,7 +327,7 @@ pub fn check_plan(
         let trace = {
             let mut gpu = gpu_with(dev, Scheduler::ReadySet);
             let (_, l) = setup(&mut gpu, plan)?;
-            let (_, trace) = Trace::capture_kernel(&mut gpu, ServeOracle::wire_name(dev), &k, &l)
+            let (_, trace) = Trace::capture_kernel(&mut gpu, dev.wire_name(), &k, &l)
                 .map_err(|e| format!("replay oracle: trace capture failed: {e}"))?;
             trace
         };
@@ -390,24 +390,13 @@ impl ServeOracle {
             .unwrap_or(0.0) as u64
     }
 
-    /// Wire device name for a config (the daemon resolves names itself).
-    pub fn wire_name(dev: &DeviceConfig) -> &'static str {
-        if dev.name == DeviceConfig::a100().name {
-            "a100"
-        } else if dev.name == DeviceConfig::rtx4090().name {
-            "rtx4090"
-        } else {
-            "h800"
-        }
-    }
-
     /// Submit `text` three times: the second run must hit the result
     /// cache and match the cold run byte-for-byte in canonical form, and
     /// a third run with `timings` on must carry the same payload. The
     /// daemon's own metrics must agree: exactly one miss and one store
     /// from the cold run, one hit per replay.
     pub fn check(&self, plan: &KernelPlan, text: &str, dev: &DeviceConfig) -> Result<(), String> {
-        let mut spec = RunSpec::new(text, Self::wire_name(dev), plan.geom.grid, plan.geom.block);
+        let mut spec = RunSpec::new(text, dev.wire_name(), plan.geom.grid, plan.geom.block);
         spec.name = Some(format!("fuzz_{:016x}", plan.seed));
         spec.cluster = plan.geom.cluster;
         // The daemon builds a fresh GPU per job; sparse memory reads zeros,
@@ -554,7 +543,7 @@ impl ServeOracle {
             );
         }
 
-        let mut spec = RunSpec::new(String::new(), Self::wire_name(dev), 1, 1);
+        let mut spec = RunSpec::new(String::new(), dev.wire_name(), 1, 1);
         spec.report = ReportKind::Infer;
         spec.infer = Some(
             serde_json::from_str(&scn.canonical_json())

@@ -5,34 +5,19 @@
 //!
 //! ```text
 //! hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] [--json] [--out DIR]
-//!       [--sim-threads N]
 //! ```
 //!
 //! `--json` switches to the deterministic JSON rendering (sorted keys, no
 //! timestamps: two runs are byte-identical).  `--out DIR` writes one
 //! `hprof_<device>_<workload>.{txt,json}` per report instead of stdout.
-//! `--sim-threads N` shards each launch's SM loop over `N` workers
-//! (0 = auto, clamped to the host; results are bitwise identical at any
-//! count — profiled runs themselves stay serial, the flag speeds up the
-//! untraced baseline passes).
 
 use hopper_prof::workloads::Workload;
 use hopper_prof::{profile_kernel, KernelReport};
 use hopper_sim::{DeviceConfig, Gpu};
 
-fn device_by_name(name: &str) -> Option<DeviceConfig> {
-    match name {
-        "h800" => Some(DeviceConfig::h800()),
-        "a100" => Some(DeviceConfig::a100()),
-        "rtx4090" => Some(DeviceConfig::rtx4090()),
-        _ => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage: hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] [--json] [--out DIR]\n\
-         \x20            [--sim-threads N]"
+        "usage: hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] [--json] [--out DIR]"
     );
     std::process::exit(2);
 }
@@ -63,16 +48,10 @@ fn main() {
                 i += 1;
                 out_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--sim-threads" => {
-                i += 1;
-                let v = args.get(i).cloned().unwrap_or_else(|| usage());
-                let t: u32 = v.parse().unwrap_or_else(|_| usage());
-                hopper_sim::threads::set_default_sim_threads(t);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] \
-                     [--json] [--out DIR] [--sim-threads N]"
+                     [--json] [--out DIR]"
                 );
                 return;
             }
@@ -107,7 +86,7 @@ fn main() {
     };
 
     for dev_name in &devices {
-        let Some(dev) = device_by_name(dev_name) else {
+        let Some(dev) = DeviceConfig::by_name(dev_name) else {
             eprintln!("unknown device `{dev_name}` (expected h800|a100|rtx4090|all)");
             std::process::exit(2);
         };

@@ -2,7 +2,7 @@
 //!
 //! The scheduler reports simulated quantities (iterations, tokens,
 //! pages, per-iteration simulated microseconds) into the shared
-//! `hopper-obs` registry so `hsimd --obs on` exports them over
+//! `hopper-obs` registry so `hsimd` exports them over
 //! `/metrics` and `hsim-top` renders a serving panel next to the
 //! request-path stages.
 

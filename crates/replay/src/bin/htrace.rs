@@ -25,15 +25,6 @@ use hopper_replay::{Trace, TraceError};
 use hopper_sim::{DeviceConfig, Gpu, Launch, ReplayConfig, RunBudget};
 use serde_json::Value;
 
-fn device_by_name(name: &str) -> Option<DeviceConfig> {
-    match name {
-        "h800" => Some(DeviceConfig::h800()),
-        "a100" => Some(DeviceConfig::a100()),
-        "rtx4090" => Some(DeviceConfig::rtx4090()),
-        _ => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: htrace capture --device h800|a100|rtx4090 --grid N --block N \\\n\
@@ -107,7 +98,7 @@ fn cmd_capture(args: &[String]) {
     else {
         usage()
     };
-    let dev = device_by_name(&device)
+    let dev = DeviceConfig::by_name(&device)
         .unwrap_or_else(|| fail(format!("unknown device `{device}` (h800|a100|rtx4090)")));
     let asm_text =
         std::fs::read_to_string(&input).unwrap_or_else(|e| fail(format!("read {input}: {e}")));
@@ -187,7 +178,7 @@ fn cmd_replay(args: &[String]) {
     let Some(path) = path else { usage() };
     let trace = load_trace(&path);
     let kernel = trace.validate().unwrap_or_else(|e| fail(e));
-    let dev = device_by_name(&trace.header.device).unwrap_or_else(|| {
+    let dev = DeviceConfig::by_name(&trace.header.device).unwrap_or_else(|| {
         fail(format!(
             "trace names unknown device `{}`",
             trace.header.device

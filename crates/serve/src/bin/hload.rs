@@ -43,9 +43,6 @@ OPTIONS:
     --max-seqs N       resident-sequence cap
     --qps LIST         comma-separated arrival rates to sweep
                        (default: the scenario's qps, single point)
-    --sim-threads N    intra-kernel engine workers per launch (0 = auto;
-                       clamped to the host's thread budget; results are
-                       bitwise identical at any count)
     --pretty           pretty-print the output JSON
     -h, --help         print this help
 ";
@@ -56,7 +53,6 @@ struct Cli {
     device: String,
     base: Vec<(String, Value)>,
     qps: Vec<f64>,
-    sim_threads: Option<u32>,
     pretty: bool,
 }
 
@@ -73,7 +69,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         device: "h800".to_string(),
         base: Vec::new(),
         qps: Vec::new(),
-        sim_threads: None,
         pretty: false,
     };
     let mut i = 0;
@@ -144,13 +139,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 let n = parse_n(a, &value(&mut i)?)?;
                 set(&mut cli.base, "max_seqs", Value::UInt(n));
             }
-            "--sim-threads" => {
-                let n = parse_n(a, &value(&mut i)?)?;
-                cli.sim_threads =
-                    Some(u32::try_from(n).map_err(|_| {
-                        format!("--sim-threads: `{n}` does not fit in a thread count")
-                    })?);
-            }
             "--qps" => {
                 let list = value(&mut i)?;
                 for part in list.split(',') {
@@ -179,16 +167,10 @@ fn run_local(scn: &InferScenario, device: &str) -> Result<Value, String> {
 }
 
 /// Submit one point to the daemon and unwrap its result payload.
-fn run_daemon(
-    client: &Client,
-    scenario: &Value,
-    device: &str,
-    sim_threads: Option<u32>,
-) -> Result<Value, String> {
+fn run_daemon(client: &Client, scenario: &Value, device: &str) -> Result<Value, String> {
     let mut spec = RunSpec::new(String::new(), device, 1, 1);
     spec.report = ReportKind::Infer;
     spec.infer = Some(scenario.clone());
-    spec.sim_threads = sim_threads;
     let line = client.run(&spec).map_err(|e| e.to_string())?;
     let v: Value = serde_json::from_str(&line).map_err(|e| format!("bad response: {e}"))?;
     match v.get("status").and_then(|s| s.as_str()) {
@@ -230,14 +212,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // `--local` runs launches in this process; install the request as
-    // the process default so `hopper_infer::run`'s `Gpu::new` picks it
-    // up (budget-resolved — a single hload job, so jobs stays 1).
-    if cli.local {
-        if let Some(t) = cli.sim_threads {
-            hopper_sim::threads::set_default_sim_threads(t);
-        }
-    }
     let sweep: Vec<f64> = if cli.qps.is_empty() {
         vec![base.qps]
     } else {
@@ -252,7 +226,7 @@ fn main() -> ExitCode {
         let outcome = if cli.local {
             run_local(&scn, &cli.device)
         } else {
-            run_daemon(&client, &scn.to_value(), &cli.device, cli.sim_threads)
+            run_daemon(&client, &scn.to_value(), &cli.device)
         };
         let report = match outcome {
             Ok(report) => report,

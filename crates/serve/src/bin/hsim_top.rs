@@ -2,9 +2,7 @@
 //!
 //! Polls the daemon's `stats` and `metrics` ops and renders throughput
 //! (QPS), per-stage p50/p99 latency, queue depth, cache hit rate,
-//! worker utilization and per-device run counts.  Works against a
-//! daemon running with `--obs off` too, falling back to the coarser
-//! `stats` histograms when the metric registry is unavailable.
+//! worker utilization and per-device run counts.
 
 use hopper_obs::expo::{self, Exposition};
 use hopper_obs::log::{self, Level};
@@ -135,26 +133,6 @@ impl Dist {
                 .collect(),
         )
     }
-
-    /// From a `stats`-endpoint histogram array of `{count, le_us}`
-    /// objects (`le_us` is an exclusive bound; inclusive is one less).
-    fn from_stats(section: &Value, stage: &str) -> Dist {
-        let buckets = section
-            .get(stage)
-            .and_then(Value::as_array)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        Dist(
-            buckets
-                .iter()
-                .filter_map(|b| {
-                    let le = b.get("le_us")?.as_u64()?;
-                    let count = b.get("count")?.as_u64()?;
-                    Some((le.saturating_sub(1), count))
-                })
-                .collect(),
-        )
-    }
 }
 
 fn fmt_quantiles(d: &Dist) -> String {
@@ -223,7 +201,7 @@ fn render_infer_panel(doc: &Exposition) -> String {
 }
 
 /// Render one dashboard frame.
-fn render_frame(addr: &str, stats: &Value, metrics: Option<&Exposition>, qps: f64) -> String {
+fn render_frame(addr: &str, stats: &Value, doc: &Exposition, qps: f64) -> String {
     let mut out = String::new();
     let uptime_s = get_u64(stats, "workers", "uptime_us") as f64 / 1e6;
     out.push_str(&format!(
@@ -254,40 +232,27 @@ fn render_frame(addr: &str, stats: &Value, metrics: Option<&Exposition>, qps: f6
         get_u64(stats, "cache", "evictions"),
     ));
     out.push_str("\nstage latency (µs)        p50 /       p99\n");
-    match metrics {
-        Some(doc) => {
-            for stage in ["parse", "assemble", "cache", "queue", "simulate", "render"] {
-                let d = Dist::from_expo(doc, "hsimd_stage_duration_us", "stage", stage);
-                out.push_str(&format!("  {stage:<18}{}\n", fmt_quantiles(&d)));
-            }
-            for path in ["cached", "all"] {
-                let d = Dist::from_expo(doc, "hsimd_request_duration_us", "path", path);
-                out.push_str(&format!("  e2e:{path:<14}{}\n", fmt_quantiles(&d)));
-            }
-            let mut devices: Vec<(String, u64)> = doc
-                .samples_named("hsimd_runs_total")
-                .filter_map(|s| Some((s.label("device")?.to_string(), s.value as u64)))
-                .collect();
-            devices.sort();
-            if !devices.is_empty() {
-                out.push_str("\nruns by device   ");
-                for (dev, n) in devices {
-                    out.push_str(&format!("{dev} {n}   "));
-                }
-                out.push('\n');
-            }
-            out.push_str(&render_infer_panel(doc));
-        }
-        None => {
-            // Bare daemon (--obs off): only the stats histograms exist.
-            let lat = stats.get("latency_us").cloned().unwrap_or(Value::Null);
-            for stage in ["assemble", "queue_wait", "sim", "cache_hit", "total"] {
-                let d = Dist::from_stats(&lat, stage);
-                out.push_str(&format!("  {stage:<18}{}\n", fmt_quantiles(&d)));
-            }
-            out.push_str("\n(metrics unavailable — daemon runs with --obs off)\n");
-        }
+    for stage in ["parse", "assemble", "cache", "queue", "simulate", "render"] {
+        let d = Dist::from_expo(doc, "hsimd_stage_duration_us", "stage", stage);
+        out.push_str(&format!("  {stage:<18}{}\n", fmt_quantiles(&d)));
     }
+    for path in ["cached", "all"] {
+        let d = Dist::from_expo(doc, "hsimd_request_duration_us", "path", path);
+        out.push_str(&format!("  e2e:{path:<14}{}\n", fmt_quantiles(&d)));
+    }
+    let mut devices: Vec<(String, u64)> = doc
+        .samples_named("hsimd_runs_total")
+        .filter_map(|s| Some((s.label("device")?.to_string(), s.value as u64)))
+        .collect();
+    devices.sort();
+    if !devices.is_empty() {
+        out.push_str("\nruns by device   ");
+        for (dev, n) in devices {
+            out.push_str(&format!("{dev} {n}   "));
+        }
+        out.push('\n');
+    }
+    out.push_str(&render_infer_panel(doc));
     out
 }
 
@@ -312,22 +277,21 @@ fn main() -> ExitCode {
     let mut prev: Option<(Instant, u64)> = None;
     let mut frame = 0u64;
     loop {
-        let envelope = match client.stats() {
-            Ok(v) => v,
+        let polled = client.stats().map_err(|e| e.to_string()).and_then(|env| {
+            let text = client.metrics().map_err(|e| e.to_string())?;
+            Ok((env, expo::parse(&text).map_err(|e| e.to_string())?))
+        });
+        let (envelope, metrics_doc) = match polled {
+            Ok(p) => p,
             Err(e) => {
-                log::event(Level::Error, "hsim_top", "stats poll failed")
+                log::event(Level::Error, "hsim_top", "poll failed")
                     .str("addr", &cli.addr)
-                    .str("detail", &e.to_string())
+                    .str("detail", &e)
                     .emit();
                 return ExitCode::from(2);
             }
         };
         let stats = envelope.get("result").cloned().unwrap_or(Value::Null);
-        // A bare daemon answers `metrics` with an error; render without.
-        let metrics_doc = client
-            .metrics()
-            .ok()
-            .and_then(|text| expo::parse(&text).ok());
         let now = Instant::now();
         let total = get_u64(&stats, "requests", "total");
         let qps = match prev {
@@ -338,10 +302,7 @@ fn main() -> ExitCode {
         if !cli.once {
             print!("\x1b[2J\x1b[H"); // clear screen, home cursor
         }
-        print!(
-            "{}",
-            render_frame(&cli.addr, &stats, metrics_doc.as_ref(), qps)
-        );
+        print!("{}", render_frame(&cli.addr, &stats, &metrics_doc, qps));
         frame += 1;
         if cli.frames.is_some_and(|n| frame >= n) {
             return ExitCode::SUCCESS;

@@ -24,9 +24,6 @@ OPTIONS:
     --cache-cap N      result-cache entries, 0 disables caching (default 64)
     --deadline-ms MS   default wall-clock deadline per run (default: none)
     --max-cycles N     default simulated-cycle budget per run (default: none)
-    --obs on|off       observability: the metric registry, structured
-                       request logs, the `metrics` op and GET /metrics
-                       (default on; off runs the bare daemon)
     -h, --help         print this help
 
 The daemon speaks newline-delimited JSON; see hsim-client or DESIGN.md
@@ -47,7 +44,7 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
         match flag {
             "-h" | "--help" => return Ok(None),
             "--addr" | "--workers" | "--queue-cap" | "--cache-cap" | "--deadline-ms"
-            | "--max-cycles" | "--obs" => {
+            | "--max-cycles" => {
                 i += 1;
                 let val = args
                     .get(i)
@@ -64,13 +61,6 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
                     "--cache-cap" => cfg.cache_cap = parse_n()? as usize,
                     "--deadline-ms" => cfg.default_deadline_ms = Some(parse_n()?),
                     "--max-cycles" => cfg.default_max_cycles = Some(parse_n()?),
-                    "--obs" => {
-                        cfg.obs = match val {
-                            "on" => true,
-                            "off" => false,
-                            _ => return Err(format!("--obs: `{val}` is not on|off")),
-                        }
-                    }
                     _ => unreachable!(),
                 }
             }

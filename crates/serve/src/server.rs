@@ -21,16 +21,14 @@
 //! 5. The reaper thread trips cancel tokens of jobs whose wall deadline
 //!    passed; the engine polls the token and aborts mid-grid.
 //!
-//! Observability (on by default; [`ServerConfig::obs`]): every request
+//! Observability: every request
 //! is tagged with a correlation id that appears in the response
 //! envelope and in every structured log line the request produces, the
 //! [`ServeStats`] counters double as registry series, stage durations
 //! feed `hsimd_stage_duration_us`, and the registry is exported both
 //! through the NDJSON `metrics` op and a minimal `GET /metrics` HTTP
 //! shim on the same listener (a scrape target needs no second port).
-//! With observability off the daemon runs bare: detached stats, no
-//! registry traffic, no log lines — the baseline for measuring
-//! instrumentation overhead.
+//! Log verbosity is governed by `HOPPER_LOG`.
 //!
 //! Shutdown (the `shutdown` op or [`Server::shutdown`]) closes the
 //! queue — queued jobs still drain to their waiting clients — stops the
@@ -87,14 +85,10 @@ pub struct ServerConfig {
     pub default_max_cycles: Option<u64>,
     /// Default wall-clock deadline applied when a request sets none.
     pub default_deadline_ms: Option<u64>,
-    /// Observability: registry-backed metrics, structured logging, the
-    /// `metrics` op and the `GET /metrics` shim.  Off runs the bare
-    /// legacy-equivalent daemon (the overhead-benchmark baseline).
-    pub obs: bool,
     /// Metric registry to publish into; `None` uses the process-global
     /// [`Registry::global`].  Tests that assert exact counter values
     /// pass a private registry so concurrent servers in one process
-    /// don't share atomics.  Ignored when `obs` is off.
+    /// don't share atomics.
     pub registry: Option<Arc<Registry>>,
 }
 
@@ -107,7 +101,6 @@ impl Default for ServerConfig {
             cache_cap: 64,
             default_max_cycles: None,
             default_deadline_ms: None,
-            obs: true,
             registry: None,
         }
     }
@@ -115,12 +108,7 @@ impl Default for ServerConfig {
 
 /// Resolve a wire device name to its calibrated configuration.
 pub fn device_config(name: &str) -> Option<DeviceConfig> {
-    match name {
-        "h800" => Some(DeviceConfig::h800()),
-        "a100" => Some(DeviceConfig::a100()),
-        "rtx4090" => Some(DeviceConfig::rtx4090()),
-        _ => None,
-    }
+    DeviceConfig::by_name(name)
 }
 
 /// What a worker actually executes for a job.
@@ -245,20 +233,10 @@ impl Reaper {
     }
 }
 
-/// Where this daemon publishes metrics.
-enum Obs {
-    /// The process-global registry (production default).
-    Global,
-    /// A caller-supplied registry (test isolation).
-    Private(Arc<Registry>),
-}
-
-impl Obs {
-    fn registry(&self) -> &Registry {
-        match self {
-            Obs::Global => Registry::global(),
-            Obs::Private(r) => r,
-        }
+fn registry_of(cfg: &ServerConfig) -> &Registry {
+    match &cfg.registry {
+        Some(r) => r,
+        None => Registry::global(),
     }
 }
 
@@ -268,68 +246,55 @@ struct Shared {
     queue: JobQueue<Job>,
     cache: Mutex<ResultCache>,
     stats: ServeStats,
-    /// `None` = bare daemon (no registry, no logging).
-    obs: Option<Obs>,
     shutdown: AtomicBool,
     reaper: Reaper,
     local_addr: SocketAddr,
 }
 
 impl Shared {
-    /// The metric registry, when observability is on.
-    fn registry(&self) -> Option<&Registry> {
-        self.obs.as_ref().map(Obs::registry)
-    }
-
-    /// Whether structured logging is on (it rides the same switch).
-    fn logs(&self) -> bool {
-        self.obs.is_some()
+    /// Where this daemon publishes metrics: the configured private
+    /// registry, else the process-global one.
+    fn registry(&self) -> &Registry {
+        registry_of(&self.cfg)
     }
 
     /// Record a request stage duration into the registry histogram
     /// family (the `assemble`/`queue`/`simulate` stages go through the
     /// [`ServeStats`] handles instead; see [`crate::stats`]).
     fn record_stage(&self, stage: &Stage) {
-        if let Some(reg) = self.registry() {
-            reg.histogram(
+        self.registry()
+            .histogram(
                 "hsimd_stage_duration_us",
                 STAGE_HELP,
                 &[("stage", stage.name)],
             )
             .record(stage.dur_us);
-        }
     }
 
     /// Count an error envelope by kind and log it.
     fn note_error(&self, corr_id: &str, err: &ProtoError) {
-        if let Some(reg) = self.registry() {
-            reg.counter("hsimd_errors_total", ERRORS_HELP, &[("kind", err.kind)])
-                .inc();
-        }
-        if self.logs() {
-            event(Level::Warn, LOG, "request failed")
-                .str("corr_id", corr_id)
-                .str("kind", err.kind)
-                .str("detail", &err.message)
-                .emit();
-        }
+        self.registry()
+            .counter("hsimd_errors_total", ERRORS_HELP, &[("kind", err.kind)])
+            .inc();
+        event(Level::Warn, LOG, "request failed")
+            .str("corr_id", corr_id)
+            .str("kind", err.kind)
+            .str("detail", &err.message)
+            .emit();
     }
 
     /// Count a cache operation and log it at debug level.
     fn note_cache(&self, corr_id: &str, result: &'static str) {
-        if let Some(reg) = self.registry() {
-            reg.counter(
+        self.registry()
+            .counter(
                 "hsimd_cache_ops_total",
                 CACHE_OPS_HELP,
                 &[("result", result)],
             )
             .inc();
-        }
-        if self.logs() {
-            event(Level::Debug, "hsimd::cache", result)
-                .str("corr_id", corr_id)
-                .emit();
-        }
+        event(Level::Debug, "hsimd::cache", result)
+            .str("corr_id", corr_id)
+            .emit();
     }
 }
 
@@ -355,32 +320,22 @@ impl Server {
         hopper_sim::threads::set_sweep_jobs(cfg.workers);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let obs = cfg.obs.then(|| match cfg.registry.clone() {
-            Some(r) => Obs::Private(r),
-            None => Obs::Global,
-        });
-        let stats = match &obs {
-            Some(o) => ServeStats::registered(o.registry()),
-            None => ServeStats::new(),
-        };
+        let stats = ServeStats::registered(registry_of(&cfg));
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_cap),
             cache: Mutex::new(ResultCache::new(cfg.cache_cap)),
             stats,
-            obs,
             shutdown: AtomicBool::new(false),
             reaper: Reaper::spawn(),
             local_addr,
             cfg,
         });
-        if shared.logs() {
-            event(Level::Info, LOG, "listening")
-                .str("addr", &local_addr.to_string())
-                .u64("workers", shared.cfg.workers as u64)
-                .u64("queue_cap", shared.cfg.queue_cap as u64)
-                .u64("cache_cap", shared.cfg.cache_cap as u64)
-                .emit();
-        }
+        event(Level::Info, LOG, "listening")
+            .str("addr", &local_addr.to_string())
+            .u64("workers", shared.cfg.workers as u64)
+            .u64("queue_cap", shared.cfg.queue_cap as u64)
+            .u64("cache_cap", shared.cfg.cache_cap as u64)
+            .emit();
         let workers = (0..shared.cfg.workers)
             .map(|_| {
                 let sh = shared.clone();
@@ -425,9 +380,7 @@ fn initiate_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return; // already draining
     }
-    if shared.logs() {
-        event(Level::Info, LOG, "draining").emit();
-    }
+    event(Level::Info, LOG, "draining").emit();
     shared.queue.close();
     // Wake the blocked accept() so the loop observes the flag.
     let _ = TcpStream::connect(shared.local_addr);
@@ -546,17 +499,14 @@ fn handle_http(
         }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = match (path, render_metrics(shared)) {
-        ("/metrics", Some(text)) => ("200 OK", text),
-        ("/metrics", None) => ("404 Not Found", "observability disabled\n".to_string()),
+    let (status, body) = match path {
+        "/metrics" => ("200 OK", render_metrics(shared)),
         _ => ("404 Not Found", "not found (try /metrics)\n".to_string()),
     };
-    if shared.logs() {
-        event(Level::Debug, LOG, "http scrape")
-            .str("path", path)
-            .str("status", status)
-            .emit();
-    }
+    event(Level::Debug, LOG, "http scrape")
+        .str("path", path)
+        .str("status", status)
+        .emit();
     let _ = write!(
         out,
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -567,11 +517,11 @@ fn handle_http(
 }
 
 /// Render the Prometheus exposition, refreshing the scrape-time gauges
-/// first.  `None` when observability is off.  Gauges are *set* (not
+/// first.  Gauges are *set* (not
 /// incremented) on every scrape, so two scrapes of an idle daemon are
 /// byte-identical.
-fn render_metrics(shared: &Shared) -> Option<String> {
-    let reg = shared.registry()?;
+fn render_metrics(shared: &Shared) -> String {
+    let reg = shared.registry();
     reg.gauge("hsimd_queue_depth", "Jobs currently queued.", &[])
         .set(shared.queue.depth() as i64);
     reg.gauge("hsimd_queue_capacity", "Job-queue capacity.", &[])
@@ -587,7 +537,7 @@ fn render_metrics(shared: &Shared) -> Option<String> {
     .set(cache.capacity as i64);
     reg.gauge("hsimd_workers", "Simulation worker threads.", &[])
         .set(shared.cfg.workers as i64);
-    Some(reg.render())
+    reg.render()
 }
 
 /// Handle one request line; returns the response line and whether the
@@ -608,10 +558,10 @@ fn handle_line(
     let op = parsed.as_ref().map(|r| r.op_name()).unwrap_or("invalid");
     if op != "metrics" {
         shared.record_stage(&parse_stage);
-        if let Some(reg) = shared.registry() {
-            reg.counter("hsimd_requests_total", REQUESTS_HELP, &[("op", op)])
-                .inc();
-        }
+        shared
+            .registry()
+            .counter("hsimd_requests_total", REQUESTS_HELP, &[("op", op)])
+            .inc();
     }
     match parsed {
         Err(e) => {
@@ -632,20 +582,10 @@ fn handle_line(
             );
             (ok_response(&id, corr_id, None, snap, None), false)
         }
-        Ok(Request::Metrics { id }) => match render_metrics(shared) {
-            Some(text) => (
-                ok_response(&id, corr_id, None, Value::Str(text), None),
-                false,
-            ),
-            None => {
-                let e = ProtoError::new(
-                    "bad_request",
-                    "observability disabled (daemon started with --obs off)",
-                );
-                shared.note_error(corr_id, &e);
-                (error_response(&id, corr_id, &e, None), false)
-            }
-        },
+        Ok(Request::Metrics { id }) => (
+            ok_response(&id, corr_id, None, Value::Str(render_metrics(shared)), None),
+            false,
+        ),
         Ok(Request::Shutdown { id }) => (
             ok_response(&id, corr_id, None, Value::Str("draining".into()), None),
             true,
@@ -663,14 +603,12 @@ fn handle_run(shared: &Arc<Shared>, spec: RunSpec, corr_id: &str, tl: &mut Timel
     let line = match process_run(shared, spec, t0, corr_id, tl) {
         Ok((digest, payload)) => {
             shared.stats.requests_ok.inc();
-            if shared.logs() {
-                event(Level::Info, LOG, "run ok")
-                    .str("corr_id", corr_id)
-                    .str("device", &device)
-                    .str("digest", &digest)
-                    .u64("dur_us", t0.elapsed().as_micros() as u64)
-                    .emit();
-            }
+            event(Level::Info, LOG, "run ok")
+                .str("corr_id", corr_id)
+                .str("device", &device)
+                .str("digest", &digest)
+                .u64("dur_us", t0.elapsed().as_micros() as u64)
+                .emit();
             let timings = want_timings.then(|| timings_to_json(tl.stages()));
             ok_response(&id, corr_id, Some(&digest), payload, timings)
         }
@@ -1001,15 +939,14 @@ fn run_job(shared: &Arc<Shared>, job: Job, tl: &mut Timeline) -> Result<Value, P
         ),
         None => Gpu::new(job.device.clone()),
     };
-    if let Some(reg) = shared.registry() {
-        reg.counter(
-            "hsimd_runs_total",
-            "Simulation runs started, by device.",
-            &[("device", &spec.device)],
-        )
-        .inc();
-        gpu.set_phase_sink(Some(Box::new(RegistryPhaseSink::new(reg))));
-    }
+    let reg = shared.registry();
+    reg.counter(
+        "hsimd_runs_total",
+        "Simulation runs started, by device.",
+        &[("device", &spec.device)],
+    )
+    .inc();
+    gpu.set_phase_sink(Some(Box::new(RegistryPhaseSink::new(reg))));
     let sim_start = Instant::now();
     // Trace streams were validated against the kernel at request time, so
     // the engine can skip its prevalidation pass.
@@ -1052,15 +989,13 @@ fn run_job(shared: &Arc<Shared>, job: Job, tl: &mut Timeline) -> Result<Value, P
         shared.record_stage(&render_stage);
         payload
     });
-    if shared.logs() {
-        event(Level::Debug, "hsimd::worker", "job done")
-            .str("corr_id", &job.corr_id)
-            .str("device", &spec.device)
-            .str("report", spec.report.name())
-            .bool("ok", out.is_ok())
-            .u64("sim_us", sim_start.elapsed().as_micros() as u64)
-            .emit();
-    }
+    event(Level::Debug, "hsimd::worker", "job done")
+        .str("corr_id", &job.corr_id)
+        .str("device", &spec.device)
+        .str("report", spec.report.name())
+        .bool("ok", out.is_ok())
+        .u64("sim_us", sim_start.elapsed().as_micros() as u64)
+        .emit();
     out.map_err(|e| match e {
         LaunchError::DeadlineExceeded {
             budget_cycles,
@@ -1108,17 +1043,16 @@ fn run_infer_job(
         max_iterations: budget.max_cycles,
         cancel: budget.cancel.clone(),
     };
-    let metrics = shared.registry().map(|reg| {
-        reg.counter(
-            "hsimd_runs_total",
-            "Simulation runs started, by device.",
-            &[("device", &spec.device)],
-        )
-        .inc();
-        hopper_infer::InferMetrics::register(reg)
-    });
+    let reg = shared.registry();
+    reg.counter(
+        "hsimd_runs_total",
+        "Simulation runs started, by device.",
+        &[("device", &spec.device)],
+    )
+    .inc();
+    let metrics = hopper_infer::InferMetrics::register(reg);
     let sim_start = Instant::now();
-    let raw = hopper_infer::run(scn, &job.device, &infer_budget, metrics.as_ref());
+    let raw = hopper_infer::run(scn, &job.device, &infer_budget, Some(&metrics));
     tl.record("simulate", sim_start);
     shared
         .stats
@@ -1131,15 +1065,13 @@ fn run_infer_job(
         shared.record_stage(&render_stage);
         payload
     });
-    if shared.logs() {
-        event(Level::Debug, "hsimd::worker", "job done")
-            .str("corr_id", &job.corr_id)
-            .str("device", &spec.device)
-            .str("report", spec.report.name())
-            .bool("ok", out.is_ok())
-            .u64("sim_us", sim_start.elapsed().as_micros() as u64)
-            .emit();
-    }
+    event(Level::Debug, "hsimd::worker", "job done")
+        .str("corr_id", &job.corr_id)
+        .str("device", &spec.device)
+        .str("report", spec.report.name())
+        .bool("ok", out.is_ok())
+        .u64("sim_us", sim_start.elapsed().as_micros() as u64)
+        .emit();
     out.map_err(|e| match e {
         hopper_infer::InferError::IterationsExceeded { budget } => {
             shared.stats.deadline_exceeded.inc();

@@ -6,8 +6,7 @@
 //! runs with observability on, [`ServeStats::registered`] wires every
 //! handle to a named series in the metric registry — the `stats` JSON
 //! and the Prometheus `metrics` exposition then read the *same atomics*,
-//! so the two endpoints can never disagree.  [`ServeStats::new`] builds
-//! detached handles for the bare (`--obs off`) daemon.
+//! so the two endpoints can never disagree.
 //!
 //! Histogram reads go through [`hopper_obs::Histogram::snapshot`] — one
 //! sweep of the bucket array per histogram, so a snapshot's derived
@@ -126,13 +125,6 @@ impl ServeStats {
         }
     }
 
-    /// Detached handles (no registry): the bare-daemon mode.  The
-    /// throwaway registry only serves as a constructor; the `Arc`ed
-    /// atomics outlive it.
-    pub fn new() -> Self {
-        Self::registered(&Registry::new())
-    }
-
     /// Stats-endpoint snapshot (sorted keys; counter values are
     /// inherently racy but each histogram is one consistent sweep).
     pub fn snapshot(
@@ -209,12 +201,6 @@ impl ServeStats {
     }
 }
 
-impl Default for ServeStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Non-empty buckets as `{count, le_us}` objects in ascending order
 /// (`le_us` is the bucket's exclusive upper bound in µs) — the wire
 /// shape the `stats` endpoint has always used.
@@ -259,7 +245,7 @@ mod tests {
 
     #[test]
     fn snapshot_shape() {
-        let s = ServeStats::new();
+        let s = ServeStats::registered(&Registry::new());
         s.requests_total.add(3);
         s.lat_total.record(10);
         let v = s.snapshot(

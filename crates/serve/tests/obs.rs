@@ -1,8 +1,7 @@
 //! Observability end-to-end: correlation ids tie response envelopes to
 //! server log lines, the `metrics` op and the `GET /metrics` HTTP shim
-//! export the same deterministic registry, request timelines appear
-//! under the opt-in `timings` flag, and the bare (`--obs off`) daemon
-//! neither logs nor serves metrics.
+//! export the same deterministic registry, and request timelines appear
+//! under the opt-in `timings` flag.
 
 use hopper_obs::log::Capture;
 use hopper_obs::{expo, Registry};
@@ -243,50 +242,6 @@ fn timings_flag_attaches_stage_timeline() {
     let err = parse(&client.run(&bad).unwrap());
     assert_eq!(err.get("status").and_then(Value::as_str), Some("error"));
     assert_eq!(stage_names(&err), ["parse"]);
-    server.shutdown();
-    server.join();
-}
-
-#[test]
-fn bare_daemon_answers_runs_but_not_metrics() {
-    let capture = Capture::start();
-    let server = Server::start(ServerConfig {
-        obs: false,
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let client = Client::new(server.local_addr().to_string());
-    let v = parse(&client.run(&RunSpec::new(KERNEL, "h800", 1, 32)).unwrap());
-    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
-    // Envelopes still carry correlation ids (they cost one atomic).
-    let corr = corr_id_of(&v);
-    // ...but the bare daemon logs nothing about them.
-    assert!(
-        !capture.lines().iter().any(|l| l.contains(&corr)),
-        "bare daemon must not log"
-    );
-    // The metrics op is a structured refusal, not a protocol error.
-    let m = parse(&client.send_line(r#"{"op":"metrics"}"#).unwrap());
-    assert_eq!(m.get("status").and_then(Value::as_str), Some("error"));
-    assert_eq!(
-        m.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Value::as_str),
-        Some("bad_request")
-    );
-    // The HTTP shim 404s.
-    let resp = http_get(&server.local_addr().to_string(), "/metrics");
-    assert!(resp.starts_with("HTTP/1.1 404 Not Found"), "{resp}");
-    // Stats still work (detached histograms).
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats
-            .get("result")
-            .and_then(|r| r.get("requests"))
-            .and_then(|r| r.get("total"))
-            .and_then(Value::as_u64),
-        Some(1)
-    );
     server.shutdown();
     server.join();
 }

@@ -398,6 +398,21 @@ impl DeviceConfig {
         [Self::a100(), Self::rtx4090(), Self::h800()]
     }
 
+    /// Resolve a wire/CLI device name (`h800`, `a100`, `rtx4090`) to its
+    /// calibrated configuration.
+    pub fn by_name(name: &str) -> Option<DeviceConfig> {
+        Self::all().into_iter().find(|d| d.wire_name() == name)
+    }
+
+    /// The name [`Self::by_name`] resolves back to this device.
+    pub fn wire_name(&self) -> &'static str {
+        match self.arch {
+            Arch::Ampere => "a100",
+            Arch::Ada => "rtx4090",
+            Arch::Hopper => "h800",
+        }
+    }
+
     /// Tensor cores on the whole device (Table III: 432 / 512 / 456).
     pub fn total_tensor_cores(&self) -> u32 {
         self.num_sms * self.tc_per_sm
@@ -474,6 +489,14 @@ impl DeviceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_names_round_trip() {
+        for d in DeviceConfig::all() {
+            assert_eq!(DeviceConfig::by_name(d.wire_name()), Some(d));
+        }
+        assert_eq!(DeviceConfig::by_name("H800"), None);
+    }
 
     #[test]
     fn table_iii_properties() {

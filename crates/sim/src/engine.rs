@@ -26,13 +26,16 @@ use hopper_trace::{
     StallReason, StallSpan, TraceConfig, TraceSink, UnitBusy, UnitSpan, N_SLOT_REASONS,
     N_WAIT_BUCKETS,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+#[path = "legacy.rs"]
+mod legacy;
 #[path = "par.rs"]
 mod par;
+#[path = "sched.rs"]
+mod sched;
 
 /// Tag marking a register value as a cluster-DSM address produced by
 /// `mapa` (bit 62 set; rank in bits 32..48; offset in the low 32).
@@ -63,45 +66,19 @@ const BLOCK_DISPATCH_STAGGER: u64 = 1500;
 /// cycles (see `do_cp_async`).
 const CP_ASYNC_EXTRA_LATENCY: f64 = 260.0;
 
-/// Per-slot outcome code of one engine iteration (trace accounting):
-/// `0` = issued, `1 + bucket` = stalled for that reason, [`OUT_IDLE`] = no
-/// runnable warp.  Weighted by the cycle advance each iteration, the
+/// Per-slot outcome code of one issue scan (trace accounting):
+/// [`OUT_ISSUED`], `1 + bucket` = stalled for that reason, [`OUT_IDLE`] = no
+/// runnable warp.  Weighted by the cycles each scan stands for, the
 /// accumulated buckets satisfy issued + stalled + idle == cycles per slot
 /// by construction.
+const OUT_ISSUED: u8 = 0;
 const OUT_IDLE: u8 = u8::MAX;
 
-/// Per-scheduler-slot state of the ready-set scheduler.  `ready` and
-/// `sleep` are disjoint bitmasks over roster *positions* (a slot holds at
-/// most [`MAX_SLOT_WARPS`] warps — checked at dispatch) and together cover
-/// exactly the slot's non-`Done` warps: `ready` holds every warp with
-/// `retry_at <= cycle` (including barrier waiters, whose wakeup is not a
-/// known time), `sleep` holds warps parked until a known wakeup.  Parked
-/// warps' wakeup cycles and stall reasons live on the warps themselves
-/// (`retry_at` / `stall_reason`); only the minimum is cached here so a
-/// wholly-asleep slot is skippable without touching any warp.
-struct SlotState {
-    /// Bitmask of roster positions eligible for an issue attempt.
-    ready: u64,
-    /// Bitmask of parked roster positions.
-    sleep: u64,
-    /// Minimum `retry_at` over `sleep` (`u64::MAX` when empty).
-    sleep_min: u64,
-    /// Cached traced outcome is stale (membership changed or the slot
-    /// issued last iteration).
-    dirty: bool,
-}
-
-/// A scheduler slot's roster must fit the position bitmasks of
-/// [`SlotState`].  Every modelled device stays well below this (2048
+/// A scheduler slot's roster must fit the position bitmasks of the
+/// per-SM step (`sched.rs`).  Every modelled device stays well below this (2048
 /// threads/SM ÷ 32 lanes ÷ 4 schedulers = 16); launches that somehow
 /// exceed it fall back to the legacy scan.
 const MAX_SLOT_WARPS: usize = 64;
-
-/// A wholly-asleep slot is only parked in the wake heap when its nearest
-/// wakeup is at least this many cycles out; shorter sleeps (scoreboard
-/// holds) stay on the active list, where the wake drain re-admits them
-/// without paying a heap push + pop + sorted re-insert per stall.
-const DEACTIVATE_MIN_SLEEP: u64 = 32;
 
 /// Placement of one block for this engine run.
 #[derive(Debug, Clone, Copy)]
@@ -293,12 +270,8 @@ pub struct Engine<'a> {
     /// Per cluster id: member block indices and total member warps
     /// (precomputed so barrier release never rescans `blocks`).
     cluster_members: Vec<(u32, Vec<usize>, usize)>,
-    /// Warps currently arrived at some block barrier (early-out for
-    /// [`Self::release_barriers`]; serial paths only — the parallel path
-    /// keeps the per-SM counts below and leaves this at zero).
-    barrier_arrivals: usize,
-    /// Per-SM share of `barrier_arrivals` (early-out for
-    /// [`Self::release_sm_barriers`]).
+    /// Per SM: warps currently arrived at some block barrier (early-out
+    /// for [`Self::release_sm_barriers`]).
     sm_barrier_arrivals: Vec<usize>,
     /// Blocks resident on each SM (barrier-release working set).
     sm_blocks: Vec<Vec<usize>>,
@@ -307,9 +280,6 @@ pub struct Engine<'a> {
     /// Serial and parallel paths both accumulate here so the f64 energy
     /// sums see one addition order and stay bitwise identical.
     sm_metrics: Vec<Metrics>,
-    /// Set while [`Self::run_parallel`] drives the warps: shared-state
-    /// shortcuts that would race across SM shards are skipped.
-    par_run: bool,
     l1_stats0: (u64, u64),
     l2_stats0: (u64, u64),
     /// Attached trace sink (`None` = untraced hot path).
@@ -322,6 +292,9 @@ pub struct Engine<'a> {
     /// access, never freed, so the per-instruction hot path allocates
     /// nothing once warm.
     scratch: AccessScratch,
+    /// Per-slot cycle accounting, `sm * 4 + sched`; empty unless a sink is
+    /// attached.
+    slot_acc: Vec<SlotAcc>,
     /// Per-PC sampling accumulators, one per kernel instruction; empty
     /// unless a sink is attached and [`TraceConfig::pc_sampling`] is on,
     /// so the untraced hot path never touches it.
@@ -381,7 +354,6 @@ impl<'a> Engine<'a> {
         let nregs = (kernel.regs_per_thread as usize)
             .max(cfg.params.len() + 1)
             .min(256);
-        let _ = &nregs;
         let warps_per_block = cfg.threads_per_block.div_ceil(32) as usize;
 
         let mut warps = Vec::new();
@@ -507,18 +479,17 @@ impl<'a> Engine<'a> {
             cycle: 0,
             cluster_barriers: HashMap::new(),
             cluster_members,
-            barrier_arrivals: 0,
             sm_barrier_arrivals: vec![0; num_sms],
             sm_blocks,
             metrics: Metrics::default(),
             sm_metrics: vec![Metrics::default(); num_sms],
-            par_run: false,
             l1_stats0,
             l2_stats0,
             sink: None,
             trace,
             base_cycle: 0,
             scratch: AccessScratch::default(),
+            slot_acc: Vec::new(),
             pc_acc: Vec::new(),
             hit_limit: false,
             replay: None,
@@ -587,10 +558,11 @@ impl<'a> Engine<'a> {
         if let Some(s) = self.sink.as_mut() {
             s.begin_wave(self.base_cycle, self.sms.len() as u32, 4);
         }
-        let nslots = self.sms.len() * 4;
-        let mut slot_acc = vec![SlotAcc::default(); if tracing { nslots } else { 0 }];
-        if tracing && self.trace.pc_sampling {
-            self.pc_acc = vec![PcAcc::default(); self.kernel.instrs.len()];
+        if tracing {
+            self.slot_acc = vec![SlotAcc::default(); self.sms.len() * 4];
+            if self.trace.pc_sampling {
+                self.pc_acc = vec![PcAcc::default(); self.kernel.instrs.len()];
+            }
         }
         // A slot wider than the 64-bit masks falls back to the legacy
         // scan (real devices top out at 16 warps per scheduler slot, and
@@ -602,8 +574,9 @@ impl<'a> Engine<'a> {
         let workers = if fits { self.par_workers(tracing) } else { 1 };
         match self.cfg.opts.scheduler {
             Scheduler::ReadySet if fits && workers > 1 => self.run_parallel(&roster, workers),
-            Scheduler::ReadySet if fits => self.run_ready_set(&roster, tracing, &mut slot_acc),
-            _ => self.run_legacy(&roster, tracing, &mut slot_acc),
+            Scheduler::ReadySet if fits && tracing => self.run_serial::<true>(&roster),
+            Scheduler::ReadySet if fits => self.run_serial::<false>(&roster),
+            _ => self.run_legacy(&roster, tracing),
         }
         // Fold the per-SM accumulators in SM-major order — one fixed f64
         // addition order for energy regardless of execution path, which is
@@ -627,7 +600,7 @@ impl<'a> Engine<'a> {
         #[cfg(debug_assertions)]
         self.check_wave_invariants();
         if tracing {
-            self.emit_wave_summary(&slot_acc);
+            self.emit_wave_summary();
         }
         (self.metrics, self.hit_limit)
     }
@@ -656,577 +629,6 @@ impl<'a> Engine<'a> {
             return 1;
         }
         t.min(self.sms.len())
-    }
-
-    /// Ready-set issue loop: each slot partitions its warps into a ready
-    /// list (scanned for issue) and a sleep list keyed by known wakeup
-    /// (skipped entirely), so a slot whose warps all wait on memory costs
-    /// O(1) per iteration.  Produces bit-identical results to
-    /// [`Self::run_legacy`] — see DESIGN.md §4d for the argument.
-    fn run_ready_set(
-        &mut self,
-        roster: &[Vec<Vec<usize>>],
-        tracing: bool,
-        slot_acc: &mut [SlotAcc],
-    ) {
-        let nslots = self.sms.len() * 4;
-        let mut outcomes = vec![OUT_IDLE; nslots];
-        // Binding PC behind each cached stalled outcome (parked warps keep
-        // their PC, so the cache stays valid exactly as long as `outcomes`).
-        let mut outcome_pc = vec![0u32; nslots];
-        let pc_sampling = tracing && !self.pc_acc.is_empty();
-        let mut slots: Vec<SlotState> = Vec::with_capacity(nslots);
-        for sm_roster in roster {
-            for candidates in sm_roster {
-                let len = candidates.len();
-                let ready = if len == 0 {
-                    0
-                } else if len >= MAX_SLOT_WARPS {
-                    u64::MAX
-                } else {
-                    (1u64 << len) - 1
-                };
-                slots.push(SlotState {
-                    ready,
-                    sleep: 0,
-                    sleep_min: u64::MAX,
-                    dirty: true,
-                });
-            }
-        }
-        let mut live = self.warps.len();
-        // Hierarchical fast-forward bookkeeping: a slot is *active* while
-        // its ready mask is non-empty (or a traced outcome needs a
-        // recompute); inactive slots park their wakeup minimum in a
-        // global min-heap and cost nothing per iteration. Heap entries
-        // are lazily invalidated: an entry counts only if its slot is
-        // still inactive and still has that exact `sleep_min`.
-        let mut is_active: Vec<bool> = Vec::with_capacity(nslots);
-        let mut active: Vec<u32> = Vec::new();
-        for (slot, st) in slots.iter().enumerate() {
-            let has_warps = st.ready != 0;
-            is_active.push(has_warps);
-            if has_warps {
-                active.push(slot as u32);
-            }
-        }
-        let mut wake_heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        let limit_cycles = self.cfg.limit.max_cycles;
-        let cancel = self.cfg.limit.cancel.clone();
-        let mut cancel_countdown = CANCEL_CHECK_PERIOD;
-        #[cfg(debug_assertions)]
-        let mut check_countdown: u32 = 1;
-        loop {
-            if live == 0 {
-                break;
-            }
-            assert!(
-                self.cycle < MAX_CYCLES,
-                "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
-                self.kernel.name
-            );
-            if self.cycle >= limit_cycles {
-                self.hit_limit = true;
-                break;
-            }
-            if let Some(c) = &cancel {
-                cancel_countdown -= 1;
-                if cancel_countdown == 0 {
-                    cancel_countdown = CANCEL_CHECK_PERIOD;
-                    if c.load(Ordering::Relaxed) {
-                        self.hit_limit = true;
-                        break;
-                    }
-                }
-            }
-            let mut issued_any = false;
-            let mut earliest_wakeup = u64::MAX;
-            // Wake phase: re-activate every parked slot whose wakeup has
-            // arrived. Insertion keeps `active` sorted by slot index so
-            // the scan below touches shared limiter state in exactly the
-            // legacy sm-major, scheduler-minor order.
-            while let Some(&Reverse((wk, s))) = wake_heap.peek() {
-                if wk > self.cycle {
-                    break;
-                }
-                wake_heap.pop();
-                let si = s as usize;
-                if is_active[si] || slots[si].sleep_min != wk {
-                    continue; // stale entry
-                }
-                is_active[si] = true;
-                let at = active.partition_point(|&x| x < s);
-                active.insert(at, s);
-            }
-            let mut deactivated = false;
-            for &active_slot in &active {
-                let slot = active_slot as usize;
-                let (sm, sched) = (slot / 4, slot % 4);
-                let candidates = &roster[sm][sched];
-                let st = &slots[slot];
-                let (mut ready, mut sleep, mut sleep_min, mut dirty) =
-                    (st.ready, st.sleep, st.sleep_min, st.dirty);
-                // Re-admit warps whose wakeup has arrived.
-                if sleep_min <= self.cycle {
-                    let mut min = u64::MAX;
-                    let mut m = sleep;
-                    while m != 0 {
-                        let pos = m.trailing_zeros() as usize;
-                        let bit = 1u64 << pos;
-                        m &= m - 1;
-                        let wk = self.warps[candidates[pos]].retry_at;
-                        if wk <= self.cycle {
-                            sleep &= !bit;
-                            ready |= bit;
-                        } else {
-                            min = min.min(wk);
-                        }
-                    }
-                    sleep_min = min;
-                    dirty = true;
-                }
-                let len = candidates.len();
-                let start = self.sms[sm].last_sched[sched] % len;
-                let mut slot_issued = false;
-                let mut slot_stall: Option<(u64, StallReason, u32)> = None;
-                // Two mask halves walk the roster in circular order from
-                // `start`: positions ≥ start ascending, then the wrap.
-                // Stall transitions move a bit from `ready` to `sleep`
-                // without changing their union, so the second half's
-                // snapshot (taken after the first half ran) still sees
-                // every not-yet-visited warp exactly once.
-                let low_mask = (1u64 << start) - 1;
-                'scan: for half in [!low_mask, low_mask] {
-                    if tracing {
-                        // Merge ready and parked warps in circular roster
-                        // order: parked warps cannot issue, but the legacy
-                        // scan examined them for stall attribution, so
-                        // the binding-stall min and its first-in-scan-order
-                        // tie-break must see them at the same positions.
-                        let mut m = (ready | sleep) & half;
-                        while m != 0 {
-                            let pos = m.trailing_zeros() as usize;
-                            let bit = 1u64 << pos;
-                            m &= m - 1;
-                            let w = candidates[pos];
-                            if sleep & bit != 0 {
-                                let wk = self.warps[w].retry_at;
-                                earliest_wakeup = earliest_wakeup.min(wk);
-                                if slot_stall.is_none_or(|(b, ..)| wk < b) {
-                                    slot_stall = Some((
-                                        wk,
-                                        self.warps[w].stall_reason,
-                                        self.warps[w].pc as u32,
-                                    ));
-                                }
-                                continue;
-                            }
-                            let pc_before = self.warps[w].pc;
-                            match self.try_issue(w, self.cycle, false) {
-                                IssueResult::Issued => {
-                                    self.sms[sm].last_sched[sched] = pos;
-                                    issued_any = true;
-                                    slot_issued = true;
-                                    if self.warps[w].status == WarpStatus::Done {
-                                        live -= 1;
-                                        ready &= !bit;
-                                    }
-                                    self.note_issue(sm, sched, w, pc_before);
-                                    break 'scan;
-                                }
-                                IssueResult::Stalled(until, reason) => {
-                                    let wk = until.max(self.cycle + 1);
-                                    if until != u64::MAX {
-                                        self.warps[w].retry_at = wk;
-                                        ready &= !bit;
-                                        sleep |= bit;
-                                        sleep_min = sleep_min.min(wk);
-                                    }
-                                    earliest_wakeup = earliest_wakeup.min(wk);
-                                    self.note_stall(sm, sched, w, reason);
-                                    if slot_stall.is_none_or(|(b, ..)| wk < b) {
-                                        slot_stall = Some((wk, reason, pc_before as u32));
-                                    }
-                                }
-                                IssueResult::NeedsShared => {
-                                    unreachable!("serial scans never issue local-only")
-                                }
-                            }
-                        }
-                    } else {
-                        let mut m = ready & half;
-                        while m != 0 {
-                            let pos = m.trailing_zeros() as usize;
-                            let bit = 1u64 << pos;
-                            m &= m - 1;
-                            let w = candidates[pos];
-                            match self.try_issue(w, self.cycle, false) {
-                                IssueResult::Issued => {
-                                    self.sms[sm].last_sched[sched] = pos;
-                                    issued_any = true;
-                                    slot_issued = true;
-                                    if self.warps[w].status == WarpStatus::Done {
-                                        live -= 1;
-                                        ready &= !bit;
-                                    }
-                                    break 'scan;
-                                }
-                                IssueResult::Stalled(until, _) => {
-                                    if until != u64::MAX {
-                                        let wk = until.max(self.cycle + 1);
-                                        self.warps[w].retry_at = wk;
-                                        ready &= !bit;
-                                        sleep |= bit;
-                                        sleep_min = sleep_min.min(wk);
-                                    }
-                                }
-                                IssueResult::NeedsShared => {
-                                    unreachable!("serial scans never issue local-only")
-                                }
-                            }
-                        }
-                    }
-                }
-                // Parked wakeups (old and freshly parked) drive the
-                // slot's share of the global fast-forward target.
-                // Contributing the full minimum is exact: the target
-                // is only consumed when no slot issues, and then the
-                // legacy scan examined every parked warp too.
-                earliest_wakeup = earliest_wakeup.min(sleep_min);
-                if tracing {
-                    outcomes[slot] = if slot_issued {
-                        0
-                    } else if let Some((_, r, pc)) = slot_stall {
-                        outcome_pc[slot] = pc;
-                        1 + r.bucket() as u8
-                    } else {
-                        OUT_IDLE
-                    };
-                    // A non-issuing scan leaves a sleep-only outcome
-                    // that stays valid until membership changes.
-                    dirty = slot_issued;
-                }
-                let st = &mut slots[slot];
-                st.ready = ready;
-                st.sleep = sleep;
-                st.sleep_min = sleep_min;
-                st.dirty = dirty;
-                // Wholly-asleep (or finished) slot: park its wakeup
-                // minimum in the heap and stop visiting it. A traced
-                // slot that issued on the cycle that emptied its ready
-                // mask stays active one more iteration so the sleep-only
-                // outcome gets recomputed and cached first. Short sleeps
-                // (scoreboard holds, a few cycles) stay active — the
-                // wake drain re-admits them without a heap round-trip,
-                // and an active-but-asleep slot costs only a visit.
-                // Deactivation is pure bookkeeping either way: visiting
-                // a wholly-asleep slot issues nothing and recomputes the
-                // same outcome, so the threshold cannot change results.
-                if ready == 0
-                    && !(tracing && dirty)
-                    && sleep_min >= self.cycle + DEACTIVATE_MIN_SLEEP
-                {
-                    is_active[slot] = false;
-                    deactivated = true;
-                    if sleep_min != u64::MAX {
-                        wake_heap.push(Reverse((sleep_min, slot as u32)));
-                    }
-                }
-            }
-            if deactivated {
-                active.retain(|&s| is_active[s as usize]);
-            }
-            // Inactive slots' minima live in the heap; fold the smallest
-            // still-valid entry into the fast-forward target (stale
-            // entries are discarded as they surface).
-            while let Some(&Reverse((wk, s))) = wake_heap.peek() {
-                let si = s as usize;
-                if is_active[si] || slots[si].sleep_min != wk {
-                    wake_heap.pop();
-                    continue;
-                }
-                earliest_wakeup = earliest_wakeup.min(wk);
-                break;
-            }
-            self.release_barriers();
-            let prev_cycle = self.cycle;
-            if issued_any || earliest_wakeup == u64::MAX {
-                self.cycle += 1;
-            } else {
-                // Fast-forward across a global stall.
-                self.cycle = earliest_wakeup.max(self.cycle + 1);
-            }
-            if tracing {
-                let advance = self.cycle - prev_cycle;
-                for ((acc, &code), &opc) in slot_acc
-                    .iter_mut()
-                    .zip(outcomes.iter())
-                    .zip(outcome_pc.iter())
-                {
-                    match code {
-                        0 => acc.issued += advance,
-                        OUT_IDLE => acc.idle += advance,
-                        r => {
-                            let b = (r - 1) as usize;
-                            acc.stalled[b] += advance;
-                            if pc_sampling {
-                                self.pc_acc[opc as usize].stalled[b] += advance;
-                            }
-                        }
-                    }
-                }
-            }
-            // Amortised so debug/test builds keep realistic timing: the
-            // invariant is structural, so checking every 64th iteration
-            // (and the first few) still catches any drift immediately
-            // after the admission/removal that caused it.
-            #[cfg(debug_assertions)]
-            {
-                check_countdown = check_countdown.saturating_sub(1);
-                if check_countdown == 0 {
-                    self.check_ready_set(
-                        roster, &slots, live, tracing, &is_active, &active, &wake_heap,
-                    );
-                    check_countdown = 64;
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.check_ready_set(
-            roster, &slots, live, tracing, &is_active, &active, &wake_heap,
-        );
-    }
-
-    /// Debug-only consistency check: `ready`/`sleep` exactly partition
-    /// each slot's non-`Done` warps, cached wakeup minima are true minima,
-    /// `live` matches the roster, and the active list / wake heap cover
-    /// exactly the slots the scan must (re)visit.
-    #[cfg(debug_assertions)]
-    #[allow(clippy::too_many_arguments)]
-    fn check_ready_set(
-        &self,
-        roster: &[Vec<Vec<usize>>],
-        slots: &[SlotState],
-        live: usize,
-        tracing: bool,
-        is_active: &[bool],
-        active: &[u32],
-        wake_heap: &BinaryHeap<Reverse<(u64, u32)>>,
-    ) {
-        for pair in active.windows(2) {
-            assert!(pair[0] < pair[1], "active list must stay sorted/unique");
-        }
-        for (slot, &act) in is_active.iter().enumerate() {
-            assert_eq!(
-                act,
-                active.binary_search(&(slot as u32)).is_ok(),
-                "slot {slot}: is_active flag out of sync with active list"
-            );
-            let st = &slots[slot];
-            if !act {
-                // Inactive slots must be wholly asleep (clean outcome
-                // cache when tracing) and reachable again via the heap.
-                // Slots with no resident warps are never visited at all,
-                // so their initial dirty flag is irrelevant.
-                assert_eq!(st.ready, 0, "inactive slot {slot} has ready warps");
-                if tracing && !roster[slot / 4][slot % 4].is_empty() {
-                    assert!(!st.dirty, "inactive slot {slot} has a dirty outcome");
-                }
-                if st.sleep != 0 {
-                    assert!(
-                        wake_heap
-                            .iter()
-                            .any(|&Reverse((wk, s))| s as usize == slot && wk == st.sleep_min),
-                        "inactive slot {slot} missing its wake-heap entry"
-                    );
-                }
-            }
-        }
-        let mut non_done = 0usize;
-        for sm in 0..self.sms.len() {
-            for sched in 0..4 {
-                let candidates = &roster[sm][sched];
-                let st = &slots[sm * 4 + sched];
-                let alive = candidates
-                    .iter()
-                    .filter(|&&w| self.warps[w].status != WarpStatus::Done)
-                    .count();
-                non_done += alive;
-                assert_eq!(
-                    st.ready & st.sleep,
-                    0,
-                    "slot ({sm},{sched}): ready and sleep masks overlap"
-                );
-                assert_eq!(
-                    (st.ready | st.sleep).count_ones() as usize,
-                    alive,
-                    "slot ({sm},{sched}): ready|sleep must partition live warps"
-                );
-                let mut m = st.ready;
-                while m != 0 {
-                    let pos = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    assert!(pos < candidates.len(), "ready bit beyond roster");
-                    assert_ne!(self.warps[candidates[pos]].status, WarpStatus::Done);
-                }
-                let mut min = u64::MAX;
-                let mut m = st.sleep;
-                while m != 0 {
-                    let pos = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    assert!(pos < candidates.len(), "sleep bit beyond roster");
-                    let w = candidates[pos];
-                    assert_eq!(self.warps[w].status, WarpStatus::Ready);
-                    min = min.min(self.warps[w].retry_at);
-                }
-                assert_eq!(min, st.sleep_min, "slot ({sm},{sched}): stale sleep_min");
-            }
-        }
-        assert_eq!(non_done, live, "live warp count out of sync");
-    }
-
-    /// The original issue loop: full roster rescan every iteration.  Kept
-    /// verbatim as the reference implementation for the scheduler
-    /// equivalence tests and perf A/B runs.
-    fn run_legacy(&mut self, roster: &[Vec<Vec<usize>>], tracing: bool, slot_acc: &mut [SlotAcc]) {
-        let nslots = self.sms.len() * 4;
-        let mut outcomes = vec![OUT_IDLE; nslots];
-        let mut outcome_pc = vec![0u32; nslots];
-        let pc_sampling = tracing && !self.pc_acc.is_empty();
-        let mut live = self.warps.len();
-        let limit_cycles = self.cfg.limit.max_cycles;
-        let cancel = self.cfg.limit.cancel.clone();
-        let mut cancel_countdown = CANCEL_CHECK_PERIOD;
-        loop {
-            if live == 0 {
-                break;
-            }
-            assert!(
-                self.cycle < MAX_CYCLES,
-                "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
-                self.kernel.name
-            );
-            if self.cycle >= limit_cycles {
-                self.hit_limit = true;
-                break;
-            }
-            if let Some(c) = &cancel {
-                cancel_countdown -= 1;
-                if cancel_countdown == 0 {
-                    cancel_countdown = CANCEL_CHECK_PERIOD;
-                    if c.load(Ordering::Relaxed) {
-                        self.hit_limit = true;
-                        break;
-                    }
-                }
-            }
-            let mut issued_any = false;
-            let mut earliest_wakeup = u64::MAX;
-            #[allow(clippy::needless_range_loop)] // sm/sched also index self.sms
-            for sm in 0..self.sms.len() {
-                for sched in 0..4 {
-                    // Round-robin within the scheduler's warps, starting
-                    // after the last issued one (greedy-then-oldest-ish).
-                    let candidates = &roster[sm][sched];
-                    if candidates.is_empty() {
-                        continue;
-                    }
-                    let start = self.sms[sm].last_sched[sched] % candidates.len();
-                    // Binding stall for the slot: the reason of the
-                    // minimum-wakeup warp among those examined.
-                    let mut slot_issued = false;
-                    let mut slot_stall: Option<(u64, StallReason, u32)> = None;
-                    for i in 0..candidates.len() {
-                        let w = candidates[(start + i) % candidates.len()];
-                        if self.warps[w].status == WarpStatus::Done {
-                            continue;
-                        }
-                        if self.warps[w].retry_at > self.cycle {
-                            earliest_wakeup = earliest_wakeup.min(self.warps[w].retry_at);
-                            if tracing {
-                                let wk = self.warps[w].retry_at;
-                                let r = self.warps[w].stall_reason;
-                                if slot_stall.is_none_or(|(b, ..)| wk < b) {
-                                    slot_stall = Some((wk, r, self.warps[w].pc as u32));
-                                }
-                            }
-                            continue;
-                        }
-                        let pc_before = self.warps[w].pc;
-                        match self.try_issue(w, self.cycle, false) {
-                            IssueResult::Issued => {
-                                self.sms[sm].last_sched[sched] = (start + i) % candidates.len();
-                                issued_any = true;
-                                slot_issued = true;
-                                if self.warps[w].status == WarpStatus::Done {
-                                    live -= 1;
-                                }
-                                if tracing {
-                                    self.note_issue(sm, sched, w, pc_before);
-                                }
-                                break;
-                            }
-                            IssueResult::Stalled(until, reason) => {
-                                if until != u64::MAX {
-                                    self.warps[w].retry_at = until.max(self.cycle + 1);
-                                }
-                                earliest_wakeup = earliest_wakeup.min(until.max(self.cycle + 1));
-                                if tracing {
-                                    self.note_stall(sm, sched, w, reason);
-                                    let wk = until.max(self.cycle + 1);
-                                    if slot_stall.is_none_or(|(b, ..)| wk < b) {
-                                        slot_stall = Some((wk, reason, pc_before as u32));
-                                    }
-                                }
-                            }
-                            IssueResult::NeedsShared => {
-                                unreachable!("serial scans never issue local-only")
-                            }
-                        }
-                    }
-                    if tracing {
-                        outcomes[sm * 4 + sched] = if slot_issued {
-                            0
-                        } else if let Some((_, r, pc)) = slot_stall {
-                            outcome_pc[sm * 4 + sched] = pc;
-                            1 + r.bucket() as u8
-                        } else {
-                            OUT_IDLE
-                        };
-                    }
-                }
-            }
-            self.release_barriers();
-            let prev_cycle = self.cycle;
-            if issued_any || earliest_wakeup == u64::MAX {
-                self.cycle += 1;
-            } else {
-                // Fast-forward across a global stall.
-                self.cycle = earliest_wakeup.max(self.cycle + 1);
-            }
-            if tracing {
-                // Each fast-forwarded cycle repeats this iteration's
-                // outcome, so weight the buckets by the advance.
-                let advance = self.cycle - prev_cycle;
-                for ((acc, &code), &opc) in slot_acc
-                    .iter_mut()
-                    .zip(outcomes.iter())
-                    .zip(outcome_pc.iter())
-                {
-                    match code {
-                        0 => acc.issued += advance,
-                        OUT_IDLE => acc.idle += advance,
-                        r => {
-                            let b = (r - 1) as usize;
-                            acc.stalled[b] += advance;
-                            if pc_sampling {
-                                self.pc_acc[opc as usize].stalled[b] += advance;
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Debug-build engine invariants, checked at end of every wave (so
@@ -1290,7 +692,7 @@ impl<'a> Engine<'a> {
 
     /// End-of-wave aggregate emission: per-slot totals, functional-unit
     /// occupancy, cache totals.
-    fn emit_wave_summary(&mut self, slot_acc: &[SlotAcc]) {
+    fn emit_wave_summary(&mut self) {
         let total = self.cycle;
         let cache = CacheTotals {
             l1_hits: self.metrics.l1_hits,
@@ -1300,7 +702,7 @@ impl<'a> Engine<'a> {
             tlb_misses: self.metrics.tlb_misses,
         };
         let Some(s) = self.sink.as_mut() else { return };
-        for (slot, acc) in slot_acc.iter().enumerate() {
+        for (slot, acc) in self.slot_acc.iter().enumerate() {
             debug_assert_eq!(
                 acc.issued + acc.idle + acc.stalled.iter().sum::<u64>(),
                 total,
@@ -1372,6 +774,23 @@ impl<'a> Engine<'a> {
         });
         s.cache_totals(&cache);
         s.end_wave(total);
+    }
+
+    /// Charge `advance` cycles of one slot outcome (code, binding PC) to
+    /// the slot and, for stalls under PC sampling, to the binding PC.
+    fn charge(&mut self, slot: usize, (code, pc): (u8, u32), advance: u64) {
+        let acc = &mut self.slot_acc[slot];
+        match code {
+            OUT_ISSUED => acc.issued += advance,
+            OUT_IDLE => acc.idle += advance,
+            r => {
+                let b = (r - 1) as usize;
+                acc.stalled[b] += advance;
+                if !self.pc_acc.is_empty() {
+                    self.pc_acc[pc as usize].stalled[b] += advance;
+                }
+            }
+        }
     }
 
     /// Close the warp's open stall span (if any), bump the PC sampling
@@ -1489,17 +908,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn release_barriers(&mut self) {
-        // Block barriers.  `barrier_arrivals` makes the no-barriers-pending
-        // case (every iteration of barrier-free kernels) O(1); the per-SM
-        // walk reuses the parallel path's release helper.
-        if self.barrier_arrivals > 0 {
-            let now = self.cycle;
-            for sm in 0..self.sm_blocks.len() {
-                self.barrier_arrivals -= self.release_sm_barriers(sm, now);
-            }
-        }
-        // Cluster barriers (membership precomputed in `new`).
+    /// Release every complete cluster barrier at cycle `now` (after all
+    /// SMs stepped it); `woke` hears the SM of each freed warp.
+    fn release_cluster_barriers(&mut self, now: u64, mut woke: impl FnMut(usize)) {
         if self.cluster_barriers.is_empty() {
             return;
         }
@@ -1509,7 +920,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             self.cluster_barriers.remove(&cid);
-            let release = self.cycle + CLUSTER_BAR_RELEASE;
+            let release = now + CLUSTER_BAR_RELEASE;
             for mi in 0..self.cluster_members[ci].1.len() {
                 let b = self.cluster_members[ci].1[mi];
                 for wi in 0..self.blocks[b].warps.len() {
@@ -1518,20 +929,18 @@ impl<'a> Engine<'a> {
                         self.warps[w].status = WarpStatus::Ready;
                         self.warps[w].next_ready = self.warps[w].next_ready.max(release);
                         self.warps[w].retry_at = 0;
+                        woke(self.blocks[b].spec.sm);
                     }
                 }
             }
         }
     }
 
-    /// Release full block barriers on one SM; returns the number of
-    /// arrivals released.  The parallel path calls this per SM with the
-    /// SM-local clock (cluster barriers are excluded by its eligibility
-    /// check); the serial path wraps it in [`Self::release_barriers`].
-    /// The index loops avoid a per-release clone of the warp list.
-    fn release_sm_barriers(&mut self, sm: usize, now: u64) -> usize {
+    /// Release full block barriers on one SM at its cycle `now`.  The
+    /// index loops avoid a per-release clone of the warp list.
+    fn release_sm_barriers(&mut self, sm: usize, now: u64) {
         if self.sm_barrier_arrivals[sm] == 0 {
-            return 0;
+            return;
         }
         let mut released = 0usize;
         for k in 0..self.sm_blocks[sm].len() {
@@ -1551,7 +960,6 @@ impl<'a> Engine<'a> {
             }
         }
         self.sm_barrier_arrivals[sm] -= released;
-        released
     }
 
     // ---------------------------------------------------------------- issue
@@ -2070,9 +1478,6 @@ impl<'a> Engine<'a> {
                 let sm = self.blocks[bi].spec.sm;
                 self.blocks[bi].barrier_count += 1;
                 self.sm_barrier_arrivals[sm] += 1;
-                if !self.par_run {
-                    self.barrier_arrivals += 1;
-                }
                 self.sm_metrics[sm].barrier_waits += 1;
                 self.warps[w].status = WarpStatus::Barrier;
                 self.advance(w);

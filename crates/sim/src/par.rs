@@ -1,9 +1,9 @@
 //! Parallel intra-kernel execution: shard SMs across a worker pool.
 //!
-//! Each SM advances through its own event-driven copy of the untraced
-//! ready-set loop (own cycle counter, own four scheduler slots, own live
-//! count).  SMs interact with run-shared state — global memory, the L2
-//! and TLB, the L2/DRAM bandwidth queues — only through *shared-class*
+//! Each SM advances through the same per-SM step as the serial driver
+//! ([`Engine::step_sm`], untraced), on its own clock.  SMs interact with
+//! run-shared state — global memory, the L2 and TLB, the L2/DRAM
+//! bandwidth queues — only through *shared-class*
 //! instructions (see [`super::needs_shared`]), and those are serialized
 //! by a gate that grants access in strict `(cycle, sm)` order, which is
 //! exactly the order the serial engine visits SMs within a cycle.  All
@@ -57,9 +57,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use super::{
-    Engine, IssueResult, SlotState, WarpStatus, CANCEL_CHECK_PERIOD, MAX_CYCLES, MAX_SLOT_WARPS,
-};
+use super::sched::{SmRun, Step};
+use super::{Engine, CANCEL_CHECK_PERIOD};
 
 /// Clock value published once an SM has retired all its warps.
 const DONE: u64 = u64::MAX;
@@ -73,57 +72,16 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 enum Phase {
     /// Executing locally (initial state, and after stop interrupts).
     Running,
-    /// Parked at `(cycle, resume_slot)` awaiting a shared-access grant.
+    /// Parked mid-cycle awaiting a shared-access grant.
     Suspended,
     /// All warps retired.
     Done,
 }
 
-/// Per-SM mirror of the serial ready-set loop's locals, persisted across
-/// suspensions.
-struct SmRun {
-    cycle: u64,
-    live: usize,
-    slots: [SlotState; 4],
-    /// Slot to (re-)enter on the next `drive` call.
-    resume_slot: usize,
-    /// `issued_any` accumulated over the current (possibly partial) cycle.
-    issued_any: bool,
-    /// `earliest_wakeup` accumulated over the current cycle.
-    earliest: u64,
+/// One SM's step state plus where it stands between `drive` calls.
+struct ParSm {
+    run: SmRun,
     phase: Phase,
-}
-
-impl SmRun {
-    fn new(sm: usize, roster: &[Vec<Vec<usize>>]) -> SmRun {
-        let mut live = 0usize;
-        let slots = std::array::from_fn(|sched| {
-            let len = roster[sm][sched].len();
-            live += len;
-            let ready = if len == 0 {
-                0
-            } else if len >= MAX_SLOT_WARPS {
-                u64::MAX
-            } else {
-                (1u64 << len) - 1
-            };
-            SlotState {
-                ready,
-                sleep: 0,
-                sleep_min: u64::MAX,
-                dirty: false,
-            }
-        });
-        SmRun {
-            cycle: 0,
-            live,
-            slots,
-            resume_slot: 0,
-            issued_any: false,
-            earliest: u64::MAX,
-            phase: Phase::Running,
-        }
-    }
 }
 
 /// The shared-access gate plus run-wide control flags.
@@ -245,38 +203,29 @@ impl Drop for PanicGuard<'_> {
 /// module docs for the aliasing contract.
 struct Shards<'a, 'b> {
     eng: *mut Engine<'a>,
-    runs: *mut SmRun,
+    runs: *mut ParSm,
     _marker: PhantomData<&'b ()>,
 }
 
 unsafe impl Send for Shards<'_, '_> {}
 unsafe impl Sync for Shards<'_, '_> {}
 
-/// Outcome of scanning one scheduler slot.
-enum SlotOutcome {
-    Done,
-    NeedsShared,
-}
-
 impl<'a> Engine<'a> {
-    /// Parallel counterpart of [`Engine::run_ready_set`] for the
-    /// untraced, unbounded, single-block-cluster case (checked by
+    /// Parallel counterpart of [`Engine::run_serial`] for the untraced,
+    /// unbounded, single-block-cluster case (checked by
     /// [`Engine::par_workers`]).  Bitwise-identical results to the
-    /// serial path, per the module-level argument.
+    /// serial driver, per the module-level argument.
     pub(super) fn run_parallel(&mut self, roster: &[Vec<Vec<usize>>], workers: usize) {
         debug_assert!(self.sink.is_none() && !self.capture && self.replay.is_none());
-        self.par_run = true;
         let nsms = self.sms.len();
         let gate = Gate::new(nsms);
-        let cancel = self.cfg.limit.cancel.clone();
-        let mut runs: Vec<SmRun> = (0..nsms).map(|sm| SmRun::new(sm, roster)).collect();
-        // SMs with no warps are born done.
-        for (sm, run) in runs.iter_mut().enumerate() {
-            if run.live == 0 {
-                run.phase = Phase::Done;
-                gate.clocks[sm].store(DONE, Ordering::SeqCst);
-            }
-        }
+        let mut runs: Vec<ParSm> = roster
+            .iter()
+            .map(|r| ParSm {
+                run: SmRun::new(r),
+                phase: Phase::Running,
+            })
+            .collect();
         let shards = Shards {
             eng: self as *mut Engine<'a>,
             runs: runs.as_mut_ptr(),
@@ -284,20 +233,11 @@ impl<'a> Engine<'a> {
         };
         rayon::spmd(workers, |wid| {
             let _guard = PanicGuard(&gate);
-            worker_loop(
-                &shards,
-                &gate,
-                roster,
-                cancel.as_deref(),
-                wid,
-                workers,
-                nsms,
-            );
+            worker_loop(&shards, &gate, roster, wid, workers, nsms);
         });
-        self.par_run = false;
         self.cycle = runs
             .iter()
-            .map(|r| r.cycle)
+            .map(|p| p.run.cycle)
             .max()
             .unwrap_or(self.cycle)
             .max(self.cycle);
@@ -314,7 +254,6 @@ fn worker_loop(
     shards: &Shards<'_, '_>,
     gate: &Gate,
     roster: &[Vec<Vec<usize>>],
-    cancel: Option<&AtomicBool>,
     wid: usize,
     workers: usize,
     nsms: usize,
@@ -330,38 +269,20 @@ fn worker_loop(
             }
             // Each owned index is touched by exactly this worker; the
             // engine pointer aliases per the module-level contract.
-            let run = unsafe { &mut *shards.runs.add(sm) };
+            let p = unsafe { &mut *shards.runs.add(sm) };
             let eng = unsafe { &mut *shards.eng };
-            match run.phase {
+            match p.phase {
                 Phase::Done => continue,
                 Phase::Running => {
                     all_done = false;
                     progressed = true;
-                    drive(
-                        eng,
-                        gate,
-                        roster,
-                        run,
-                        sm,
-                        cancel,
-                        &mut cancel_countdown,
-                        false,
-                    );
+                    drive(eng, gate, roster, p, sm, &mut cancel_countdown, false);
                 }
                 Phase::Suspended => {
                     all_done = false;
-                    if gate.try_grant(run.cycle, sm) {
+                    if gate.try_grant(p.run.cycle, sm) {
                         progressed = true;
-                        drive(
-                            eng,
-                            gate,
-                            roster,
-                            run,
-                            sm,
-                            cancel,
-                            &mut cancel_countdown,
-                            true,
-                        );
+                        drive(eng, gate, roster, p, sm, &mut cancel_countdown, true);
                     }
                 }
             }
@@ -382,156 +303,38 @@ fn worker_loop(
 /// warps, or a stop is requested.  `gate_held` is true when entered via
 /// a grant: the resumed slot and the remainder of that cycle then run
 /// with full shared access.
-#[allow(clippy::too_many_arguments)]
-fn drive<'a>(
-    eng: &mut Engine<'a>,
+fn drive(
+    eng: &mut Engine<'_>,
     gate: &Gate,
     roster: &[Vec<Vec<usize>>],
-    run: &mut SmRun,
+    p: &mut ParSm,
     sm: usize,
-    cancel: Option<&AtomicBool>,
     cancel_countdown: &mut u32,
     mut gate_held: bool,
 ) {
+    let run = &mut p.run;
     loop {
         if run.live == 0 {
-            run.phase = Phase::Done;
+            p.phase = Phase::Done;
             gate.advance_clock(sm, run.cycle, DONE);
             return;
         }
-        assert!(
-            run.cycle < MAX_CYCLES,
-            "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
-            eng.kernel.name
-        );
-        if let Some(c) = cancel {
-            *cancel_countdown -= 1;
-            if *cancel_countdown == 0 {
-                *cancel_countdown = CANCEL_CHECK_PERIOD;
-                if c.load(Ordering::Relaxed) {
-                    gate.cancelled.store(true, Ordering::SeqCst);
-                    gate.request_stop();
-                    return;
-                }
-            }
+        // No cycle budget on this path (`par_workers`): a trip is a cancel.
+        if eng.limit_tripped(run.cycle, cancel_countdown) {
+            gate.cancelled.store(true, Ordering::SeqCst);
+            gate.request_stop();
+            return;
         }
         if gate.stop.load(Ordering::Relaxed) {
             return;
         }
-        for (sched, slot_roster) in roster[sm].iter().enumerate().skip(run.resume_slot) {
-            if slot_roster.is_empty() {
-                continue;
-            }
-            match scan_slot(eng, run, sm, sched, slot_roster, gate_held) {
-                SlotOutcome::Done => {}
-                SlotOutcome::NeedsShared => {
-                    run.resume_slot = sched;
-                    run.phase = Phase::Suspended;
-                    gate.suspend(run.cycle, sm);
-                    return;
-                }
-            }
+        let from = run.cycle;
+        if eng.step_sm::<false>(roster, run, sm, !gate_held) == Step::NeedsShared {
+            p.phase = Phase::Suspended;
+            gate.suspend(run.cycle, sm);
+            return;
         }
         gate_held = false;
-        run.resume_slot = 0;
-        eng.release_sm_barriers(sm, run.cycle);
-        let from = run.cycle;
-        if run.issued_any || run.earliest == u64::MAX {
-            run.cycle += 1;
-        } else {
-            // Fast-forward across an SM-local stall; sound for the same
-            // reason as the serial ready-set jump (DESIGN.md §4d) — no
-            // event on this SM can occur before `earliest`.
-            run.cycle = run.earliest.max(run.cycle + 1);
-        }
-        run.issued_any = false;
-        run.earliest = u64::MAX;
         gate.advance_clock(sm, from, run.cycle);
     }
-}
-
-/// One slot's issue scan for the current cycle: the untraced arm of the
-/// serial ready-set loop, restated per-SM.  Aborts with
-/// [`SlotOutcome::NeedsShared`] when a local-only scan reaches a
-/// shared-class candidate; everything written up to that point (parked
-/// warps' `retry_at`, drained async-group queues) replays identically on
-/// the granted re-run, so nothing is rolled back.
-fn scan_slot(
-    eng: &mut Engine<'_>,
-    run: &mut SmRun,
-    sm: usize,
-    sched: usize,
-    candidates: &[usize],
-    gate_held: bool,
-) -> SlotOutcome {
-    let cycle = run.cycle;
-    let st = &mut run.slots[sched];
-    // Wake drain: re-admit sleepers whose wakeup arrived.  Committed
-    // eagerly (it is idempotent at a fixed cycle) so a NeedsShared abort
-    // below needs no rollback.
-    if st.sleep_min <= cycle {
-        let mut min = u64::MAX;
-        let mut m = st.sleep;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            let bit = 1u64 << pos;
-            m &= m - 1;
-            let wk = eng.warps[candidates[pos]].retry_at;
-            if wk <= cycle {
-                st.sleep &= !bit;
-                st.ready |= bit;
-            } else {
-                min = min.min(wk);
-            }
-        }
-        st.sleep_min = min;
-    }
-    if st.ready == 0 {
-        run.earliest = run.earliest.min(st.sleep_min);
-        return SlotOutcome::Done;
-    }
-    let len = candidates.len();
-    let start = eng.sms[sm].last_sched[sched] % len;
-    let low_mask = (1u64 << start) - 1;
-    let (mut ready, mut sleep, mut sleep_min) = (st.ready, st.sleep, st.sleep_min);
-    'scan: for half in [!low_mask, low_mask] {
-        let mut m = ready & half;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            let bit = 1u64 << pos;
-            m &= m - 1;
-            let w = candidates[pos];
-            match eng.try_issue(w, cycle, !gate_held) {
-                IssueResult::Issued => {
-                    eng.sms[sm].last_sched[sched] = pos;
-                    run.issued_any = true;
-                    if eng.warps[w].status == WarpStatus::Done {
-                        run.live -= 1;
-                        ready &= !bit;
-                    }
-                    break 'scan;
-                }
-                IssueResult::Stalled(until, _) => {
-                    if until != u64::MAX {
-                        let wk = until.max(cycle + 1);
-                        eng.warps[w].retry_at = wk;
-                        ready &= !bit;
-                        sleep |= bit;
-                        sleep_min = sleep_min.min(wk);
-                    }
-                }
-                IssueResult::NeedsShared => {
-                    // Scan-local mask edits are discarded; the granted
-                    // re-run recomputes them from the committed state.
-                    return SlotOutcome::NeedsShared;
-                }
-            }
-        }
-    }
-    let st = &mut run.slots[sched];
-    st.ready = ready;
-    st.sleep = sleep;
-    st.sleep_min = sleep_min;
-    run.earliest = run.earliest.min(sleep_min);
-    SlotOutcome::Done
 }

@@ -1,0 +1,415 @@
+//! The issue loop: one scheduler-slot scan, one per-SM cycle step, and the
+//! serial driver that orders steps by SM clock.
+//!
+//! An SM is the unit of scheduling state ([`SmRun`]): its own cycle, four
+//! slot masks and live-warp count.  [`Engine::step_sm`] advances one SM by
+//! one visited cycle and fast-forwards it across its own stalls; the serial
+//! driver ([`Engine::run_serial`]) and the parallel one (`par.rs`) differ
+//! only in who may step which SM when.  DESIGN.md §4d has the argument that
+//! this visits every side-effecting `(cycle, sm, slot, position)` in the
+//! legacy scan's order.
+
+use super::{
+    Engine, IssueResult, WarpStatus, CANCEL_CHECK_PERIOD, MAX_CYCLES, MAX_SLOT_WARPS, OUT_IDLE,
+    OUT_ISSUED,
+};
+use hopper_trace::StallReason;
+use std::sync::atomic::Ordering;
+
+/// Per-scheduler-slot state.  `ready` and `sleep` are disjoint bitmasks
+/// over roster *positions* (a slot holds at most [`MAX_SLOT_WARPS`] warps —
+/// checked at dispatch) and together cover exactly the slot's non-`Done`
+/// warps: `ready` holds every warp with `retry_at <= cycle` (including
+/// barrier waiters, whose wakeup is not a known time), `sleep` holds warps
+/// parked until a known wakeup.  Parked warps' wakeup cycles and stall
+/// reasons live on the warps themselves (`retry_at` / `stall_reason`);
+/// only the minimum is cached here so a wholly-asleep slot is skippable
+/// without touching any warp.
+struct SlotState {
+    /// Bitmask of roster positions eligible for an issue attempt.
+    ready: u64,
+    /// Bitmask of parked roster positions.
+    sleep: u64,
+    /// Minimum `retry_at` over `sleep` (`u64::MAX` when empty).
+    sleep_min: u64,
+}
+
+/// One SM's scheduling state, persisted across steps (and, in the
+/// parallel driver, across shared-access suspensions mid-cycle).
+pub(super) struct SmRun {
+    /// The cycle being stepped; after a completed step, the SM's next
+    /// event cycle.
+    pub(super) cycle: u64,
+    /// Resident warps not yet `Done`.
+    pub(super) live: usize,
+    slots: [SlotState; 4],
+    /// Slot to (re-)enter on the next step (non-zero only after a
+    /// [`Step::NeedsShared`] abort).
+    resume_slot: usize,
+    /// `issued_any` / earliest wakeup accumulated over the current
+    /// (possibly partial) cycle.
+    issued_any: bool,
+    earliest: u64,
+    /// Traced runs: each slot's outcome code and binding PC from the last
+    /// step, charged lazily for the cycles `booked..` when the SM is next
+    /// stepped (or the wave ends), so a cluster release that pulls the SM
+    /// back or a budget that cuts the wave short needs no un-booking.  A
+    /// wholly-asleep slot's entry doubles as its cached outcome.
+    outcomes: [(u8, u32); 4],
+    booked: u64,
+}
+
+impl SmRun {
+    pub(super) fn new(sm_roster: &[Vec<usize>]) -> SmRun {
+        let mut live = 0usize;
+        let slots = std::array::from_fn(|sched| {
+            let len = sm_roster[sched].len();
+            live += len;
+            let ready = if len >= MAX_SLOT_WARPS {
+                u64::MAX
+            } else {
+                (1u64 << len) - 1
+            };
+            SlotState {
+                ready,
+                sleep: 0,
+                sleep_min: u64::MAX,
+            }
+        });
+        SmRun {
+            cycle: 0,
+            live,
+            slots,
+            resume_slot: 0,
+            issued_any: false,
+            earliest: u64::MAX,
+            outcomes: [(OUT_IDLE, 0); 4],
+            booked: 0,
+        }
+    }
+}
+
+/// How one [`Engine::step_sm`] call left its SM.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Step {
+    /// Cycle complete; `run.cycle` is the SM's next event.
+    Advanced,
+    /// Cycle complete, nothing issued and no warp has a known wakeup:
+    /// every live warp waits on a barrier only another SM can complete.
+    Parked,
+    /// Local-only scan reached a shared-class candidate; re-enter at the
+    /// same cycle once shared access is granted.
+    NeedsShared,
+}
+
+impl Engine<'_> {
+    /// The run's [`super::RunLimit`] poll, once per visited cycle: `true`
+    /// when the cycle budget is spent or (checked every
+    /// [`CANCEL_CHECK_PERIOD`] calls) the cancel flag is set.
+    pub(super) fn limit_tripped(&self, cycle: u64, cancel_countdown: &mut u32) -> bool {
+        assert!(
+            cycle < MAX_CYCLES,
+            "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
+            self.kernel.name
+        );
+        if cycle >= self.cfg.limit.max_cycles {
+            return true;
+        }
+        if let Some(c) = &self.cfg.limit.cancel {
+            *cancel_countdown -= 1;
+            if *cancel_countdown == 0 {
+                *cancel_countdown = CANCEL_CHECK_PERIOD;
+                return c.load(Ordering::Relaxed);
+            }
+        }
+        false
+    }
+
+    /// One slot's issue scan at `run.cycle`: re-admit due sleepers, then
+    /// try ready warps in circular roster order from the last issuer until
+    /// one issues.  Returns `true` when a `local_only` scan reached a
+    /// shared-class candidate; everything written up to that point (parked
+    /// warps' `retry_at`, drained async-group queues, the wake drain) is
+    /// idempotent at a fixed cycle and replays identically on the granted
+    /// re-run, so nothing is rolled back.
+    fn scan_slot<const TRACED: bool>(
+        &mut self,
+        run: &mut SmRun,
+        sm: usize,
+        sched: usize,
+        candidates: &[usize],
+        local_only: bool,
+    ) -> bool {
+        let cycle = run.cycle;
+        let st = &mut run.slots[sched];
+        if st.sleep_min <= cycle {
+            let mut min = u64::MAX;
+            let mut m = st.sleep;
+            while m != 0 {
+                let pos = m.trailing_zeros() as usize;
+                let bit = 1u64 << pos;
+                m &= m - 1;
+                let wk = self.warps[candidates[pos]].retry_at;
+                if wk <= cycle {
+                    st.sleep &= !bit;
+                    st.ready |= bit;
+                } else {
+                    min = min.min(wk);
+                }
+            }
+            st.sleep_min = min;
+        }
+        // A wholly-asleep slot issues nothing, and its traced outcome (the
+        // minimum-wakeup sleeper) is last step's unless that was an issue.
+        if st.ready == 0 && !(TRACED && run.outcomes[sched].0 == OUT_ISSUED) {
+            run.earliest = run.earliest.min(st.sleep_min);
+            return false;
+        }
+        let start = self.sms[sm].last_sched[sched] % candidates.len();
+        let low_mask = (1u64 << start) - 1;
+        let (mut ready, mut sleep, mut sleep_min) = (st.ready, st.sleep, st.sleep_min);
+        let mut issued = false;
+        // Binding stall (traced): reason and PC of the minimum-wakeup warp,
+        // first in scan order on ties.
+        let mut slot_stall: Option<(u64, StallReason, u32)> = None;
+        // Two mask halves walk the roster in circular order from `start`:
+        // positions ≥ start ascending, then the wrap.  Stall transitions
+        // move a bit from `ready` to `sleep` without changing their union,
+        // so the second half's snapshot still sees every not-yet-visited
+        // warp exactly once.
+        'scan: for half in [!low_mask, low_mask] {
+            // Traced scans merge parked warps in at their roster positions:
+            // they cannot issue, but the legacy scan examined them for the
+            // binding-stall minimum and its tie-break.
+            let mut m = (if TRACED { ready | sleep } else { ready }) & half;
+            while m != 0 {
+                let pos = m.trailing_zeros() as usize;
+                let bit = 1u64 << pos;
+                m &= m - 1;
+                let w = candidates[pos];
+                if TRACED && sleep & bit != 0 {
+                    let ws = &self.warps[w];
+                    if slot_stall.is_none_or(|(b, ..)| ws.retry_at < b) {
+                        slot_stall = Some((ws.retry_at, ws.stall_reason, ws.pc as u32));
+                    }
+                    continue;
+                }
+                let pc_before = self.warps[w].pc;
+                match self.try_issue(w, cycle, local_only) {
+                    IssueResult::Issued => {
+                        self.sms[sm].last_sched[sched] = pos;
+                        issued = true;
+                        if self.warps[w].status == WarpStatus::Done {
+                            run.live -= 1;
+                            ready &= !bit;
+                        }
+                        if TRACED {
+                            self.note_issue(sm, sched, w, pc_before);
+                        }
+                        break 'scan;
+                    }
+                    IssueResult::Stalled(until, reason) => {
+                        let wk = until.max(cycle + 1);
+                        if until != u64::MAX {
+                            self.warps[w].retry_at = wk;
+                            ready &= !bit;
+                            sleep |= bit;
+                            sleep_min = sleep_min.min(wk);
+                        }
+                        if TRACED {
+                            self.note_stall(sm, sched, w, reason);
+                            if slot_stall.is_none_or(|(b, ..)| wk < b) {
+                                slot_stall = Some((wk, reason, pc_before as u32));
+                            }
+                        }
+                    }
+                    // Scan-local mask edits are discarded; the granted
+                    // re-run recomputes them from the committed state.
+                    IssueResult::NeedsShared => return true,
+                }
+            }
+        }
+        let st = &mut run.slots[sched];
+        (st.ready, st.sleep, st.sleep_min) = (ready, sleep, sleep_min);
+        // Parked wakeups (old and fresh) are the slot's share of the SM's
+        // fast-forward target; the target is only consumed when no slot
+        // issues, and then the legacy scan examined every parked warp too.
+        run.earliest = run.earliest.min(sleep_min);
+        run.issued_any |= issued;
+        if TRACED {
+            run.outcomes[sched] = if issued {
+                (OUT_ISSUED, 0)
+            } else if let Some((_, r, pc)) = slot_stall {
+                (1 + r.bucket() as u8, pc)
+            } else {
+                (OUT_IDLE, 0)
+            };
+        }
+        false
+    }
+
+    /// Charge `run`'s slot outcomes for the cycles `run.booked..upto`.
+    fn book(&mut self, run: &mut SmRun, sm: usize, upto: u64) {
+        for (sched, &outcome) in run.outcomes.iter().enumerate() {
+            self.charge(sm * 4 + sched, outcome, upto - run.booked);
+        }
+        run.booked = upto;
+    }
+
+    /// One SM, one cycle: scan the four slots from `run.resume_slot`,
+    /// release the SM's full block barriers, then fast-forward the SM's
+    /// clock across its own stall — no event on this SM can occur before
+    /// its earliest wakeup (cluster releases, the one cross-SM wakeup, are
+    /// the serial driver's job).  `local_only` scans abort before any
+    /// shared-class instruction executes.
+    pub(super) fn step_sm<const TRACED: bool>(
+        &mut self,
+        roster: &[Vec<Vec<usize>>],
+        run: &mut SmRun,
+        sm: usize,
+        local_only: bool,
+    ) -> Step {
+        let cycle = run.cycle;
+        if TRACED {
+            self.book(run, sm, cycle);
+        }
+        for (sched, candidates) in roster[sm].iter().enumerate().skip(run.resume_slot) {
+            if !candidates.is_empty()
+                && self.scan_slot::<TRACED>(run, sm, sched, candidates, local_only)
+            {
+                run.resume_slot = sched;
+                return Step::NeedsShared;
+            }
+        }
+        run.resume_slot = 0;
+        self.release_sm_barriers(sm, cycle);
+        if TRACED && run.live == 0 {
+            // Retired: this step's outcomes cover exactly its own cycle;
+            // the end-of-wave flush books every slot idle from here on.
+            self.book(run, sm, cycle + 1);
+            run.outcomes = [(OUT_IDLE, 0); 4];
+        }
+        let (step, next) = if run.issued_any {
+            (Step::Advanced, cycle + 1)
+        } else if run.earliest == u64::MAX {
+            (Step::Parked, cycle + 1)
+        } else {
+            (Step::Advanced, run.earliest.max(cycle + 1))
+        };
+        run.cycle = next;
+        run.issued_any = false;
+        run.earliest = u64::MAX;
+        step
+    }
+
+    /// Serial driver: step the SMs in `(cycle, sm)` order of their own
+    /// clocks, each with full shared access, then run cycle `c`'s
+    /// cluster-barrier release — the legacy scan's order restricted to the
+    /// visits that can have side effects (DESIGN.md §4d).
+    pub(super) fn run_serial<const TRACED: bool>(&mut self, roster: &[Vec<Vec<usize>>]) {
+        let mut runs: Vec<SmRun> = roster.iter().map(|r| SmRun::new(r)).collect();
+        // Next cycle each SM must be stepped at; `u64::MAX` while parked
+        // and once retired (an SM without warps retires in round 0).
+        let mut clock = vec![0u64; runs.len()];
+        let mut live_sms = runs.len();
+        let mut cancel_countdown = CANCEL_CHECK_PERIOD;
+        let mut next = 0u64;
+        while live_sms > 0 {
+            let c = if next == u64::MAX {
+                // Every live SM waits on a barrier nobody can complete.
+                // The legacy scan ticks such a kernel cycle by cycle until
+                // the limit trips; do the same.
+                for (at, run) in clock.iter_mut().zip(&runs) {
+                    if run.live > 0 {
+                        *at = self.cycle + 1;
+                    }
+                }
+                self.cycle + 1
+            } else {
+                next
+            };
+            self.cycle = c;
+            if self.limit_tripped(c, &mut cancel_countdown) {
+                self.hit_limit = true;
+                break;
+            }
+            next = u64::MAX;
+            for (sm, (at, run)) in clock.iter_mut().zip(&mut runs).enumerate() {
+                if *at == c {
+                    run.cycle = c;
+                    let step = self.step_sm::<TRACED>(roster, run, sm, false);
+                    live_sms -= usize::from(run.live == 0);
+                    *at = if run.live == 0 || step == Step::Parked {
+                        u64::MAX
+                    } else {
+                        run.cycle
+                    };
+                    #[cfg(debug_assertions)]
+                    if c % 64 == 0 {
+                        self.check_sm(roster, run, sm, step == Step::Parked);
+                    }
+                }
+                next = next.min(*at);
+            }
+            // A release lands on an issue cycle, so the legacy scan visits
+            // the freed warps at `c + 1`: re-arm parked SMs and pull back
+            // SMs that had fast-forwarded past it.
+            self.release_cluster_barriers(c, |sm| {
+                clock[sm] = c + 1;
+                next = c + 1;
+            });
+            debug_assert!(next > c, "SM clocks must stay ahead of the round");
+            if live_sms == 0 {
+                self.cycle = c + 1;
+            }
+        }
+        for (sm, run) in runs.iter_mut().enumerate() {
+            if TRACED {
+                self.book(run, sm, self.cycle);
+            }
+            #[cfg(debug_assertions)]
+            self.check_sm(roster, run, sm, clock[sm] == u64::MAX && run.live > 0);
+        }
+    }
+
+    /// Debug-only consistency check of one SM between steps: `ready` and
+    /// `sleep` exactly partition each slot's non-`Done` warps, cached
+    /// wakeup minima are true minima, `live` matches the roster, and a
+    /// parked SM holds nothing but barrier waiters.
+    #[cfg(debug_assertions)]
+    fn check_sm(&self, roster: &[Vec<Vec<usize>>], run: &SmRun, sm: usize, parked: bool) {
+        let mut alive = 0usize;
+        for (sched, (candidates, st)) in roster[sm].iter().zip(&run.slots).enumerate() {
+            assert_eq!(st.ready & st.sleep, 0, "slot ({sm},{sched}): masks overlap");
+            let mut min = u64::MAX;
+            let mut m = st.ready | st.sleep;
+            while m != 0 {
+                let pos = m.trailing_zeros() as usize;
+                m &= m - 1;
+                assert!(
+                    pos < candidates.len(),
+                    "slot ({sm},{sched}): bit beyond roster"
+                );
+                let ws = &self.warps[candidates[pos]];
+                assert_ne!(ws.status, WarpStatus::Done);
+                if st.sleep & (1 << pos) != 0 {
+                    assert_eq!(ws.status, WarpStatus::Ready);
+                    min = min.min(ws.retry_at);
+                }
+                assert!(
+                    !parked || ws.status != WarpStatus::Ready,
+                    "slot ({sm},{sched}): parked SM holds a warp that is not at a barrier"
+                );
+            }
+            assert_eq!(min, st.sleep_min, "slot ({sm},{sched}): stale sleep_min");
+            let not_done = |&&w: &&usize| self.warps[w].status != WarpStatus::Done;
+            assert_eq!(
+                (st.ready | st.sleep).count_ones() as usize,
+                candidates.iter().filter(not_done).count(),
+                "slot ({sm},{sched}): ready|sleep must partition live warps"
+            );
+            alive += (st.ready | st.sleep).count_ones() as usize;
+        }
+        assert_eq!(alive, run.live, "sm {sm}: live warp count out of sync");
+    }
+}

@@ -10,7 +10,12 @@ use hopper_isa::{
     CmpOp, DType, IAluOp, Kernel, KernelBuilder, MmaDesc, Operand::Imm, Operand::Reg as R, Pred,
     Reg, TileId, TilePattern,
 };
-use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, Launch, PcSampleSink, Scheduler, SimOptions};
+use hopper_sim::engine::CacheState;
+use hopper_sim::{
+    BlockSpec, ChromeTrace, DeviceConfig, Engine, EngineConfig, GlobalMem, Gpu, Launch,
+    LaunchError, Metrics, NullSink, PcSampleSink, RunBudget, RunLimit, Scheduler, SimOptions,
+    StallProfile, TraceSink,
+};
 
 fn gpu_with(dev: DeviceConfig, sched: Scheduler) -> Gpu {
     gpu_with_threads(dev, sched, 1)
@@ -110,6 +115,71 @@ fn assert_equivalent(name: &str, dev: DeviceConfig, setup: impl Fn(&mut Gpu) -> 
     );
 }
 
+/// One budget-cut launch into a fresh sink of type `S` (`NullSink` takes
+/// the untraced path); returns the outcome and what the sink saw.
+fn cut_run<S: TraceSink + Default>(
+    dev: &DeviceConfig,
+    setup: &impl Fn(&mut Gpu) -> (Kernel, Launch),
+    sched: Scheduler,
+    budget: u64,
+) -> (Result<Metrics, LaunchError>, S) {
+    let mut gpu = gpu_with(dev.clone(), sched);
+    let (k, l) = setup(&mut gpu);
+    let mut sink = S::default();
+    let r = gpu.launch_traced_bounded(&k, &l, &mut sink, &RunBudget::cycles(budget));
+    (r.map(|s| s.metrics), sink)
+}
+
+/// Bounded runs: cut the launch at a budget inside a fast-forward (the run
+/// overshoots it), at one landing on a visited cycle, and at one past
+/// completion; both schedulers must stop at the same cycle with the same
+/// partial metrics, stall accounting, per-PC samples and Chrome timeline.
+fn assert_bounded_equivalent(
+    name: &str,
+    dev: DeviceConfig,
+    setup: impl Fn(&mut Gpu) -> (Kernel, Launch),
+) {
+    let legacy = |b| cut_run::<NullSink>(&dev, &setup, Scheduler::LegacyScan, b).0;
+    let full = legacy(u64::MAX).expect("unbounded run").cycles;
+    let mut cuts = vec![full + 1];
+    let (mut inside, mut exact) = (false, false);
+    for b in full / 2..full {
+        let Err(LaunchError::DeadlineExceeded { cycles_run, .. }) = legacy(b) else {
+            panic!("{name}: budget {b} < {full} must trip");
+        };
+        if cycles_run > b && !inside {
+            inside = true;
+            cuts.push(b);
+        } else if cycles_run == b && !exact {
+            exact = true;
+            cuts.push(b);
+        }
+        if inside && exact {
+            break;
+        }
+    }
+    assert!(inside && exact, "{name}: no fast-forward/visited cut found");
+    fn same<S: TraceSink + Default + PartialEq + std::fmt::Debug>(
+        name: &str,
+        dev: &DeviceConfig,
+        setup: &impl Fn(&mut Gpu) -> (Kernel, Launch),
+        b: u64,
+    ) -> S {
+        let a = cut_run::<S>(dev, setup, Scheduler::LegacyScan, b);
+        let r = cut_run::<S>(dev, setup, Scheduler::ReadySet, b);
+        let sink = std::any::type_name::<S>();
+        assert_eq!(a, r, "{name}@{b}: run into {sink} differs");
+        r.1
+    }
+    for b in cuts {
+        same::<NullSink>(name, &dev, &setup, b);
+        let prof = same::<StallProfile>(name, &dev, &setup, b);
+        assert!(prof.conservation_ok(), "{name}@{b}: conservation broken");
+        same::<PcSampleSink>(name, &dev, &setup, b);
+        same::<ChromeTrace>(name, &dev, &setup, b);
+    }
+}
+
 /// L1-resident pointer chase: one warp sleeping on load latency — the
 /// workload the ready-set fast-forward is built for.
 fn pchase_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
@@ -137,17 +207,23 @@ fn pchase_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
     (k, Launch::new(1, 1).with_params(vec![buf]))
 }
 
+/// A 4096-entry pointer ring with a large stride, so consecutive warps
+/// (thread `t` starts at entry `t`) land on distinct lines.
+fn dram_ring(gpu: &mut Gpu) -> u64 {
+    let n = 4096u64;
+    let buf = gpu.alloc(n * 8).expect("alloc");
+    for i in 0..n {
+        let next = buf + ((i + 67) % n) * 8;
+        gpu.mem_mut().write_scalar(buf + i * 8, 8, next);
+    }
+    buf
+}
+
 /// Many-warp DRAM pointer chase: 32 warps per SM all asleep on `cg`
 /// (L1-bypassing) loads, several blocks — exercises wake-ordering across
 /// scheduler slots.
 fn pchase_many_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
-    let n = 4096u64;
-    let buf = gpu.alloc(n * 8).expect("alloc");
-    for i in 0..n {
-        // Large-stride ring so consecutive warps land on distinct lines.
-        let next = buf + ((i + 67) % n) * 8;
-        gpu.mem_mut().write_scalar(buf + i * 8, 8, next);
-    }
+    let buf = dram_ring(gpu);
     let k = assemble_named(
         r#"
         mov %r1, %tid.x;
@@ -233,6 +309,70 @@ fn dsm_setup(_gpu: &mut Gpu) -> (Kernel, Launch) {
     )
     .expect("assembles");
     (k, Launch::new(2, 1).with_cluster(2))
+}
+
+/// Uneven retirement: block 0 chases DRAM for tens of thousands of cycles,
+/// block 1 for a few thousand, the other two exit at once — retired SMs'
+/// slots must be booked idle to the end of the wave.
+fn uneven_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
+    let buf = dram_ring(gpu);
+    let k = assemble_named(
+        r#"
+        mov %r1, %ctaid.x;
+        setp.gt.s32 %p1, %r1, 1;
+        @%p1 bra DONE;
+        mov.s32 %r5, 64;
+        setp.eq.s32 %p2, %r1, 0;
+        @%p2 bra START;
+        mov.s32 %r5, 4;
+    START:
+        mov %r2, %tid.x;
+        shl.s32 %r2, %r2, 3;
+        add.s32 %r3, %r2, %r0;
+        mov.s32 %r4, 0;
+    LOOP:
+        ld.global.cg.b64 %r3, [%r3];
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, %r5;
+        @%p0 bra LOOP;
+    DONE:
+        exit;
+    "#,
+        "uneven_retire",
+    )
+    .expect("assembles");
+    (k, Launch::new(4, 64).with_params(vec![buf]))
+}
+
+/// Cluster barrier with a long-running peer: rank 0 parks at
+/// `barrier.cluster` while rank 1 runs a DRAM chase before arriving.
+fn cluster_wait_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
+    let buf = dram_ring(gpu);
+    let k = assemble_named(
+        r#"
+        mov %r1, %cluster_ctarank;
+        setp.eq.s32 %p1, %r1, 0;
+        @%p1 bra SYNC;
+        mov %r2, %tid.x;
+        shl.s32 %r2, %r2, 3;
+        add.s32 %r3, %r2, %r0;
+        mov.s32 %r4, 0;
+    LOOP:
+        ld.global.cg.b64 %r3, [%r3];
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, 24;
+        @%p0 bra LOOP;
+    SYNC:
+        barrier.cluster;
+        add.s32 %r6, %r1, 1;
+        barrier.cluster;
+        exit;
+    "#,
+        "cluster_wait",
+    )
+    .expect("assembles");
+    let launch = Launch::new(2, 64).with_cluster(2).with_params(vec![buf]);
+    (k, launch)
 }
 
 /// Barrier-heavy block: 8 warps ping-ponging through shared memory with
@@ -326,6 +466,137 @@ fn equivalent_cluster_dsm() {
 #[test]
 fn equivalent_barrier_pingpong() {
     assert_equivalent("barrier_pingpong", DeviceConfig::h800(), barrier_setup);
+}
+
+#[test]
+fn equivalent_under_budget() {
+    let dev = DeviceConfig::h800;
+    assert_bounded_equivalent("pchase_dram_32w", dev(), pchase_many_setup);
+    assert_bounded_equivalent("dsm_chase", dev(), dsm_setup);
+    assert_bounded_equivalent("barrier_pingpong", dev(), barrier_setup);
+    assert_bounded_equivalent("cluster_wait", dev(), cluster_wait_setup);
+}
+
+/// A barrier nobody can complete (the block's other warp has exited):
+/// every SM parks with no wakeup, and the budget must still trip at the
+/// same cycle, with the wait booked as barrier stall, under both
+/// schedulers.
+#[test]
+fn equivalent_deadlock_under_budget() {
+    let k = assemble_named(
+        r#"
+        mov %r1, %tid.x;
+        setp.lt.s32 %p0, %r1, 32;
+        @%p0 bra OUT;
+        bar.sync;
+    OUT:
+        exit;
+    "#,
+        "half_barrier",
+    )
+    .expect("assembles");
+    let setup = |_: &mut Gpu| (k.clone(), Launch::new(2, 64));
+    let run = |sched| cut_run::<StallProfile>(&DeviceConfig::h800(), &setup, sched, 5000);
+    let (a, b) = (run(Scheduler::LegacyScan), run(Scheduler::ReadySet));
+    assert!(matches!(
+        b.0,
+        Err(LaunchError::DeadlineExceeded {
+            cycles_run: 5000,
+            ..
+        })
+    ));
+    assert_eq!(a, b, "deadlocked kernel cut differently");
+    assert!(b.1.conservation_ok());
+}
+
+#[test]
+fn equivalent_uneven_retirement() {
+    assert_equivalent("uneven_retire", DeviceConfig::h800(), uneven_setup);
+}
+
+#[test]
+fn equivalent_cluster_wait_on_long_peer() {
+    assert_equivalent("cluster_wait", DeviceConfig::h800(), cluster_wait_setup);
+}
+
+/// Two clusters sharing two SMs (only reachable through `Engine`, the
+/// `Gpu` places one cluster per wave): cluster 0's release frees a waiter
+/// on an SM whose other block sleeps on DRAM, so that SM's clock has run
+/// ahead of the release and must come back to the cycle after it.
+#[test]
+fn equivalent_cluster_release_pulls_back_a_sleeping_sm() {
+    let dev = DeviceConfig::h800();
+    let k = assemble_named(
+        r#"
+        mov %r1, %ctaid.x;
+        mov.s32 %r5, 48;
+        setp.gt.s32 %p1, %r1, 1;
+        @%p1 bra CHASE;
+        setp.eq.s32 %p2, %r1, 0;
+        @%p2 bra SYNC;
+        mov.s32 %r5, 6;
+    CHASE:
+        mov %r2, %tid.x;
+        shl.s32 %r2, %r2, 3;
+        add.s32 %r3, %r2, %r0;
+        mov.s32 %r4, 0;
+    LOOP:
+        ld.global.cg.b64 %r3, [%r3];
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, %r5;
+        @%p0 bra LOOP;
+        @%p1 bra DONE;
+    SYNC:
+        barrier.cluster;
+        add.s32 %r6, %r1, 1;
+    DONE:
+        exit;
+    "#,
+        "two_clusters",
+    )
+    .expect("assembles");
+    let run = |sched| {
+        let mut mem = GlobalMem::new();
+        let n = 4096u64;
+        let buf = mem.alloc(n * 8);
+        for i in 0..n {
+            mem.write_scalar(buf + i * 8, 8, buf + ((i + 67) % n) * 8);
+        }
+        let cfg = EngineConfig {
+            blocks: (0..4)
+                .map(|i| BlockSpec {
+                    ctaid: i,
+                    sm: (i % 2) as usize,
+                    cluster_id: i / 2,
+                    cluster_rank: i % 2,
+                    smid: i % 2,
+                })
+                .collect(),
+            threads_per_block: 32,
+            grid_dim: 4,
+            cluster_size: 2,
+            params: vec![buf],
+            l2_bw_scale: 1.0,
+            dram_bw_scale: 1.0,
+            opts: SimOptions {
+                scheduler: sched,
+                ..Default::default()
+            },
+            limit: RunLimit::none(),
+        };
+        let mut caches = CacheState::new(&dev);
+        let plain = Engine::new(&dev, &k, cfg.clone(), &mut mem, &mut caches).run();
+        let mut caches = CacheState::new(&dev);
+        let mut trace = ChromeTrace::new();
+        let traced = Engine::new(&dev, &k, cfg, &mut mem, &mut caches)
+            .with_sink(&mut trace, 0)
+            .run();
+        (plain, traced, trace.to_json())
+    };
+    let (a, b) = (run(Scheduler::LegacyScan), run(Scheduler::ReadySet));
+    assert_eq!(a.0, b.0, "untraced Metrics differ");
+    assert_eq!(a.1, b.1, "traced Metrics differ");
+    assert_eq!(a.2.as_bytes(), b.2.as_bytes(), "Chrome traces differ");
 }
 
 #[test]

@@ -18,15 +18,6 @@ use hopper_prof::workloads::Workload;
 use hopper_sim::trace::TeeSink;
 use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, StallProfile};
 
-fn device_by_name(name: &str) -> Option<DeviceConfig> {
-    match name {
-        "h800" => Some(DeviceConfig::h800()),
-        "a100" => Some(DeviceConfig::a100()),
-        "rtx4090" => Some(DeviceConfig::rtx4090()),
-        _ => None,
-    }
-}
-
 fn profile_one(dev: DeviceConfig, workload: Workload, chrome_path: Option<&str>) {
     let mut gpu = Gpu::new(dev);
     println!(
@@ -119,10 +110,14 @@ fn main() {
                 Some((stem, ext)) => format!("{stem}-{name}.{ext}"),
                 None => format!("{p}-{name}"),
             });
-            profile_one(device_by_name(name).unwrap(), workload, per_dev.as_deref());
+            profile_one(
+                DeviceConfig::by_name(name).expect("listed above"),
+                workload,
+                per_dev.as_deref(),
+            );
         }
     } else {
-        match device_by_name(&device) {
+        match DeviceConfig::by_name(&device) {
             Some(dev) => profile_one(dev, workload, chrome.as_deref()),
             None => {
                 eprintln!("unknown device `{device}` (expected h800|a100|rtx4090|all)");
