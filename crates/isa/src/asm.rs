@@ -54,140 +54,52 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
 }
 
 /// Assemble with an explicit kernel name.
+///
+/// The result has passed [`Kernel::validate`]: a register, predicate or
+/// branch target the simulator could not index is an [`AsmError`] on the
+/// line that wrote it.
 pub fn assemble_named(source: &str, name: &str) -> Result<Kernel, AsmError> {
-    let mut instrs: Vec<Instr> = Vec::new();
-    let mut labels: HashMap<String, usize> = HashMap::new();
-    let mut fixups: Vec<(usize, String, usize)> = Vec::new(); // (instr idx, label, line)
+    // Pass 1: split into (line, statement) and bind each label to the index
+    // of the statement that follows it, so pass 2 resolves branches as it
+    // parses them.
+    let mut stmts: Vec<(usize, &str)> = Vec::new();
+    let mut labels: HashMap<&str, usize> = HashMap::new();
     let mut smem_bytes = 0u32;
-    let mut max_reg = 0u16;
-
     for (lineno, raw) in source.lines().enumerate() {
         let line = lineno + 1;
-        let text = raw.split("//").next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
         // Labels may share a line with an instruction: `L: add.s32 ...`.
-        let mut rest = text;
+        let mut rest = raw.split("//").next().unwrap_or("").trim();
         while let Some(colon) = rest.find(':') {
             let head = &rest[..colon];
-            if head.chars().all(|c| c.is_alphanumeric() || c == '_')
-                && !head.is_empty()
-                && !head.starts_with('%')
-            {
-                labels.insert(head.to_string(), instrs.len());
+            if head.chars().all(|c| c.is_alphanumeric() || c == '_') && !head.is_empty() {
+                labels.insert(head, stmts.len());
                 rest = rest[colon + 1..].trim();
             } else {
                 break;
             }
         }
-        if rest.is_empty() {
-            continue;
-        }
-        for stmt in rest.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
+        for stmt in rest.split(';').map(str::trim).filter(|s| !s.is_empty()) {
             if let Some(sz) = stmt.strip_prefix(".shared ") {
                 smem_bytes = smem_bytes.max(sz.trim().parse::<u32>().map_err(|e| AsmError {
                     line,
                     msg: format!("bad .shared size: {e}"),
                 })?);
-                continue;
+            } else {
+                stmts.push((line, stmt));
             }
-            let instr = parse_stmt(stmt, line, &mut fixups, instrs.len())?;
-            track_regs(&instr, &mut max_reg);
-            instrs.push(instr);
         }
     }
 
-    for (idx, label, line) in fixups {
-        let target = *labels.get(&label).ok_or_else(|| AsmError {
-            line,
-            msg: format!("undefined label `{label}`"),
-        })?;
-        if let Instr::Bra { target: t, .. } = &mut instrs[idx] {
-            *t = target;
-        }
-    }
-
-    if !matches!(instrs.last(), Some(Instr::Exit)) {
-        return err(source.lines().count(), "kernel must end with `exit`");
-    }
-    Ok(Kernel {
-        instrs,
-        regs_per_thread: (max_reg as u32 + 1).max(16).div_ceil(8) * 8,
-        smem_bytes,
-        name: name.to_string(),
-    })
-}
-
-fn track_regs(i: &Instr, max: &mut u16) {
-    let mut see = |r: &Reg| *max = (*max).max(r.0);
-    let see_op = |o: &Operand, max: &mut u16| {
-        if let Operand::Reg(r) = o {
-            *max = (*max).max(r.0);
-        }
-    };
-    match i {
-        Instr::IAlu { dst, a, b, .. } | Instr::FAlu { dst, a, b, .. } => {
-            see(dst);
-            see_op(a, max);
-            see_op(b, max);
-        }
-        Instr::IMad { dst, a, b, c } | Instr::FFma { dst, a, b, c, .. } => {
-            see(dst);
-            see_op(a, max);
-            see_op(b, max);
-            see_op(c, max);
-        }
-        Instr::Dpx { dst, a, b, c, .. } => {
-            see(dst);
-            see_op(a, max);
-            see_op(b, max);
-            see_op(c, max);
-        }
-        Instr::Mov { dst, src } => {
-            see(dst);
-            see_op(src, max);
-        }
-        Instr::SetP { a, b, .. } => {
-            see_op(a, max);
-            see_op(b, max);
-        }
-        Instr::Sel { dst, a, b, .. } => {
-            see(dst);
-            see_op(a, max);
-            see_op(b, max);
-        }
-        Instr::Ld { dst, addr, .. } => {
-            see(dst);
-            see(&addr.base);
-        }
-        Instr::St { src, addr, .. } => {
-            see(src);
-            see(&addr.base);
-        }
-        Instr::AtomAdd { dst, addr, src, .. } => {
-            if let Some(d) = dst {
-                see(d);
-            }
-            see(&addr.base);
-            see_op(src, max);
-        }
-        Instr::CpAsync { smem, gmem, .. } => {
-            see(&smem.base);
-            see(&gmem.base);
-        }
-        Instr::Mapa { dst, addr, rank } => {
-            see(dst);
-            see_op(addr, max);
-            see_op(rank, max);
-        }
-        Instr::ReadSpecial { dst, .. } => see(dst),
-        _ => {}
-    }
+    let instrs = stmts
+        .iter()
+        .map(|&(line, stmt)| parse_stmt(stmt, line, &labels))
+        .collect::<Result<Vec<_>, _>>()?;
+    let kernel = Kernel::new(name, instrs, smem_bytes);
+    kernel.validate().map_err(|e| AsmError {
+        line: e.pc.map_or(source.lines().count(), |pc| stmts[pc].0),
+        msg: e.msg,
+    })?;
+    Ok(kernel)
 }
 
 fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
@@ -255,61 +167,35 @@ fn parse_addr(tok: &str, line: usize) -> Result<AddrExpr, AsmError> {
     })
 }
 
+/// Canonical widths ([`Width::NAMES`]) plus the typed PTX aliases.
 fn parse_width(tok: &str, line: usize) -> Result<Width, AsmError> {
     match tok {
-        "b8" => Ok(Width::B1),
-        "b16" => Ok(Width::B2),
-        "b32" | "f32" | "u32" | "s32" => Ok(Width::B4),
-        "b64" | "f64" | "u64" | "s64" => Ok(Width::B8),
-        "v4" | "b128" => Ok(Width::B16),
-        _ => err(line, format!("unknown width `{tok}`")),
-    }
-}
-
-fn parse_special(tok: &str) -> Option<Special> {
-    Some(match tok {
-        "%tid.x" => Special::TidX,
-        "%ctaid.x" => Special::CtaIdX,
-        "%ntid.x" => Special::NTidX,
-        "%nctaid.x" => Special::NCtaIdX,
-        "%laneid" => Special::LaneId,
-        "%warpid" => Special::WarpId,
-        "%smid" => Special::SmId,
-        "%cluster_ctarank" => Special::ClusterCtaRank,
-        "%cluster_nctarank" => Special::ClusterNCtaRank,
-        "%clock" => Special::Clock,
-        _ => return None,
-    })
-}
-
-fn parse_stmt(
-    stmt: &str,
-    line: usize,
-    fixups: &mut Vec<(usize, String, usize)>,
-    idx: usize,
-) -> Result<Instr, AsmError> {
-    // Guarded branch: `@%p0 bra L` / `@!%p0 bra L`.
-    if let Some(rest) = stmt.strip_prefix('@') {
-        let (guard, rest) = rest.split_once(' ').ok_or_else(|| AsmError {
+        "f32" | "u32" | "s32" => Ok(Width::B4),
+        "f64" | "u64" | "s64" => Ok(Width::B8),
+        "b128" => Ok(Width::B16),
+        _ => Width::parse(tok).ok_or_else(|| AsmError {
             line,
-            msg: "malformed guarded instruction".into(),
-        })?;
-        let (neg, ptok) = if let Some(p) = guard.strip_prefix('!') {
-            (true, p)
-        } else {
-            (false, guard)
-        };
-        let pred = parse_pred(ptok, line)?;
-        let rest = rest.trim();
-        if let Some(label) = rest.strip_prefix("bra ") {
-            fixups.push((idx, label.trim().to_string(), line));
-            return Ok(Instr::Bra {
-                target: usize::MAX,
-                guard: Some((pred, !neg)),
-            });
-        }
-        return err(line, "only `bra` may be guarded in this assembler");
+            msg: format!("unknown width `{tok}`"),
+        }),
     }
+}
+
+fn parse_stmt(stmt: &str, line: usize, labels: &HashMap<&str, usize>) -> Result<Instr, AsmError> {
+    // Guard prefix: `@%p0 bra L` / `@!%p0 bra L`.
+    let (guard, stmt) = match stmt.strip_prefix('@') {
+        None => (None, stmt),
+        Some(rest) => {
+            let (guard, rest) = rest.split_once(' ').ok_or_else(|| AsmError {
+                line,
+                msg: "malformed guarded instruction".into(),
+            })?;
+            let (when, ptok) = match guard.strip_prefix('!') {
+                Some(p) => (false, p),
+                None => (true, guard),
+            };
+            (Some((parse_pred(ptok, line)?, when)), rest.trim())
+        }
+    };
 
     let mut parts = stmt.splitn(2, ' ');
     let op = parts.next().unwrap();
@@ -321,6 +207,9 @@ fn parse_stmt(
         .filter(|s| !s.is_empty())
         .collect();
     let dots: Vec<&str> = op.split('.').collect();
+    if guard.is_some() && op != "bra" {
+        return err(line, "only `bra` may be guarded in this assembler");
+    }
 
     match dots.as_slice() {
         ["exit"] => Ok(Instr::Exit),
@@ -331,16 +220,16 @@ fn parse_stmt(
                 line,
                 msg: "bra needs a label".into(),
             })?;
-            fixups.push((idx, label.to_string(), line));
-            Ok(Instr::Bra {
-                target: usize::MAX,
-                guard: None,
-            })
+            let target = *labels.get(label).ok_or_else(|| AsmError {
+                line,
+                msg: format!("undefined label `{label}`"),
+            })?;
+            Ok(Instr::Bra { target, guard })
         }
         ["mov", ..] => {
             let dst = parse_reg(args.first().copied().unwrap_or(""), line)?;
             let srctok = args.get(1).copied().unwrap_or("");
-            if let Some(sr) = parse_special(srctok) {
+            if let Some(sr) = Special::parse(srctok) {
                 Ok(Instr::ReadSpecial { dst, sr })
             } else {
                 Ok(Instr::Mov {
@@ -349,49 +238,27 @@ fn parse_stmt(
                 })
             }
         }
-        [alu @ ("add" | "sub" | "mul" | "min" | "max" | "and" | "or" | "xor" | "shl" | "shr"), ty] =>
-        {
+        [alu, ty] if IAluOp::parse(alu).is_some() => {
             let dst = parse_reg(args.first().copied().unwrap_or(""), line)?;
             let a = parse_operand(args.get(1).copied().unwrap_or(""), line)?;
             let b = parse_operand(args.get(2).copied().unwrap_or(""), line)?;
-            match *ty {
-                "f32" | "f64" => {
-                    let fop = match *alu {
-                        "add" => FAluOp::Add,
-                        "mul" => FAluOp::Mul,
-                        "min" => FAluOp::Min,
-                        "max" => FAluOp::Max,
-                        other => return err(line, format!("no float op `{other}`")),
-                    };
-                    let prec = if *ty == "f32" {
-                        FloatPrec::F32
-                    } else {
-                        FloatPrec::F64
-                    };
-                    Ok(Instr::FAlu {
-                        op: fop,
-                        prec,
-                        dst,
-                        a,
-                        b,
-                    })
-                }
-                _ => {
-                    let iop = match *alu {
-                        "add" => IAluOp::Add,
-                        "sub" => IAluOp::Sub,
-                        "mul" => IAluOp::Mul,
-                        "min" => IAluOp::Min,
-                        "max" => IAluOp::Max,
-                        "and" => IAluOp::And,
-                        "or" => IAluOp::Or,
-                        "xor" => IAluOp::Xor,
-                        "shl" => IAluOp::Shl,
-                        "shr" => IAluOp::Shr,
-                        _ => unreachable!(),
-                    };
-                    Ok(Instr::IAlu { op: iop, dst, a, b })
-                }
+            match FloatPrec::parse(ty) {
+                Some(prec) => Ok(Instr::FAlu {
+                    op: FAluOp::parse(alu).ok_or_else(|| AsmError {
+                        line,
+                        msg: format!("no float op `{alu}`"),
+                    })?,
+                    prec,
+                    dst,
+                    a,
+                    b,
+                }),
+                None => Ok(Instr::IAlu {
+                    op: IAluOp::parse(alu).expect("arm guard"),
+                    dst,
+                    a,
+                    b,
+                }),
             }
         }
         ["mad", _ty] => Ok(Instr::IMad {
@@ -401,33 +268,21 @@ fn parse_stmt(
             c: parse_operand(args.get(3).copied().unwrap_or(""), line)?,
         }),
         ["fma", ty] => Ok(Instr::FFma {
-            prec: if *ty == "f64" {
-                FloatPrec::F64
-            } else {
-                FloatPrec::F32
-            },
+            prec: FloatPrec::parse(ty).unwrap_or(FloatPrec::F32),
             dst: parse_reg(args.first().copied().unwrap_or(""), line)?,
             a: parse_operand(args.get(1).copied().unwrap_or(""), line)?,
             b: parse_operand(args.get(2).copied().unwrap_or(""), line)?,
             c: parse_operand(args.get(3).copied().unwrap_or(""), line)?,
         }),
-        ["setp", cmp, _ty] => {
-            let c = match *cmp {
-                "eq" => CmpOp::Eq,
-                "ne" => CmpOp::Ne,
-                "lt" => CmpOp::Lt,
-                "le" => CmpOp::Le,
-                "gt" => CmpOp::Gt,
-                "ge" => CmpOp::Ge,
-                other => return err(line, format!("unknown comparison `{other}`")),
-            };
-            Ok(Instr::SetP {
-                pred: parse_pred(args.first().copied().unwrap_or(""), line)?,
-                cmp: c,
-                a: parse_operand(args.get(1).copied().unwrap_or(""), line)?,
-                b: parse_operand(args.get(2).copied().unwrap_or(""), line)?,
-            })
-        }
+        ["setp", cmp, _ty] => Ok(Instr::SetP {
+            pred: parse_pred(args.first().copied().unwrap_or(""), line)?,
+            cmp: CmpOp::parse(cmp).ok_or_else(|| AsmError {
+                line,
+                msg: format!("unknown comparison `{cmp}`"),
+            })?,
+            a: parse_operand(args.get(1).copied().unwrap_or(""), line)?,
+            b: parse_operand(args.get(2).copied().unwrap_or(""), line)?,
+        }),
         ["sel"] => Ok(Instr::Sel {
             dst: parse_reg(args.first().copied().unwrap_or(""), line)?,
             pred: parse_pred(args.get(1).copied().unwrap_or(""), line)?,
@@ -436,14 +291,10 @@ fn parse_stmt(
         }),
         ["ld", space, rest @ ..] => {
             let (cop, wtok) = match rest {
-                [c @ ("ca" | "cg" | "cs"), w] => (
-                    match *c {
-                        "ca" => CacheOp::Ca,
-                        "cg" => CacheOp::Cg,
-                        _ => CacheOp::Cs,
-                    },
-                    *w,
-                ),
+                [c, w] => match CacheOp::parse(c) {
+                    Some(cop) => (cop, *w),
+                    None => return err(line, "malformed ld"),
+                },
                 [w] => (CacheOp::Ca, *w),
                 _ => return err(line, "malformed ld"),
             };
@@ -539,12 +390,10 @@ fn parse_stmt(
 }
 
 fn parse_space(tok: &str, line: usize) -> Result<MemSpace, AsmError> {
-    match tok {
-        "global" => Ok(MemSpace::Global),
-        "shared" => Ok(MemSpace::Shared),
-        "shared::cluster" => Ok(MemSpace::SharedCluster),
-        _ => err(line, format!("unknown state space `{tok}`")),
-    }
+    MemSpace::parse(tok).ok_or_else(|| AsmError {
+        line,
+        msg: format!("unknown state space `{tok}`"),
+    })
 }
 
 fn parse_dtype(tok: &str, line: usize) -> Result<DType, AsmError> {
@@ -764,6 +613,33 @@ mod tests {
         assert!(e.to_string().contains("bogus"));
         let e = assemble("bra NOWHERE;\nexit;").unwrap_err();
         assert!(e.msg.contains("NOWHERE"));
+    }
+
+    /// Operands the simulator could not index are errors on the line that
+    /// wrote them (each of these assembled cleanly and then crashed the
+    /// engine before `Kernel::validate` existed).
+    #[test]
+    fn out_of_range_operands_are_line_errors() {
+        for (src, line, needle) in [
+            ("exit;\nmov.s32 %r300, 1;\nexit;", 2, "%r300"),
+            // The implicit pair register of a 16-byte access counts.
+            ("ld.global.v4 %r255, [%r0];\nexit;", 1, "%r256"),
+            ("mov %r1, 0;\nst.global.v4 [%r0], %r255;\nexit;", 2, "%r256"),
+            ("sel %r2, %p9, 1, 2;\nexit;", 1, "%p9"),
+            (
+                "mov %r1, 0;\n\nsetp.lt.s32 %p200, %r1, 4;\nexit;",
+                3,
+                "%p200",
+            ),
+            ("mov %r1, 0;\nbra END;\nexit;\nEND:", 2, "branch target 3"),
+        ] {
+            let e = assemble(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}: {e}");
+            assert!(e.msg.contains(needle), "{src}: {e}");
+        }
+        // In range, the pair register widens the footprint instead.
+        let k = assemble("ld.global.v4 %r15, [%r0];\nst.global.v4 [%r0], %r15;\nexit;").unwrap();
+        assert_eq!(k.regs_per_thread, 24);
     }
 
     #[test]

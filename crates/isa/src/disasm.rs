@@ -30,57 +30,15 @@ fn addr(a: &AddrExpr) -> String {
     }
 }
 
-fn width(w: Width) -> &'static str {
-    match w {
-        Width::B1 => "b8",
-        Width::B2 => "b16",
-        Width::B4 => "b32",
-        Width::B8 => "b64",
-        Width::B16 => "v4",
-    }
-}
-
-fn space(s: MemSpace) -> &'static str {
-    match s {
-        MemSpace::Global => "global",
-        MemSpace::Shared => "shared",
-        MemSpace::SharedCluster => "shared::cluster",
-    }
-}
-
-fn special(sr: Special) -> &'static str {
-    match sr {
-        Special::TidX => "%tid.x",
-        Special::CtaIdX => "%ctaid.x",
-        Special::NTidX => "%ntid.x",
-        Special::NCtaIdX => "%nctaid.x",
-        Special::LaneId => "%laneid",
-        Special::WarpId => "%warpid",
-        Special::SmId => "%smid",
-        Special::ClusterCtaRank => "%cluster_ctarank",
-        Special::ClusterNCtaRank => "%cluster_nctarank",
-        Special::Clock => "%clock",
-    }
-}
-
 /// Render one instruction; `None` for instructions outside the assembler's
 /// textual surface (tile ops and TMA, which only the builder can express).
 pub fn instr_to_asm(i: &Instr) -> Option<String> {
+    if !i.info().textual {
+        return None;
+    }
     Some(match i {
         Instr::IAlu { op: o, dst, a, b } => {
-            let name = match o {
-                IAluOp::Add => "add",
-                IAluOp::Sub => "sub",
-                IAluOp::Mul => "mul",
-                IAluOp::Min => "min",
-                IAluOp::Max => "max",
-                IAluOp::And => "and",
-                IAluOp::Or => "or",
-                IAluOp::Xor => "xor",
-                IAluOp::Shl => "shl",
-                IAluOp::Shr => "shr",
-            };
-            format!("{name}.s32 %r{}, {}, {};", dst.0, op(a), op(b))
+            format!("{}.s32 %r{}, {}, {};", o.name(), dst.0, op(a), op(b))
         }
         Instr::IMad { dst, a, b, c } => {
             format!("mad.s32 %r{}, {}, {}, {};", dst.0, op(a), op(b), op(c))
@@ -91,28 +49,22 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
             dst,
             a,
             b,
-        } => {
-            let name = match o {
-                FAluOp::Add => "add",
-                FAluOp::Mul => "mul",
-                FAluOp::Min => "min",
-                FAluOp::Max => "max",
-            };
-            let ty = if *prec == FloatPrec::F64 {
-                "f64"
-            } else {
-                "f32"
-            };
-            format!("{name}.{ty} %r{}, {}, {};", dst.0, op(a), op(b))
-        }
-        Instr::FFma { prec, dst, a, b, c } => {
-            let ty = if *prec == FloatPrec::F64 {
-                "f64"
-            } else {
-                "f32"
-            };
-            format!("fma.{ty} %r{}, {}, {}, {};", dst.0, op(a), op(b), op(c))
-        }
+        } => format!(
+            "{}.{} %r{}, {}, {};",
+            o.name(),
+            prec.name(),
+            dst.0,
+            op(a),
+            op(b)
+        ),
+        Instr::FFma { prec, dst, a, b, c } => format!(
+            "fma.{} %r{}, {}, {}, {};",
+            prec.name(),
+            dst.0,
+            op(a),
+            op(b),
+            op(c)
+        ),
         Instr::Mov { dst, src } => format!("mov.s32 %r{}, {};", dst.0, op(src)),
         Instr::Dpx { func, dst, a, b, c } => format!(
             "dpx.{} %r{}, {}, {}, {};",
@@ -123,15 +75,13 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
             op(c)
         ),
         Instr::SetP { pred, cmp, a, b } => {
-            let c = match cmp {
-                CmpOp::Eq => "eq",
-                CmpOp::Ne => "ne",
-                CmpOp::Lt => "lt",
-                CmpOp::Le => "le",
-                CmpOp::Gt => "gt",
-                CmpOp::Ge => "ge",
-            };
-            format!("setp.{c}.s32 %p{}, {}, {};", pred.0, op(a), op(b))
+            format!(
+                "setp.{}.s32 %p{}, {}, {};",
+                cmp.name(),
+                pred.0,
+                op(a),
+                op(b)
+            )
         }
         Instr::Sel { dst, pred, a, b } => {
             format!("sel %r{}, %p{}, {}, {};", dst.0, pred.0, op(a), op(b))
@@ -147,26 +97,25 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
             width: w,
             dst,
             addr: a,
-        } => {
-            let c = match cop {
-                CacheOp::Ca => "ca",
-                CacheOp::Cg => "cg",
-                CacheOp::Cs => "cs",
-            };
-            match sp {
-                MemSpace::Global => {
-                    format!("ld.global.{c}.{} %r{}, {};", width(*w), dst.0, addr(a))
-                }
-                _ => format!("ld.{}.{} %r{}, {};", space(*sp), width(*w), dst.0, addr(a)),
+        } => match sp {
+            MemSpace::Global => format!(
+                "ld.global.{}.{} %r{}, {};",
+                cop.name(),
+                w.name(),
+                dst.0,
+                addr(a)
+            ),
+            MemSpace::Shared | MemSpace::SharedCluster => {
+                format!("ld.{}.{} %r{}, {};", sp.name(), w.name(), dst.0, addr(a))
             }
-        }
+        },
         Instr::St {
             space: sp,
             width: w,
             src,
             addr: a,
         } => {
-            format!("st.{}.{} {}, %r{};", space(*sp), width(*w), addr(a), src.0)
+            format!("st.{}.{} {}, %r{};", sp.name(), w.name(), addr(a), src.0)
         }
         Instr::AtomAdd {
             space: sp,
@@ -176,12 +125,12 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
         } => match dst {
             Some(d) => format!(
                 "atom.{}.add.b32 %r{}, {}, {};",
-                space(*sp),
+                sp.name(),
                 d.0,
                 addr(a),
                 op(src)
             ),
-            None => format!("atom.{}.add.b32 {}, {};", space(*sp), addr(a), op(src)),
+            None => format!("atom.{}.add.b32 {}, {};", sp.name(), addr(a), op(src)),
         },
         Instr::CpAsync {
             width: w,
@@ -240,12 +189,12 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
         }
         Instr::BarSync => "bar.sync;".into(),
         Instr::ClusterSync => "barrier.cluster;".into(),
-        Instr::ReadSpecial { dst, sr } => format!("mov %r{}, {};", dst.0, special(*sr)),
+        Instr::ReadSpecial { dst, sr } => format!("mov %r{}, {};", dst.0, sr.name()),
         Instr::Exit => "exit;".into(),
         Instr::LdTile { .. }
         | Instr::StTile { .. }
         | Instr::FillTile { .. }
-        | Instr::TmaCopy { .. } => return None,
+        | Instr::TmaCopy { .. } => unreachable!("builder-only per Instr::info"),
     })
 }
 
@@ -253,15 +202,7 @@ pub fn instr_to_asm(i: &Instr) -> Option<String> {
 /// succeed. Cheaper than rendering: used by the audit fuzzer to decide
 /// which oracles (round-trip, serve) apply to a generated kernel.
 pub fn is_textual(k: &Kernel) -> bool {
-    !k.instrs.iter().any(|i| {
-        matches!(
-            i,
-            Instr::LdTile { .. }
-                | Instr::StTile { .. }
-                | Instr::FillTile { .. }
-                | Instr::TmaCopy { .. }
-        )
-    })
+    k.instrs.iter().all(|i| i.info().textual)
 }
 
 /// Render a whole kernel, emitting `LN:` labels at branch targets.

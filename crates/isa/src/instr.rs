@@ -33,19 +33,51 @@ pub enum Operand {
     Imm(i64),
 }
 
-/// Memory access width in bytes (1, 2, 4, 8 or 16 = vectorised `v4.f32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Width {
-    /// 1 byte.
-    B1,
-    /// 2 bytes.
-    B2,
-    /// 4 bytes (`b32` / `f32`).
-    B4,
-    /// 8 bytes (`b64` / `f64`).
-    B8,
-    /// 16 bytes (`v4.f32` / `float4`).
-    B16,
+/// Define an operand-modifier enum together with its assembler spelling:
+/// the variant list is the name table, so the assembler (`parse`) and the
+/// disassembler (`name`) cannot disagree and a new variant cannot exist
+/// without a spelling.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $var:ident = $text:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $var,)+
+        }
+
+        impl $name {
+            /// Every variant with its canonical assembler spelling.
+            pub const NAMES: &'static [(&'static str, $name)] = &[$(($text, $name::$var),)+];
+
+            /// Canonical assembler spelling.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$var => $text,)+
+                }
+            }
+
+            /// Inverse of [`Self::name`].
+            pub fn parse(s: &str) -> Option<Self> {
+                Self::NAMES.iter().find(|(n, _)| *n == s).map(|&(_, v)| v)
+            }
+        }
+    };
+}
+
+named_enum! {
+    /// Memory access width in bytes (1, 2, 4, 8 or 16 = vectorised `v4.f32`).
+    Width {
+        /// 1 byte.
+        B1 = "b8",
+        /// 2 bytes.
+        B2 = "b16",
+        /// 4 bytes (`b32` / `f32`).
+        B4 = "b32",
+        /// 8 bytes (`b64` / `f64`).
+        B8 = "b64",
+        /// 16 bytes (`v4.f32` / `float4`).
+        B16 = "v4",
+    }
 }
 
 impl Width {
@@ -61,82 +93,87 @@ impl Width {
     }
 }
 
-/// PTX cache operators on loads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheOp {
-    /// `.ca` — cache at all levels (L1 and L2).
-    Ca,
-    /// `.cg` — cache at global level (L2 only, bypass L1).
-    Cg,
-    /// `.cs` — streaming (evict-first); timing-wise like `.ca` here.
-    Cs,
+named_enum! {
+    /// PTX cache operators on loads.
+    CacheOp {
+        /// `.ca` — cache at all levels (L1 and L2).
+        Ca = "ca",
+        /// `.cg` — cache at global level (L2 only, bypass L1).
+        Cg = "cg",
+        /// `.cs` — streaming (evict-first); timing-wise like `.ca` here.
+        Cs = "cs",
+    }
 }
 
-/// Memory state spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemSpace {
-    /// Global device memory (through L1/L2 per the cache operator).
-    Global,
-    /// Per-block shared memory.
-    Shared,
-    /// Another block's shared memory within the cluster (address produced
-    /// by `mapa`; travels over the SM-to-SM network).
-    SharedCluster,
+named_enum! {
+    /// Memory state spaces.
+    MemSpace {
+        /// Global device memory (through L1/L2 per the cache operator).
+        Global = "global",
+        /// Per-block shared memory.
+        Shared = "shared",
+        /// Another block's shared memory within the cluster (address produced
+        /// by `mapa`; travels over the SM-to-SM network).
+        SharedCluster = "shared::cluster",
+    }
 }
 
-/// Integer ALU operations (per 32-bit lane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IAluOp {
-    /// Wrapping add.
-    Add,
-    /// Wrapping subtract.
-    Sub,
-    /// Wrapping multiply (low 32 bits).
-    Mul,
-    /// Signed minimum.
-    Min,
-    /// Signed maximum.
-    Max,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Logical shift left.
-    Shl,
-    /// Logical shift right.
-    Shr,
+named_enum! {
+    /// Integer ALU operations (per 32-bit lane).
+    IAluOp {
+        /// Wrapping add.
+        Add = "add",
+        /// Wrapping subtract.
+        Sub = "sub",
+        /// Wrapping multiply (low 32 bits).
+        Mul = "mul",
+        /// Signed minimum.
+        Min = "min",
+        /// Signed maximum.
+        Max = "max",
+        /// Bitwise and.
+        And = "and",
+        /// Bitwise or.
+        Or = "or",
+        /// Bitwise xor.
+        Xor = "xor",
+        /// Logical shift left.
+        Shl = "shl",
+        /// Logical shift right.
+        Shr = "shr",
+    }
 }
 
-/// Floating-point ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FAluOp {
-    /// Addition.
-    Add,
-    /// Multiplication.
-    Mul,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
+named_enum! {
+    /// Floating-point ALU operations.
+    FAluOp {
+        /// Addition.
+        Add = "add",
+        /// Multiplication.
+        Mul = "mul",
+        /// Minimum.
+        Min = "min",
+        /// Maximum.
+        Max = "max",
+    }
 }
 
-/// Comparison operators for `setp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Signed less-than.
-    Lt,
-    /// Signed less-or-equal.
-    Le,
-    /// Signed greater-than.
-    Gt,
-    /// Signed greater-or-equal.
-    Ge,
+named_enum! {
+    /// Comparison operators for `setp`.
+    CmpOp {
+        /// Equal.
+        Eq = "eq",
+        /// Not equal.
+        Ne = "ne",
+        /// Signed less-than.
+        Lt = "lt",
+        /// Signed less-or-equal.
+        Le = "le",
+        /// Signed greater-than.
+        Gt = "gt",
+        /// Signed greater-or-equal.
+        Ge = "ge",
+    }
 }
 
 impl CmpOp {
@@ -162,38 +199,40 @@ pub struct AddrExpr {
     pub offset: i64,
 }
 
-/// Special (read-only) registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Special {
-    /// `%tid.x` — thread index within the block.
-    TidX,
-    /// `%ctaid.x` — block index within the grid.
-    CtaIdX,
-    /// `%ntid.x` — block dimension.
-    NTidX,
-    /// `%nctaid.x` — grid dimension.
-    NCtaIdX,
-    /// `%laneid`.
-    LaneId,
-    /// `%warpid` within the block.
-    WarpId,
-    /// `%smid` — physical SM the block runs on.
-    SmId,
-    /// `%cluster_ctarank` — block rank within its cluster.
-    ClusterCtaRank,
-    /// `%cluster_nctarank` — cluster size.
-    ClusterNCtaRank,
-    /// `%clock` — SM cycle counter (32-bit in PTX; we deliver 64).
-    Clock,
+named_enum! {
+    /// Special (read-only) registers.
+    Special {
+        /// `%tid.x` — thread index within the block.
+        TidX = "%tid.x",
+        /// `%ctaid.x` — block index within the grid.
+        CtaIdX = "%ctaid.x",
+        /// `%ntid.x` — block dimension.
+        NTidX = "%ntid.x",
+        /// `%nctaid.x` — grid dimension.
+        NCtaIdX = "%nctaid.x",
+        /// `%laneid`.
+        LaneId = "%laneid",
+        /// `%warpid` within the block.
+        WarpId = "%warpid",
+        /// `%smid` — physical SM the block runs on.
+        SmId = "%smid",
+        /// `%cluster_ctarank` — block rank within its cluster.
+        ClusterCtaRank = "%cluster_ctarank",
+        /// `%cluster_nctarank` — cluster size.
+        ClusterNCtaRank = "%cluster_nctarank",
+        /// `%clock` — SM cycle counter (32-bit in PTX; we deliver 64).
+        Clock = "%clock",
+    }
 }
 
-/// FP precision for scalar float ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FloatPrec {
-    /// 32-bit.
-    F32,
-    /// 64-bit.
-    F64,
+named_enum! {
+    /// FP precision for scalar float ops.
+    FloatPrec {
+        /// 32-bit.
+        F32 = "f32",
+        /// 64-bit.
+        F64 = "f64",
+    }
 }
 
 /// Tile initialisation patterns for [`Instr::FillTile`].
@@ -521,54 +560,214 @@ impl TracePayload {
     }
 }
 
+/// Every register an instruction touches, as one flat allocation-free
+/// record: the single answer to "what does this instruction read or
+/// write" that the register allocator ([`crate::Kernel::new`]), the
+/// validator ([`crate::Kernel::validate`]) and the simulator's scoreboard
+/// all read.  Tile ids are not listed: tile storage is keyed, not indexed,
+/// so no tile id is out of range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operands {
+    regs: [Reg; 4],
+    len: u8,
+    /// Predicate the instruction reads (`sel`, guarded `bra`).
+    pub pred_read: Option<Pred>,
+    /// Predicate the instruction writes (`setp`).
+    pub pred_write: Option<Pred>,
+}
+
+impl Operands {
+    const NONE: Operands = Operands {
+        regs: [Reg(0); 4],
+        len: 0,
+        pred_read: None,
+        pred_write: None,
+    };
+
+    /// Every GPR read or written, implicit ones included (repeats
+    /// possible: `add %r1, %r1, %r1` lists `%r1` three times).
+    pub fn regs(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+
+    fn reg(mut self, r: Reg) -> Self {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+        self
+    }
+
+    fn op(self, o: Operand) -> Self {
+        match o {
+            Operand::Reg(r) => self.reg(r),
+            Operand::Imm(_) => self,
+        }
+    }
+
+    /// A `ld`/`st` data register: 16-byte accesses implicitly use the
+    /// next register too.
+    fn data(self, r: Reg, width: Width) -> Self {
+        let o = self.reg(r);
+        if width == Width::B16 {
+            o.reg(Reg(r.0.saturating_add(1)))
+        } else {
+            o
+        }
+    }
+}
+
+/// Static facts about an instruction variant (see [`Instr::info`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstrInfo {
+    /// Short mnemonic for traces, profiles and error messages.
+    pub mnemonic: &'static str,
+    /// What operand payload a replay-trace record carries.
+    pub payload: TracePayload,
+    /// Whether [`crate::asm`] has a syntax for it (`false` = only
+    /// [`crate::KernelBuilder`] can express it).
+    pub textual: bool,
+}
+
 impl Instr {
+    /// Every register and predicate this instruction reads or writes.
+    pub fn operands(&self) -> Operands {
+        let o = Operands::NONE;
+        match self {
+            Instr::IAlu { dst, a, b, .. } | Instr::FAlu { dst, a, b, .. } => {
+                o.reg(*dst).op(*a).op(*b)
+            }
+            Instr::IMad { dst, a, b, c }
+            | Instr::FFma { dst, a, b, c, .. }
+            | Instr::Dpx { dst, a, b, c, .. } => o.reg(*dst).op(*a).op(*b).op(*c),
+            Instr::Mov { dst, src } => o.reg(*dst).op(*src),
+            Instr::SetP { pred, a, b, .. } => Operands {
+                pred_write: Some(*pred),
+                ..o.op(*a).op(*b)
+            },
+            Instr::Sel { dst, pred, a, b } => Operands {
+                pred_read: Some(*pred),
+                ..o.reg(*dst).op(*a).op(*b)
+            },
+            Instr::Bra { guard, .. } => Operands {
+                pred_read: guard.map(|(p, _)| p),
+                ..o
+            },
+            Instr::Ld {
+                width, dst, addr, ..
+            } => o.data(*dst, *width).reg(addr.base),
+            Instr::St {
+                width, src, addr, ..
+            } => o.data(*src, *width).reg(addr.base),
+            Instr::AtomAdd { dst, addr, src, .. } => {
+                dst.map_or(o, |d| o.reg(d)).reg(addr.base).op(*src)
+            }
+            Instr::CpAsync { smem, gmem, .. } | Instr::TmaCopy { smem, gmem, .. } => {
+                o.reg(smem.base).reg(gmem.base)
+            }
+            Instr::LdTile { addr, .. } | Instr::StTile { addr, .. } => o.reg(addr.base),
+            Instr::Mapa { dst, addr, rank } => o.reg(*dst).op(*addr).op(*rank),
+            Instr::ReadSpecial { dst, .. } => o.reg(*dst),
+            Instr::CpAsyncCommit
+            | Instr::CpAsyncWait { .. }
+            | Instr::Mma { .. }
+            | Instr::WgmmaFence
+            | Instr::Wgmma { .. }
+            | Instr::WgmmaCommit
+            | Instr::WgmmaWait { .. }
+            | Instr::FillTile { .. }
+            | Instr::BarSync
+            | Instr::ClusterSync
+            | Instr::Exit => o,
+        }
+    }
+
+    /// The widest state space whose contents or ordering the instruction
+    /// touches: the operand space of memory instructions, `Global` for the
+    /// asynchronous global→shared copies, `SharedCluster` for `mapa` (it
+    /// manufactures a cluster address) and `barrier.cluster`.  `None` =
+    /// registers and tiles only.
+    pub fn mem_space(&self) -> Option<MemSpace> {
+        match self {
+            Instr::Ld { space, .. }
+            | Instr::St { space, .. }
+            | Instr::AtomAdd { space, .. }
+            | Instr::LdTile { space, .. }
+            | Instr::StTile { space, .. } => Some(*space),
+            Instr::CpAsync { .. } | Instr::TmaCopy { .. } => Some(MemSpace::Global),
+            Instr::Mapa { .. } | Instr::ClusterSync => Some(MemSpace::SharedCluster),
+            Instr::BarSync => Some(MemSpace::Shared),
+            Instr::IAlu { .. }
+            | Instr::IMad { .. }
+            | Instr::FAlu { .. }
+            | Instr::FFma { .. }
+            | Instr::Mov { .. }
+            | Instr::Dpx { .. }
+            | Instr::SetP { .. }
+            | Instr::Sel { .. }
+            | Instr::Bra { .. }
+            | Instr::CpAsyncCommit
+            | Instr::CpAsyncWait { .. }
+            | Instr::Mma { .. }
+            | Instr::WgmmaFence
+            | Instr::Wgmma { .. }
+            | Instr::WgmmaCommit
+            | Instr::WgmmaWait { .. }
+            | Instr::FillTile { .. }
+            | Instr::ReadSpecial { .. }
+            | Instr::Exit => None,
+        }
+    }
+
+    /// Mnemonic, replay-trace payload class and textual-surface membership
+    /// of this variant.
+    pub fn info(&self) -> InstrInfo {
+        use TracePayload as P;
+        let (mnemonic, payload, textual) = match self {
+            Instr::IAlu { .. } => ("ialu", P::None, true),
+            Instr::IMad { .. } => ("imad", P::None, true),
+            Instr::FAlu { .. } => ("falu", P::None, true),
+            Instr::FFma { .. } => ("ffma", P::None, true),
+            Instr::Mov { .. } => ("mov", P::None, true),
+            Instr::Dpx { .. } => ("dpx", P::None, true),
+            Instr::SetP { .. } => ("setp", P::None, true),
+            Instr::Sel { .. } => ("sel", P::None, true),
+            Instr::Bra { .. } => ("bra", P::None, true),
+            Instr::Ld { .. } => ("ld", P::LaneAddrs, true),
+            Instr::St { .. } => ("st", P::LaneAddrs, true),
+            Instr::AtomAdd { .. } => ("atom.add", P::LaneAddrs, true),
+            Instr::CpAsync { .. } => ("cp.async", P::GlobalLaneAddrs, true),
+            Instr::CpAsyncCommit => ("cp.async.commit_group", P::None, true),
+            Instr::CpAsyncWait { .. } => ("cp.async.wait_group", P::None, true),
+            Instr::TmaCopy { .. } => ("cp.async.bulk.tensor", P::Base, false),
+            Instr::Mma { .. } => ("mma", P::Activity, true),
+            Instr::WgmmaFence => ("wgmma.fence", P::None, true),
+            Instr::Wgmma { .. } => ("wgmma", P::Activity, true),
+            Instr::WgmmaCommit => ("wgmma.commit_group", P::None, true),
+            Instr::WgmmaWait { .. } => ("wgmma.wait_group", P::None, true),
+            Instr::LdTile { .. } => ("ldmatrix", P::Base, false),
+            Instr::StTile { .. } => ("stmatrix", P::Base, false),
+            Instr::FillTile { .. } => ("filltile", P::None, false),
+            Instr::Mapa { .. } => ("mapa", P::None, true),
+            Instr::BarSync => ("bar.sync", P::None, true),
+            Instr::ClusterSync => ("barrier.cluster", P::None, true),
+            Instr::ReadSpecial { .. } => ("mov.special", P::None, true),
+            Instr::Exit => ("exit", P::None, true),
+        };
+        InstrInfo {
+            mnemonic,
+            payload,
+            textual,
+        }
+    }
+
     /// The replay-trace payload class of this instruction (see
     /// [`TracePayload`]).
     pub fn trace_payload(&self) -> TracePayload {
-        match self {
-            Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => TracePayload::LaneAddrs,
-            Instr::CpAsync { .. } => TracePayload::GlobalLaneAddrs,
-            Instr::TmaCopy { .. } | Instr::LdTile { .. } | Instr::StTile { .. } => {
-                TracePayload::Base
-            }
-            Instr::Mma { .. } | Instr::Wgmma { .. } => TracePayload::Activity,
-            _ => TracePayload::None,
-        }
+        self.info().payload
     }
 
     /// Short mnemonic for traces and error messages.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Instr::IAlu { .. } => "ialu",
-            Instr::IMad { .. } => "imad",
-            Instr::FAlu { .. } => "falu",
-            Instr::FFma { .. } => "ffma",
-            Instr::Mov { .. } => "mov",
-            Instr::Dpx { .. } => "dpx",
-            Instr::SetP { .. } => "setp",
-            Instr::Sel { .. } => "sel",
-            Instr::Bra { .. } => "bra",
-            Instr::Ld { .. } => "ld",
-            Instr::St { .. } => "st",
-            Instr::AtomAdd { .. } => "atom.add",
-            Instr::CpAsync { .. } => "cp.async",
-            Instr::CpAsyncCommit => "cp.async.commit_group",
-            Instr::CpAsyncWait { .. } => "cp.async.wait_group",
-            Instr::TmaCopy { .. } => "cp.async.bulk.tensor",
-            Instr::Mma { .. } => "mma",
-            Instr::WgmmaFence => "wgmma.fence",
-            Instr::Wgmma { .. } => "wgmma",
-            Instr::WgmmaCommit => "wgmma.commit_group",
-            Instr::WgmmaWait { .. } => "wgmma.wait_group",
-            Instr::LdTile { .. } => "ldmatrix",
-            Instr::StTile { .. } => "stmatrix",
-            Instr::FillTile { .. } => "filltile",
-            Instr::Mapa { .. } => "mapa",
-            Instr::BarSync => "bar.sync",
-            Instr::ClusterSync => "barrier.cluster",
-            Instr::ReadSpecial { .. } => "mov.special",
-            Instr::Exit => "exit",
-        }
+        self.info().mnemonic
     }
 }
 
@@ -599,6 +798,66 @@ mod tests {
     fn widths() {
         assert_eq!(Width::B16.bytes(), 16);
         assert_eq!(Width::B4.bytes(), 4);
+    }
+
+    #[test]
+    fn operands_list_implicit_and_secondary_registers() {
+        let at = |r| AddrExpr {
+            base: Reg(r),
+            offset: 8,
+        };
+        let regs = |i: &Instr| i.operands().regs().iter().map(|r| r.0).collect::<Vec<_>>();
+        let st = |width| Instr::St {
+            space: MemSpace::Shared,
+            width,
+            src: Reg(6),
+            addr: at(2),
+        };
+        assert_eq!(regs(&st(Width::B8)), [6, 2]);
+        assert_eq!(regs(&st(Width::B16)), [6, 7, 2]);
+        let tma = Instr::TmaCopy {
+            rows: 4,
+            row_bytes: 64,
+            gstride: 256,
+            smem: at(3),
+            gmem: at(9),
+        };
+        assert_eq!(regs(&tma), [3, 9]);
+        assert_eq!(tma.mem_space(), Some(MemSpace::Global));
+        assert!(!tma.info().textual);
+        let atom = Instr::AtomAdd {
+            space: MemSpace::SharedCluster,
+            dst: None,
+            addr: at(1),
+            src: Operand::Imm(1),
+        };
+        assert_eq!(regs(&atom), [1]);
+        assert_eq!(atom.mem_space(), Some(MemSpace::SharedCluster));
+        let setp = Instr::SetP {
+            pred: Pred(3),
+            cmp: CmpOp::Lt,
+            a: Operand::Reg(Reg(4)),
+            b: Operand::Imm(0),
+        };
+        assert_eq!(regs(&setp), [4]);
+        assert_eq!(setp.operands().pred_write, Some(Pred(3)));
+        let bra = Instr::Bra {
+            target: 0,
+            guard: Some((Pred(1), false)),
+        };
+        assert_eq!(bra.operands().pred_read, Some(Pred(1)));
+        assert_eq!(Instr::Exit.operands(), Operands::NONE);
+    }
+
+    #[test]
+    fn name_tables_invert() {
+        for &(name, op) in IAluOp::NAMES {
+            assert_eq!(IAluOp::parse(name), Some(op));
+            assert_eq!(op.name(), name);
+        }
+        assert_eq!(Special::parse("%clock"), Some(Special::Clock));
+        assert_eq!(MemSpace::SharedCluster.name(), "shared::cluster");
+        assert_eq!(Width::parse("f32"), None); // alias: the assembler's business
     }
 
     #[test]

@@ -25,7 +25,92 @@ pub struct Kernel {
     pub name: String,
 }
 
+/// Hardware limit on registers per thread.
+pub const MAX_REGS_PER_THREAD: u32 = 256;
+/// Predicate registers per thread.
+pub const NUM_PREDS: u8 = 8;
+
+/// Why [`Kernel::validate`] rejected a kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelError {
+    /// Offending instruction index (`None` = a whole-kernel defect).
+    pub pc: Option<usize>,
+    /// What is wrong.
+    pub msg: String,
+}
+
+impl core::fmt::Display for KernelError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self.pc {
+            Some(pc) => write!(f, "pc {pc}: {}", self.msg),
+            None => f.write_str(&self.msg),
+        }
+    }
+}
+impl std::error::Error for KernelError {}
+
 impl Kernel {
+    /// Assemble a kernel from its parts, deriving the register footprint
+    /// from [`Instr::operands`] (highest register touched + 1, minimum 16,
+    /// rounded up to the allocator granularity of 8).
+    pub fn new(name: impl Into<String>, instrs: Vec<Instr>, smem_bytes: u32) -> Kernel {
+        let top = instrs
+            .iter()
+            .filter_map(|i| i.operands().regs().iter().map(|r| r.0).max())
+            .max()
+            .unwrap_or(0);
+        Kernel {
+            instrs,
+            regs_per_thread: (top as u32 + 1).max(16).div_ceil(8) * 8,
+            smem_bytes,
+            name: name.into(),
+        }
+    }
+
+    /// Check everything the simulator indexes with: every register operand
+    /// below `regs_per_thread` (itself at most [`MAX_REGS_PER_THREAD`]),
+    /// every predicate below [`NUM_PREDS`], every branch target inside the
+    /// stream, and a closing `exit`.  The assembler, the builder and
+    /// `Gpu::launch` all call this, so the engine never sees a kernel that
+    /// fails it.
+    pub fn validate(&self) -> Result<(), KernelError> {
+        let err = |pc, msg| Err(KernelError { pc, msg });
+        if !matches!(self.instrs.last(), Some(Instr::Exit)) {
+            return err(None, "kernel must end with `exit`".into());
+        }
+        let nregs = self.regs_per_thread.min(MAX_REGS_PER_THREAD);
+        for (pc, i) in self.instrs.iter().enumerate() {
+            let at = |what: String| err(Some(pc), format!("`{}`: {what}", i.mnemonic()));
+            let ops = i.operands();
+            if let Some(r) = ops.regs().iter().find(|r| r.0 as u32 >= nregs) {
+                return at(format!(
+                    "register {r} out of range (kernel has {} registers per thread, \
+                     limit {MAX_REGS_PER_THREAD})",
+                    self.regs_per_thread
+                ));
+            }
+            if let Some(p) = [ops.pred_read, ops.pred_write]
+                .into_iter()
+                .flatten()
+                .find(|p| p.0 >= NUM_PREDS)
+            {
+                return at(format!(
+                    "predicate {p} out of range (%p0..%p{})",
+                    NUM_PREDS - 1
+                ));
+            }
+            if let Instr::Bra { target, .. } = i {
+                if *target >= self.instrs.len() {
+                    return at(format!(
+                        "branch target {target} past the last instruction ({})",
+                        self.instrs.len() - 1
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Number of dynamic tensor-core instructions (for sanity checks).
     pub fn count_matching(&self, pred: impl Fn(&Instr) -> bool) -> usize {
         self.instrs.iter().filter(|i| pred(i)).count()
@@ -88,7 +173,6 @@ pub struct KernelBuilder {
     pending: Vec<(usize, Label)>,
     next_label: usize,
     smem_bytes: u32,
-    max_reg: u16,
     name: String,
 }
 
@@ -101,7 +185,6 @@ impl KernelBuilder {
             pending: Vec::new(),
             next_label: 0,
             smem_bytes: 0,
-            max_reg: 0,
             name: name.into(),
         }
     }
@@ -110,15 +193,6 @@ impl KernelBuilder {
     pub fn shared_mem(&mut self, bytes: u32) -> &mut Self {
         self.smem_bytes = self.smem_bytes.max(bytes);
         self
-    }
-
-    fn track(&mut self, r: Reg) {
-        self.max_reg = self.max_reg.max(r.0);
-    }
-    fn track_op(&mut self, o: Operand) {
-        if let Operand::Reg(r) = o {
-            self.track(r);
-        }
     }
 
     /// Append a raw instruction.
@@ -150,33 +224,21 @@ impl KernelBuilder {
 
     /// `mov dst, src`.
     pub fn mov(&mut self, dst: Reg, src: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(src);
         self.push(Instr::Mov { dst, src })
     }
 
     /// Integer ALU op.
     pub fn ialu(&mut self, op: IAluOp, dst: Reg, a: Operand, b: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
         self.push(Instr::IAlu { op, dst, a, b })
     }
 
     /// Integer multiply-add.
     pub fn imad(&mut self, dst: Reg, a: Operand, b: Operand, c: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
-        self.track_op(c);
         self.push(Instr::IMad { dst, a, b, c })
     }
 
     /// Float ALU op (f32).
     pub fn falu(&mut self, op: FAluOp, dst: Reg, a: Operand, b: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
         self.push(Instr::FAlu {
             op,
             prec: FloatPrec::F32,
@@ -188,9 +250,6 @@ impl KernelBuilder {
 
     /// Float ALU op (f64).
     pub fn falu64(&mut self, op: FAluOp, dst: Reg, a: Operand, b: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
         self.push(Instr::FAlu {
             op,
             prec: FloatPrec::F64,
@@ -202,10 +261,6 @@ impl KernelBuilder {
 
     /// Fused multiply-add (f32).
     pub fn ffma(&mut self, dst: Reg, a: Operand, b: Operand, c: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
-        self.track_op(c);
         self.push(Instr::FFma {
             prec: FloatPrec::F32,
             dst,
@@ -224,17 +279,11 @@ impl KernelBuilder {
         b: Operand,
         c: Operand,
     ) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
-        self.track_op(c);
         self.push(Instr::Dpx { func, dst, a, b, c })
     }
 
     /// Set predicate.
     pub fn setp(&mut self, pred: Pred, cmp: CmpOp, a: Operand, b: Operand) -> &mut Self {
-        self.track_op(a);
-        self.track_op(b);
         self.push(Instr::SetP { pred, cmp, a, b })
     }
 
@@ -267,8 +316,6 @@ impl KernelBuilder {
         base: Reg,
         offset: i64,
     ) -> &mut Self {
-        self.track(dst);
-        self.track(base);
         self.push(Instr::Ld {
             space,
             cop,
@@ -287,8 +334,6 @@ impl KernelBuilder {
         base: Reg,
         offset: i64,
     ) -> &mut Self {
-        self.track(src);
-        self.track(base);
         self.push(Instr::St {
             space,
             width,
@@ -306,11 +351,6 @@ impl KernelBuilder {
         offset: i64,
         src: Operand,
     ) -> &mut Self {
-        if let Some(d) = dst {
-            self.track(d);
-        }
-        self.track(base);
-        self.track_op(src);
         self.push(Instr::AtomAdd {
             space,
             dst,
@@ -321,8 +361,6 @@ impl KernelBuilder {
 
     /// Asynchronous global→shared copy.
     pub fn cp_async(&mut self, width: Width, smem: (Reg, i64), gmem: (Reg, i64)) -> &mut Self {
-        self.track(smem.0);
-        self.track(gmem.0);
         self.push(Instr::CpAsync {
             width,
             smem: AddrExpr {
@@ -355,8 +393,6 @@ impl KernelBuilder {
         smem: (Reg, i64),
         gmem: (Reg, i64),
     ) -> &mut Self {
-        self.track(smem.0);
-        self.track(gmem.0);
         self.push(Instr::TmaCopy {
             rows,
             row_bytes,
@@ -384,7 +420,6 @@ impl KernelBuilder {
         base: Reg,
         offset: i64,
     ) -> &mut Self {
-        self.track(base);
         self.push(Instr::LdTile {
             tile,
             dtype,
@@ -403,7 +438,6 @@ impl KernelBuilder {
         base: Reg,
         offset: i64,
     ) -> &mut Self {
-        self.track(base);
         self.push(Instr::StTile {
             tile,
             space,
@@ -469,9 +503,6 @@ impl KernelBuilder {
 
     /// `mapa`: map a shared address to the block ranked `rank`.
     pub fn mapa(&mut self, dst: Reg, addr: Operand, rank: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(addr);
-        self.track_op(rank);
         self.push(Instr::Mapa { dst, addr, rank })
     }
 
@@ -482,15 +513,11 @@ impl KernelBuilder {
 
     /// Select `dst = pred ? a : b`.
     pub fn sel(&mut self, dst: Reg, pred: Pred, a: Operand, b: Operand) -> &mut Self {
-        self.track(dst);
-        self.track_op(a);
-        self.track_op(b);
         self.push(Instr::Sel { dst, pred, a, b })
     }
 
     /// Read a special register.
     pub fn special(&mut self, dst: Reg, sr: Special) -> &mut Self {
-        self.track(dst);
         self.push(Instr::ReadSpecial { dst, sr })
     }
 
@@ -507,8 +534,9 @@ impl KernelBuilder {
     /// Resolve labels and produce the kernel.
     ///
     /// # Panics
-    /// Panics on an unplaced label or a fall-off-the-end stream without
-    /// `exit` (both are authoring bugs worth failing fast on).
+    /// Panics on an unplaced label or a kernel that fails
+    /// [`Kernel::validate`] — no closing `exit`, a register or predicate
+    /// out of range (all authoring bugs worth failing fast on).
     pub fn build(mut self) -> Kernel {
         for (idx, label) in std::mem::take(&mut self.pending) {
             let target = *self
@@ -520,17 +548,11 @@ impl KernelBuilder {
                 other => unreachable!("pending patch on non-branch {other:?}"),
             }
         }
-        assert!(
-            matches!(self.instrs.last(), Some(Instr::Exit)),
-            "kernel {} must end with exit",
-            self.name
-        );
-        Kernel {
-            instrs: self.instrs,
-            regs_per_thread: (self.max_reg as u32 + 1).max(16).div_ceil(8) * 8,
-            smem_bytes: self.smem_bytes,
-            name: self.name,
+        let k = Kernel::new(self.name, self.instrs, self.smem_bytes);
+        if let Err(e) = k.validate() {
+            panic!("kernel {}: {e}", k.name);
         }
+        k
     }
 }
 
@@ -582,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must end with exit")]
+    #[should_panic(expected = "must end with `exit`")]
     fn missing_exit_panics() {
         let mut b = KernelBuilder::new("noexit");
         b.mov(Reg(0), Operand::Imm(0));
@@ -597,6 +619,48 @@ mod tests {
         b.bra(l);
         b.exit();
         b.build();
+    }
+
+    /// A hand-built kernel whose declared footprint lies is caught by
+    /// `validate`, and `push` (which the builder never inspected) now
+    /// counts like every other emitter.
+    #[test]
+    fn validate_rejects_what_the_engine_cannot_index() {
+        let ld_v4 = Instr::Ld {
+            space: MemSpace::Global,
+            cop: CacheOp::Ca,
+            width: Width::B16,
+            dst: Reg(15),
+            addr: AddrExpr {
+                base: Reg(0),
+                offset: 0,
+            },
+        };
+        let lying = Kernel {
+            instrs: vec![ld_v4.clone(), Instr::Exit],
+            regs_per_thread: 16,
+            smem_bytes: 0,
+            name: "lying".into(),
+        };
+        let e = lying.validate().unwrap_err();
+        assert_eq!(e.pc, Some(0));
+        assert!(e.to_string().contains("%r16"), "{e}");
+        assert_eq!(Kernel::new("k", lying.instrs.clone(), 0).validate(), Ok(()));
+
+        let mut b = KernelBuilder::new("pushed");
+        b.push(ld_v4).exit();
+        assert_eq!(b.build().regs_per_thread, 24);
+
+        let no_exit = Kernel::new("k", vec![Instr::BarSync], 0);
+        assert_eq!(no_exit.validate().unwrap_err().pc, None);
+        let wild = Instr::Bra {
+            target: 2,
+            guard: Some((Pred(8), true)),
+        };
+        let e = Kernel::new("k", vec![wild, Instr::Exit], 0)
+            .validate()
+            .unwrap_err();
+        assert!(e.msg.contains("%p8"), "{e}");
     }
 
     fn two_instr_kernel(name: &str, imm: i64) -> Kernel {

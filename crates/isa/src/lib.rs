@@ -53,8 +53,8 @@ pub use disasm::{disassemble, is_textual};
 pub use dpx::DpxFunc;
 pub use dtype::{Arch, DType};
 pub use instr::{
-    AddrExpr, CacheOp, CmpOp, FAluOp, FloatPrec, IAluOp, Instr, MemSpace, Operand, Pred, Reg,
-    Special, TileId, TilePattern, TracePayload, Width,
+    AddrExpr, CacheOp, CmpOp, FAluOp, FloatPrec, IAluOp, Instr, InstrInfo, MemSpace, Operand,
+    Operands, Pred, Reg, Special, TileId, TilePattern, TracePayload, Width,
 };
-pub use kernel::{Kernel, KernelBuilder, Label};
+pub use kernel::{Kernel, KernelBuilder, KernelError, Label};
 pub use mma::{MmaDesc, MmaKind, OperandSource};

@@ -231,7 +231,7 @@ pub enum Request {
 
 impl Request {
     /// Stable wire name of the operation (the `op` metric label).
-    pub fn op_name(&self) -> &'static str {
+    pub fn op(&self) -> &'static str {
         match self {
             Request::Run(_) => "run",
             Request::Stats { .. } => "stats",
@@ -575,7 +575,7 @@ mod tests {
             Request::Shutdown { id: None }
         ));
         assert_eq!(
-            parse_request(r#"{"op":"metrics"}"#).unwrap().op_name(),
+            parse_request(r#"{"op":"metrics"}"#).unwrap().op(),
             "metrics"
         );
     }

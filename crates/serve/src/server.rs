@@ -555,7 +555,7 @@ fn handle_line(
     // The observer doesn't perturb the observed: a `metrics` request
     // records no stage sample and is not self-counted, so repeated
     // idle scrapes stay byte-identical.
-    let op = parsed.as_ref().map(|r| r.op_name()).unwrap_or("invalid");
+    let op = parsed.as_ref().map(|r| r.op()).unwrap_or("invalid");
     if op != "metrics" {
         shared.record_stage(&parse_stage);
         shared

@@ -186,6 +186,44 @@ fn structured_errors_for_bad_inputs() {
     server.join();
 }
 
+/// Kernels whose operands the engine cannot index used to assemble, kill
+/// the only worker with an index panic, and leave the daemon answering
+/// `internal` forever.  Each is now refused up front (or, where the
+/// implicit pair register merely widens the footprint, runs), and the
+/// one worker keeps serving.
+#[test]
+fn out_of_range_operands_never_reach_the_worker() {
+    let (server, client) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    for bad in [
+        "mov.s32 %r300, 1;\nexit;",
+        "ld.global.v4 %r255, [%r0];\nexit;",
+        "st.global.v4 [%r0], %r255;\nexit;",
+        "sel %r2, %p9, 1, 2;\nexit;",
+        "setp.lt.s32 %p200, %r1, 4;\nexit;",
+        "bra END;\nexit;\nEND:",
+    ] {
+        let v = parse(&client.run(&RunSpec::new(bad, "h800", 1, 32)).unwrap());
+        assert_eq!(status(&v), "error", "{bad}");
+        assert_eq!(error_kind(&v), "asm_error", "{bad}");
+    }
+    let mut many = RunSpec::new(SMALL_KERNEL, "h800", 1, 32);
+    many.params = vec![0; 300];
+    let v = parse(&client.run(&many).unwrap());
+    assert_eq!(error_kind(&v), "launch_error");
+    for good in [
+        "ld.global.v4 %r15, [%r0];\nst.global.v4 [%r0], %r15;\nexit;",
+        include_str!("../../../examples/kernels/saxpy.asm"),
+    ] {
+        let line = client.run(&RunSpec::new(good, "h800", 2, 64)).unwrap();
+        assert_eq!(status(&parse(&line)), "ok", "{line}");
+    }
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn tight_cycle_budget_returns_deadline_exceeded() {
     let (server, client) = start(ServerConfig::default());

@@ -19,7 +19,7 @@ use crate::tc_timing;
 use crate::tiles::{execute_mma, Tile};
 use hopper_isa::{
     AddrExpr, CacheOp, DType, FAluOp, FloatPrec, IAluOp, Instr, Kernel, MemSpace, MmaKind, Operand,
-    Reg, Special, TileId, Width,
+    Operands, Pred, Reg, Special, TileId, Width,
 };
 use hopper_trace::{
     wait_bucket, CacheEvent, CacheLevel, CacheTotals, InstrEvent, IssueEvent, PcTotals, SlotTotals,
@@ -40,6 +40,9 @@ mod sched;
 /// Tag marking a register value as a cluster-DSM address produced by
 /// `mapa` (bit 62 set; rank in bits 32..48; offset in the low 32).
 pub const DSM_TAG: u64 = 1 << 62;
+
+/// Predicate registers per warp (`Kernel::validate` bounds every index).
+const NUM_PREDS: usize = hopper_isa::kernel::NUM_PREDS as usize;
 
 /// Hard cap on simulated cycles — a runaway-kernel backstop far above any
 /// real microbenchmark in this repository.
@@ -176,8 +179,8 @@ struct WarpState {
     /// regs[r * 32 + lane]
     regs: Vec<u64>,
     reg_ready: Vec<u64>,
-    pred: [u32; 8],
-    pred_ready: [u64; 8],
+    pred: [u32; NUM_PREDS],
+    pred_ready: [u64; NUM_PREDS],
     status: WarpStatus,
     next_ready: u64,
     /// Earliest cycle a retry can possibly succeed (set on stall; stalls
@@ -257,6 +260,8 @@ impl CacheState {
 pub struct Engine<'a> {
     dev: &'a DeviceConfig,
     kernel: &'a Kernel,
+    /// Scoreboard view of `kernel.instrs`, index-aligned (see [`Decoded`]).
+    decoded: Vec<Decoded>,
     cfg: EngineConfig,
     global: &'a mut GlobalMem,
     caches: &'a mut CacheState,
@@ -350,10 +355,17 @@ impl<'a> Engine<'a> {
     ) -> Self {
         assert!(!cfg.blocks.is_empty(), "engine needs at least one block");
         assert!(cfg.threads_per_block >= 1 && cfg.threads_per_block <= 1024);
+        debug_assert_eq!(kernel.validate(), Ok(()), "Gpu::occupancy validates");
         let num_sms = cfg.blocks.iter().map(|b| b.sm).max().unwrap() + 1;
-        let nregs = (kernel.regs_per_thread as usize)
-            .max(cfg.params.len() + 1)
-            .min(256);
+        let nregs = (kernel.regs_per_thread as usize).max(cfg.params.len() + 1);
+        let decoded = kernel
+            .instrs
+            .iter()
+            .map(|i| Decoded {
+                ops: i.operands(),
+                shared: i.mem_space() == Some(MemSpace::Global),
+            })
+            .collect();
         let warps_per_block = cfg.threads_per_block.div_ceil(32) as usize;
 
         let mut warps = Vec::new();
@@ -388,8 +400,8 @@ impl<'a> Engine<'a> {
                     active,
                     regs: vec![0u64; nregs * 32],
                     reg_ready: vec![0u64; nregs],
-                    pred: [0; 8],
-                    pred_ready: [0; 8],
+                    pred: [0; NUM_PREDS],
+                    pred_ready: [0; NUM_PREDS],
                     status: WarpStatus::Ready,
                     next_ready: dispatch_at,
                     retry_at: 0,
@@ -468,6 +480,7 @@ impl<'a> Engine<'a> {
         Engine {
             dev,
             kernel,
+            decoded,
             cfg,
             global,
             caches,
@@ -624,7 +637,11 @@ impl<'a> Engine<'a> {
             || self.replay.is_some()
             || self.cfg.limit.max_cycles != u64::MAX
             || self.cfg.cluster_size > 1
-            || self.kernel.instrs.iter().any(uses_cluster_features)
+            || self
+                .kernel
+                .instrs
+                .iter()
+                .any(|i| i.mem_space() == Some(MemSpace::SharedCluster))
         {
             return 1;
         }
@@ -723,7 +740,7 @@ impl<'a> Engine<'a> {
             }
             s.pc_totals(&PcTotals {
                 pc: pc as u32,
-                op: op_name(&self.kernel.instrs[pc]),
+                op: self.kernel.instrs[pc].mnemonic(),
                 issues: a.issues,
                 stalled: a.stalled,
                 wait_hist: a.wait_hist,
@@ -827,7 +844,7 @@ impl<'a> Engine<'a> {
                 sm: sm as u32,
                 sched: sched as u32,
                 warp: w as u32,
-                op: op_name(&self.kernel.instrs[pc]),
+                op: self.kernel.instrs[pc].mnemonic(),
             });
         }
         if self.trace.instr_events {
@@ -838,7 +855,7 @@ impl<'a> Engine<'a> {
                 ctaid: self.blocks[ws.block].spec.ctaid,
                 warp_in_block: ws.warp_in_block as u32,
                 pc: pc as u32,
-                op: op_name(&self.kernel.instrs[pc]),
+                op: self.kernel.instrs[pc].mnemonic(),
                 active: ws.active,
                 payload: &self.cap_payload,
             });
@@ -978,27 +995,26 @@ impl<'a> Engine<'a> {
                 return IssueResult::Stalled(ws.next_ready, StallReason::Dispatch);
             }
         }
-        // Copy the shared kernel reference out of `self` so the borrow of
-        // the instruction doesn't pin `self` (and no clone per attempt).
-        let kernel: &Kernel = self.kernel;
-        let instr = &kernel.instrs[self.warps[w].pc];
+        let pc = self.warps[w].pc;
 
         // Data-dependency check.
-        if let Some(ready_at) = self.deps_ready_at(w, instr) {
-            if ready_at > now {
-                return IssueResult::Stalled(ready_at, StallReason::Scoreboard);
-            }
+        let ready_at = self.deps_ready_at(w, pc);
+        if ready_at > now {
+            return IssueResult::Stalled(ready_at, StallReason::Scoreboard);
         }
 
         // Parallel shard: an instruction that passed every SM-local gate
         // but touches run-shared state must issue under the shared gate —
         // hand control back before anything commits.
-        if local_only && needs_shared(instr) {
+        if local_only && self.decoded[pc].shared {
             return IssueResult::NeedsShared;
         }
 
-        // Structural + execute.
-        let res = self.execute(w, instr, now);
+        // Structural + execute.  Copy the shared kernel reference out of
+        // `self` so the borrow of the instruction doesn't pin `self` (and
+        // no clone per attempt).
+        let kernel: &Kernel = self.kernel;
+        let res = self.execute(w, &kernel.instrs[pc], now);
         match res {
             IssueResult::Issued => {
                 let sm = self.sm_of(w);
@@ -1020,108 +1036,27 @@ impl<'a> Engine<'a> {
         res
     }
 
-    /// Latest ready time over every register the instruction reads or
-    /// writes (write-after-write ordering included); `None` = no deps.
-    fn deps_ready_at(&self, w: usize, instr: &Instr) -> Option<u64> {
+    /// Latest ready time over every register the instruction at `pc` reads
+    /// or writes (write-after-write ordering included) and the predicate
+    /// it reads.
+    fn deps_ready_at(&self, w: usize, pc: usize) -> u64 {
         let ws = &self.warps[w];
-        let mut t = 0u64;
-        let mut any = false;
-        let reg = |r: &Reg, t: &mut u64, any: &mut bool| {
-            if (r.0 as usize) < ws.reg_ready.len() {
-                *t = (*t).max(ws.reg_ready[r.0 as usize]);
-                *any = true;
-            }
-        };
-        let op = |o: &Operand, t: &mut u64, any: &mut bool| {
-            if let Operand::Reg(r) = o {
-                if (r.0 as usize) < ws.reg_ready.len() {
-                    *t = (*t).max(ws.reg_ready[r.0 as usize]);
-                    *any = true;
-                }
-            }
-        };
-        match instr {
-            Instr::IAlu { dst, a, b, .. } | Instr::FAlu { dst, a, b, .. } => {
-                reg(dst, &mut t, &mut any);
-                op(a, &mut t, &mut any);
-                op(b, &mut t, &mut any);
-            }
-            Instr::IMad { dst, a, b, c } | Instr::FFma { dst, a, b, c, .. } => {
-                reg(dst, &mut t, &mut any);
-                op(a, &mut t, &mut any);
-                op(b, &mut t, &mut any);
-                op(c, &mut t, &mut any);
-            }
-            Instr::Dpx { dst, a, b, c, .. } => {
-                reg(dst, &mut t, &mut any);
-                op(a, &mut t, &mut any);
-                op(b, &mut t, &mut any);
-                op(c, &mut t, &mut any);
-            }
-            Instr::Mov { dst, src } => {
-                reg(dst, &mut t, &mut any);
-                op(src, &mut t, &mut any);
-            }
-            Instr::SetP { a, b, .. } => {
-                op(a, &mut t, &mut any);
-                op(b, &mut t, &mut any);
-            }
-            Instr::Sel { dst, pred, a, b } => {
-                reg(dst, &mut t, &mut any);
-                op(a, &mut t, &mut any);
-                op(b, &mut t, &mut any);
-                t = t.max(ws.pred_ready[pred.0 as usize]);
-                any = true;
-            }
-            Instr::Bra {
-                guard: Some((p, _)),
-                ..
-            } => {
-                t = t.max(ws.pred_ready[p.0 as usize]);
-                any = true;
-            }
-            Instr::Ld {
-                dst, addr, width, ..
-            } => {
-                reg(dst, &mut t, &mut any);
-                if *width == Width::B16 {
-                    reg(&Reg(dst.0 + 1), &mut t, &mut any);
-                }
-                reg(&addr.base, &mut t, &mut any);
-            }
-            Instr::St { src, addr, .. } => {
-                reg(src, &mut t, &mut any);
-                reg(&addr.base, &mut t, &mut any);
-            }
-            Instr::AtomAdd { dst, addr, src, .. } => {
-                if let Some(d) = dst {
-                    reg(d, &mut t, &mut any);
-                }
-                reg(&addr.base, &mut t, &mut any);
-                op(src, &mut t, &mut any);
-            }
-            Instr::CpAsync { smem, gmem, .. } => {
-                reg(&smem.base, &mut t, &mut any);
-                reg(&gmem.base, &mut t, &mut any);
-            }
-            Instr::LdTile { addr, .. } | Instr::StTile { addr, .. } => {
-                reg(&addr.base, &mut t, &mut any);
-            }
-            Instr::Mapa { dst, addr, rank } => {
-                reg(dst, &mut t, &mut any);
-                op(addr, &mut t, &mut any);
-                op(rank, &mut t, &mut any);
-            }
-            Instr::ReadSpecial { dst, .. } => {
-                reg(dst, &mut t, &mut any);
-            }
-            _ => {}
-        }
-        if any {
-            Some(t)
-        } else {
-            None
-        }
+        let ops = &self.decoded[pc].ops;
+        let pred = ops.pred_read.map_or(0, |p| ws.pred_ready[p.0 as usize]);
+        let regs = ops.regs().iter().map(|r| ws.reg_ready[r.0 as usize]);
+        regs.fold(pred, u64::max)
+    }
+
+    /// Debug touch-audit: a register the datapath reads or writes while
+    /// issuing must be listed by `Instr::operands` for the issuing PC, or
+    /// the scoreboard and the validator are blind to it.
+    fn audit_reg(&self, w: usize, r: Reg) {
+        debug_assert!(
+            self.decoded[self.warps[w].pc].ops.regs().contains(&r),
+            "{r} touched by `{}` at pc {} but missing from Instr::operands()",
+            self.kernel.instrs[self.warps[w].pc].mnemonic(),
+            self.warps[w].pc
+        );
     }
 
     // ------------------------------------------------------------- execute
@@ -1276,6 +1211,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 let ws = &mut self.warps[w];
+                debug_assert_eq!(self.decoded[ws.pc].ops.pred_write, Some(*pred));
                 ws.pred[pred.0 as usize] = mask;
                 ws.pred_ready[pred.0 as usize] = nowc + self.dev.alu_latency as u64;
                 let sm = self.sm_of(w);
@@ -1285,7 +1221,7 @@ impl<'a> Engine<'a> {
             }
             Instr::Sel { dst, pred, a, b } => {
                 if !self.replaying() {
-                    let pmask = self.warps[w].pred[pred.0 as usize];
+                    let pmask = self.read_pred(w, *pred);
                     for lane in 0..32 {
                         let v = if pmask & (1 << lane) != 0 {
                             self.read_op(w, *a, lane)
@@ -1309,7 +1245,7 @@ impl<'a> Engine<'a> {
                 let taken = match guard {
                     None => true,
                     Some((p, expect)) => {
-                        let mask = self.warps[w].pred[p.0 as usize];
+                        let mask = self.read_pred(w, *p);
                         let active = self.warps[w].active;
                         let t = mask & active;
                         if t != 0 && t != active {
@@ -1536,17 +1472,33 @@ impl<'a> Engine<'a> {
     }
 
     fn finish_reg(&mut self, w: usize, r: Reg, at: u64) {
-        let ws = &mut self.warps[w];
-        if (r.0 as usize) < ws.reg_ready.len() {
-            ws.reg_ready[r.0 as usize] = at;
-        }
+        self.audit_reg(w, r);
+        self.warps[w].reg_ready[r.0 as usize] = at;
+    }
+
+    fn read_reg(&self, w: usize, r: Reg, lane: usize) -> u64 {
+        self.audit_reg(w, r);
+        self.warps[w].regs[r.0 as usize * 32 + lane]
     }
 
     fn read_op(&self, w: usize, o: Operand, lane: usize) -> u64 {
         match o {
             Operand::Imm(v) => v as u64,
-            Operand::Reg(r) => self.warps[w].regs[r.0 as usize * 32 + lane],
+            Operand::Reg(r) => self.read_reg(w, r, lane),
         }
+    }
+
+    /// A warp-uniform address (TMA descriptors, tile bases): lane 0's.
+    fn uniform_addr(&self, w: usize, addr: AddrExpr) -> u64 {
+        self.read_reg(w, addr.base, 0)
+            .wrapping_add(addr.offset as u64)
+    }
+
+    /// Lane mask of the predicate the issuing instruction reads.
+    fn read_pred(&self, w: usize, p: Pred) -> u32 {
+        let ws = &self.warps[w];
+        debug_assert_eq!(self.decoded[ws.pc].ops.pred_read, Some(p));
+        ws.pred[p.0 as usize]
     }
 
     fn lane_op2(
@@ -1645,6 +1597,7 @@ impl<'a> Engine<'a> {
         addr: AddrExpr,
         buf: &'b mut [(usize, u64); 32],
     ) -> &'b [(usize, u64)] {
+        self.audit_reg(w, addr.base);
         let ws = &self.warps[w];
         let mut n = 0;
         for lane in 0..32 {
@@ -1989,12 +1942,12 @@ impl<'a> Engine<'a> {
                 if !self.replaying() {
                     for &(lane, a) in lanes {
                         let (bi, off) = self.resolve_shared(w, a);
-                        let lo = self.warps[w].regs[src.0 as usize * 32 + lane];
+                        let lo = self.read_reg(w, src, lane);
                         for i in 0..bytes.min(8) {
                             self.blocks[bi].smem[(off + i) as usize] = (lo >> (8 * i)) as u8;
                         }
                         if bytes == 16 {
-                            let hi = self.warps[w].regs[(src.0 + 1) as usize * 32 + lane];
+                            let hi = self.read_reg(w, Reg(src.0 + 1), lane);
                             for i in 0..8 {
                                 self.blocks[bi].smem[(off + 8 + i) as usize] =
                                     (hi >> (8 * i)) as u8;
@@ -2018,10 +1971,10 @@ impl<'a> Engine<'a> {
                 }
                 if !self.replaying() {
                     for &(lane, a) in lanes {
-                        let lo = self.warps[w].regs[src.0 as usize * 32 + lane];
+                        let lo = self.read_reg(w, src, lane);
                         self.global.write_scalar(a, bytes.min(8), lo);
                         if width == Width::B16 {
-                            let hi = self.warps[w].regs[(src.0 + 1) as usize * 32 + lane];
+                            let hi = self.read_reg(w, Reg(src.0 + 1), lane);
                             self.global.write_scalar(a + 8, 8, hi);
                         }
                     }
@@ -2280,14 +2233,13 @@ impl<'a> Engine<'a> {
         // Addresses come from lane 0 (the TMA descriptor is uniform).
         let gbase = match self.replay_rec(w) {
             Some(rec) => rec.payload.first().copied().unwrap_or(0),
-            None => self.warps[w].regs[gmem.base.0 as usize * 32].wrapping_add(gmem.offset as u64),
+            None => self.uniform_addr(w, gmem),
         };
         if self.capture {
             self.cap_payload.push(gbase);
         }
         if !self.replaying() {
-            let sbase =
-                self.warps[w].regs[smem.base.0 as usize * 32].wrapping_add(smem.offset as u64);
+            let sbase = self.uniform_addr(w, smem);
             let (bi, soff) = self.resolve_shared(w, sbase);
             for r in 0..rows as u64 {
                 let gsrc = gbase + r * gstride as u64;
@@ -2609,7 +2561,7 @@ impl<'a> Engine<'a> {
         let sm = self.sm_of(w);
         let base = match self.replay_rec(w) {
             Some(rec) => rec.payload.first().copied().unwrap_or(0),
-            None => self.warps[w].regs[addr.base.0 as usize * 32].wrapping_add(addr.offset as u64),
+            None => self.uniform_addr(w, addr),
         };
         if self.capture {
             self.cap_payload.push(base);
@@ -2676,7 +2628,7 @@ impl<'a> Engine<'a> {
         let t = self.get_tile(bi, key, tile, "store");
         let base = match self.replay_rec(w) {
             Some(rec) => rec.payload.first().copied().unwrap_or(0),
-            None => self.warps[w].regs[addr.base.0 as usize * 32].wrapping_add(addr.offset as u64),
+            None => self.uniform_addr(w, addr),
         };
         if self.capture {
             self.cap_payload.push(base);
@@ -2823,36 +2775,19 @@ enum IssueResult {
     NeedsShared,
 }
 
-/// Instructions that touch run-shared state (global memory and with it
-/// the L2/TLB/DRAM queues) and therefore must issue under the parallel
-/// run's shared gate.  Everything else is SM-local under the parallel
-/// path's eligibility rules (single-block clusters keep DSM traffic on
-/// the issuing SM's own port and smem).
-fn needs_shared(instr: &Instr) -> bool {
-    match instr {
-        Instr::Ld { space, .. }
-        | Instr::St { space, .. }
-        | Instr::AtomAdd { space, .. }
-        | Instr::LdTile { space, .. }
-        | Instr::StTile { space, .. } => *space == MemSpace::Global,
-        Instr::CpAsync { .. } | Instr::TmaCopy { .. } => true,
-        _ => false,
-    }
-}
-
-/// Cluster-feature instructions reach across SMs outside the parallel
-/// gate (cluster barriers, DSM through the SM-to-SM network), so any
-/// kernel containing one runs serially.
-fn uses_cluster_features(instr: &Instr) -> bool {
-    match instr {
-        Instr::ClusterSync | Instr::Mapa { .. } => true,
-        Instr::Ld { space, .. }
-        | Instr::St { space, .. }
-        | Instr::AtomAdd { space, .. }
-        | Instr::LdTile { space, .. }
-        | Instr::StTile { space, .. } => *space == MemSpace::SharedCluster,
-        _ => false,
-    }
+/// One instruction as the issue path sees it, decoded once per wave from
+/// `hopper-isa`'s metadata so an issue attempt is a slice walk, not a
+/// per-variant `match`.
+struct Decoded {
+    /// Registers and predicates for the scoreboard (all in range:
+    /// `Kernel::validate` ran at launch).
+    ops: Operands,
+    /// Touches run-shared state (global memory and with it the L2/TLB/DRAM
+    /// queues), so a parallel shard must issue it under the shared gate.
+    /// Everything else is SM-local under the parallel path's eligibility
+    /// rules (single-block clusters keep DSM traffic on the issuing SM's
+    /// own port and smem).
+    shared: bool,
 }
 
 /// One-time structured warning when a scheduler slot exceeds the 64-warp
@@ -2872,39 +2807,4 @@ fn warn_slot_overflow(kernel: &str, sim_threads: u32) {
     .u64("max_slot_warps", MAX_SLOT_WARPS as u64)
     .u64("sim_threads", u64::from(sim_threads))
     .emit();
-}
-
-/// Mnemonic for an instruction (trace issue events).
-fn op_name(instr: &Instr) -> &'static str {
-    match instr {
-        Instr::IAlu { .. } => "ialu",
-        Instr::IMad { .. } => "imad",
-        Instr::FAlu { .. } => "falu",
-        Instr::FFma { .. } => "ffma",
-        Instr::Mov { .. } => "mov",
-        Instr::Dpx { .. } => "dpx",
-        Instr::SetP { .. } => "setp",
-        Instr::Sel { .. } => "sel",
-        Instr::Bra { .. } => "bra",
-        Instr::Ld { .. } => "ld",
-        Instr::St { .. } => "st",
-        Instr::AtomAdd { .. } => "atom.add",
-        Instr::CpAsync { .. } => "cp.async",
-        Instr::CpAsyncCommit => "cp.async.commit",
-        Instr::CpAsyncWait { .. } => "cp.async.wait",
-        Instr::TmaCopy { .. } => "tma.copy",
-        Instr::Mma { .. } => "mma",
-        Instr::WgmmaFence => "wgmma.fence",
-        Instr::Wgmma { .. } => "wgmma",
-        Instr::WgmmaCommit => "wgmma.commit",
-        Instr::WgmmaWait { .. } => "wgmma.wait",
-        Instr::LdTile { .. } => "ld.tile",
-        Instr::StTile { .. } => "st.tile",
-        Instr::FillTile { .. } => "fill.tile",
-        Instr::Mapa { .. } => "mapa",
-        Instr::BarSync => "bar.sync",
-        Instr::ClusterSync => "cluster.sync",
-        Instr::ReadSpecial { .. } => "read.special",
-        Instr::Exit => "exit",
-    }
 }

@@ -14,7 +14,7 @@ use crate::mem::GlobalMem;
 use crate::metrics::{Metrics, RunStats};
 use crate::power::resolve_dvfs;
 use crate::replay::{CaptureSink, ReplayConfig, ReplaySource};
-use hopper_isa::Kernel;
+use hopper_isa::kernel::{Kernel, MAX_REGS_PER_THREAD};
 use hopper_trace::{StallProfile, TraceConfig, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -119,7 +119,9 @@ impl RunBudget {
 /// Launch-time errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaunchError {
-    /// The kernel's per-block resources exceed the device limits.
+    /// The kernel's per-block resources exceed the device limits, or the
+    /// kernel fails [`Kernel::validate`] (e.g. it addresses registers
+    /// beyond its declared footprint).
     ResourceExceeded(String),
     /// Device memory exhausted.
     OutOfMemory {
@@ -212,6 +214,17 @@ pub trait PhaseSink: Send {
     fn phase(&mut self, phase: RunPhase, dur: std::time::Duration);
 }
 
+/// One launch in progress: what all of its waves share, and the metrics
+/// accumulated over the waves run so far.
+struct InFlight<'a, 's> {
+    kernel: &'a Kernel,
+    launch: &'a Launch,
+    sink: Option<&'s mut dyn TraceSink>,
+    budget: &'a RunBudget,
+    replay: Option<&'a ReplaySource>,
+    total: Metrics,
+}
+
 /// A simulated GPU.
 pub struct Gpu {
     dev: DeviceConfig,
@@ -301,8 +314,15 @@ impl Gpu {
     /// Resident blocks per SM for `kernel` under `launch` — the standard
     /// occupancy calculation over threads, shared memory, registers and the
     /// block-count limit.
+    ///
+    /// This is also the launch path's front door for kernels that did not
+    /// come through the assembler or the builder: a kernel the engine could
+    /// not index (see [`Kernel::validate`]) is refused here.
     pub fn occupancy(&self, kernel: &Kernel, block_threads: u32) -> Result<u32, LaunchError> {
         let d = &self.dev;
+        kernel.validate().map_err(|e| {
+            LaunchError::ResourceExceeded(format!("invalid kernel `{}`: {e}", kernel.name))
+        })?;
         if block_threads == 0 || block_threads > 1024 {
             return Err(LaunchError::ResourceExceeded(format!(
                 "block size {block_threads} outside 1..=1024"
@@ -515,17 +535,37 @@ impl Gpu {
         if launch.grid == 0 {
             return Err(LaunchError::ResourceExceeded("empty grid".into()));
         }
+        // Parameters are preloaded into `%r0..`; they must fit the file.
+        if launch.params.len() >= MAX_REGS_PER_THREAD as usize {
+            return Err(LaunchError::ResourceExceeded(format!(
+                "{} kernel parameters do not fit {MAX_REGS_PER_THREAD} registers per thread",
+                launch.params.len()
+            )));
+        }
         let occ = self.occupancy(kernel, launch.block)?;
 
         if sink.as_ref().is_some_and(|s| s.is_null()) {
             sink = None;
         }
         let t_waves = std::time::Instant::now();
-        let metrics = if launch.cluster > 1 {
-            self.run_clustered(kernel, launch, occ, &mut sink, budget, replay)?
-        } else {
-            self.run_waves(kernel, launch, occ, &mut sink, budget, replay)?
+        let mut run = InFlight {
+            kernel,
+            launch,
+            sink,
+            budget,
+            replay,
+            total: Metrics::default(),
         };
+        if launch.cluster > 1 {
+            self.run_clustered(&mut run, occ)?
+        } else {
+            self.run_waves(&mut run, occ)?
+        };
+        let InFlight {
+            sink,
+            total: metrics,
+            ..
+        } = run;
         let t_finalize = std::time::Instant::now();
 
         let energy = if self.opts.model_dvfs {
@@ -567,27 +607,18 @@ impl Gpu {
     /// the shared L2/DRAM bandwidth.  Total cycles accumulate over waves —
     /// which is precisely where the paper's DPX sawtooth comes from: a grid
     /// of `k·SMs + 1` blocks pays a whole extra wave for one block.
-    fn run_waves(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        occ: u32,
-        sink: &mut Option<&mut dyn TraceSink>,
-        budget: &RunBudget,
-        replay: Option<&ReplaySource>,
-    ) -> Result<Metrics, LaunchError> {
+    fn run_waves(&mut self, run: &mut InFlight, occ: u32) -> Result<(), LaunchError> {
         let sms = self.dev.num_sms;
         let per_wave_capacity = sms as u64 * occ as u64;
-        let mut remaining = launch.grid as u64;
+        let mut remaining = run.launch.grid as u64;
         let mut ctaid = 0u32;
-        let mut total = Metrics::default();
         while remaining > 0 {
             let wave_blocks = remaining.min(per_wave_capacity);
             let active_sms = wave_blocks.min(sms as u64) as u32;
-            let wave = if wave_blocks <= COSIM_MAX_BLOCKS {
+            let (specs, bw_share, replicas) = if wave_blocks <= COSIM_MAX_BLOCKS {
                 // Small wave: co-simulate every block on its own SM —
                 // exact timing *and* complete functional side effects.
-                let specs: Vec<BlockSpec> = (0..wave_blocks as u32)
+                let specs = (0..wave_blocks as u32)
                     .map(|i| BlockSpec {
                         ctaid: ctaid + i,
                         sm: i as usize,
@@ -596,26 +627,7 @@ impl Gpu {
                         smid: i,
                     })
                     .collect();
-                let cfg = EngineConfig {
-                    blocks: specs,
-                    threads_per_block: launch.block,
-                    grid_dim: launch.grid,
-                    cluster_size: 1,
-                    params: launch.params.clone(),
-                    l2_bw_scale: 1.0,
-                    dram_bw_scale: 1.0,
-                    opts: self.opts,
-                    limit: budget.limit_for_wave(total.cycles),
-                };
-                let mut engine =
-                    Engine::new(&self.dev, kernel, cfg, &mut self.mem, &mut self.caches);
-                if let Some(s) = sink.as_deref_mut() {
-                    engine = engine.with_sink(s, total.cycles);
-                }
-                if let Some(src) = replay {
-                    engine = engine.with_replay(src).map_err(LaunchError::Replay)?;
-                }
-                engine.run_to_limit()
+                (specs, 1.0, 1.0)
             } else {
                 // Large homogeneous wave: simulate the most-loaded SM with
                 // its bandwidth share and scale the counters.  Functional
@@ -623,7 +635,7 @@ impl Gpu {
                 // microbenchmark workloads this path serves never read
                 // results across blocks.
                 let blocks_on_rep = wave_blocks.div_ceil(sms as u64) as u32;
-                let specs: Vec<BlockSpec> = (0..blocks_on_rep)
+                let specs = (0..blocks_on_rep)
                     .map(|i| BlockSpec {
                         ctaid: ctaid + i * sms, // round-robin raster
                         sm: 0,
@@ -632,52 +644,65 @@ impl Gpu {
                         smid: 0,
                     })
                     .collect();
-                let cfg = EngineConfig {
-                    blocks: specs,
-                    threads_per_block: launch.block,
-                    grid_dim: launch.grid,
-                    cluster_size: 1,
-                    params: launch.params.clone(),
-                    l2_bw_scale: 1.0 / active_sms as f64,
-                    dram_bw_scale: 1.0 / active_sms as f64,
-                    opts: self.opts,
-                    limit: budget.limit_for_wave(total.cycles),
-                };
-                let mut engine =
-                    Engine::new(&self.dev, kernel, cfg, &mut self.mem, &mut self.caches);
-                if let Some(s) = sink.as_deref_mut() {
-                    engine = engine.with_sink(s, total.cycles);
-                }
-                if let Some(src) = replay {
-                    engine = engine.with_replay(src).map_err(LaunchError::Replay)?;
-                }
-                let (mut w, hit) = engine.run_to_limit();
-                scale_counters(&mut w, wave_blocks as f64 / blocks_on_rep as f64);
-                (w, hit)
+                (
+                    specs,
+                    1.0 / active_sms as f64,
+                    wave_blocks as f64 / blocks_on_rep as f64,
+                )
             };
-            let (wave, hit_limit) = wave;
-            total.merge_sequential(&wave);
-            if hit_limit {
-                return Err(budget.abort_error(total.cycles));
-            }
+            self.run_wave(run, specs, 1, bw_share, replicas)?;
             remaining -= wave_blocks;
             ctaid = ctaid.wrapping_add(wave_blocks as u32);
         }
-        Ok(total)
+        Ok(())
+    }
+
+    /// One engine run: simulate `specs` with `bw_share` of the shared L2/DRAM
+    /// bandwidth, scale the counters by the `replicas` identical groups the
+    /// run stands for, and append the wave to `run.total`.  Fails on a
+    /// replay mismatch or a tripped budget.
+    fn run_wave(
+        &mut self,
+        run: &mut InFlight,
+        specs: Vec<BlockSpec>,
+        cluster_size: u32,
+        bw_share: f64,
+        replicas: f64,
+    ) -> Result<(), LaunchError> {
+        let cfg = EngineConfig {
+            blocks: specs,
+            threads_per_block: run.launch.block,
+            grid_dim: run.launch.grid,
+            cluster_size,
+            params: run.launch.params.clone(),
+            l2_bw_scale: bw_share,
+            dram_bw_scale: bw_share,
+            opts: self.opts,
+            limit: run.budget.limit_for_wave(run.total.cycles),
+        };
+        let mut engine = Engine::new(&self.dev, run.kernel, cfg, &mut self.mem, &mut self.caches);
+        if let Some(s) = run.sink.as_deref_mut() {
+            engine = engine.with_sink(s, run.total.cycles);
+        }
+        if let Some(src) = run.replay {
+            engine = engine.with_replay(src).map_err(LaunchError::Replay)?;
+        }
+        let (mut wave, hit_limit) = engine.run_to_limit();
+        if replicas != 1.0 {
+            scale_counters(&mut wave, replicas);
+        }
+        run.total.merge_sequential(&wave);
+        if hit_limit {
+            return Err(run.budget.abort_error(run.total.cycles));
+        }
+        Ok(())
     }
 
     /// Cluster launches: co-simulate one representative cluster per wave
     /// (its blocks on distinct SMs), scaling shared bandwidth to the number
     /// of concurrently active clusters.
-    fn run_clustered(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        occ: u32,
-        sink: &mut Option<&mut dyn TraceSink>,
-        budget: &RunBudget,
-        replay: Option<&ReplaySource>,
-    ) -> Result<Metrics, LaunchError> {
+    fn run_clustered(&mut self, run: &mut InFlight, occ: u32) -> Result<(), LaunchError> {
+        let launch = run.launch;
         let cs = launch.cluster;
         if !launch.grid.is_multiple_of(cs) {
             return Err(LaunchError::ResourceExceeded(format!(
@@ -692,7 +717,6 @@ impl Gpu {
         let clusters_per_wave = (sms / cs).max(1) * occ;
         let mut remaining = clusters_total;
         let mut first_cta = 0u32;
-        let mut total = Metrics::default();
         while remaining > 0 {
             let wave_clusters = remaining.min(clusters_per_wave);
             let active_sms = (wave_clusters * cs).min(sms);
@@ -705,34 +729,12 @@ impl Gpu {
                     smid: r,
                 })
                 .collect();
-            let cfg = EngineConfig {
-                blocks: specs,
-                threads_per_block: launch.block,
-                grid_dim: launch.grid,
-                cluster_size: cs,
-                params: launch.params.clone(),
-                l2_bw_scale: cs as f64 / active_sms as f64,
-                dram_bw_scale: cs as f64 / active_sms as f64,
-                opts: self.opts,
-                limit: budget.limit_for_wave(total.cycles),
-            };
-            let mut engine = Engine::new(&self.dev, kernel, cfg, &mut self.mem, &mut self.caches);
-            if let Some(s) = sink.as_deref_mut() {
-                engine = engine.with_sink(s, total.cycles);
-            }
-            if let Some(src) = replay {
-                engine = engine.with_replay(src).map_err(LaunchError::Replay)?;
-            }
-            let (mut wave, hit_limit) = engine.run_to_limit();
-            scale_counters(&mut wave, wave_clusters as f64);
-            total.merge_sequential(&wave);
-            if hit_limit {
-                return Err(budget.abort_error(total.cycles));
-            }
+            let bw_share = cs as f64 / active_sms as f64;
+            self.run_wave(run, specs, cs, bw_share, wave_clusters as f64)?;
             remaining -= wave_clusters;
             first_cta = first_cta.wrapping_add(wave_clusters * cs);
         }
-        Ok(total)
+        Ok(())
     }
 }
 

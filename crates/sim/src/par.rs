@@ -3,9 +3,9 @@
 //! Each SM advances through the same per-SM step as the serial driver
 //! ([`Engine::step_sm`], untraced), on its own clock.  SMs interact with
 //! run-shared state — global memory, the L2 and TLB, the L2/DRAM
-//! bandwidth queues — only through *shared-class*
-//! instructions (see [`super::needs_shared`]), and those are serialized
-//! by a gate that grants access in strict `(cycle, sm)` order, which is
+//! bandwidth queues — only through *shared-class* instructions
+//! (`Decoded::shared`: `Instr::mem_space` is `Global`), and those are
+//! serialized by a gate that grants access in strict `(cycle, sm)` order, which is
 //! exactly the order the serial engine visits SMs within a cycle.  All
 //! other work commutes across SMs, so the parallel schedule is a
 //! reordering of commuting operations and the final state — metrics,

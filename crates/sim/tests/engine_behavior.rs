@@ -438,6 +438,40 @@ fn cluster_launch_rejected_off_hopper() {
     assert!(matches!(err, hopper_sim::LaunchError::Unsupported(_)));
 }
 
+/// The launch path is a front door too: a `Kernel` literal whose declared
+/// footprint lies (or that has no closing `exit`, or too many parameters
+/// for the register file) is a typed error, not an engine index panic —
+/// and the 16-byte pair register the assembler used to miss now simply
+/// executes.
+#[test]
+fn unindexable_kernels_are_launch_errors() {
+    use hopper_sim::LaunchError;
+    let mut gpu = h800();
+    let buf = gpu.alloc(4096).unwrap();
+    gpu.write_u32s(buf, &[1, 2, 3, 4]);
+    let v4 = "ld.global.v4 %r15, [%r0];\nst.global.v4 [%r0+16], %r15;\nexit;";
+    let ok = assemble(v4).unwrap();
+    let launch = Launch::new(1, 1).with_params(vec![buf]);
+    gpu.launch(&ok, &launch).unwrap();
+    assert_eq!(gpu.read_u32s(buf + 16, 4), [1, 2, 3, 4]);
+
+    let mut lying = ok.clone();
+    lying.regs_per_thread = 16;
+    let err = gpu.launch(&lying, &launch).unwrap_err();
+    assert!(
+        matches!(&err, LaunchError::ResourceExceeded(m) if m.contains("%r16")),
+        "{err}"
+    );
+    let mut open_ended = ok.clone();
+    open_ended.instrs.pop();
+    let err = gpu.launch(&open_ended, &launch).unwrap_err();
+    assert!(matches!(err, LaunchError::ResourceExceeded(_)), "{err}");
+    let err = gpu
+        .launch(&ok, &Launch::new(1, 1).with_params(vec![0; 256]))
+        .unwrap_err();
+    assert!(matches!(err, LaunchError::ResourceExceeded(_)), "{err}");
+}
+
 #[test]
 fn occupancy_limits_respected() {
     let gpu = h800();

@@ -3,6 +3,11 @@
 # drives the real binaries: crates/*/tests/*_bin.rs, bins_smoke.rs), the
 # threaded-shim and feature-gate extras, a fuzz pass, and the benchmark
 # workspace's own gate.
+#
+# The engine's operand touch-audit (every register the datapath touches must
+# be in `Instr::operands()`, DESIGN §2) needs no step of its own: it is a
+# debug assertion, `[profile.test]` keeps those on, so tier-1 — including
+# crates/audit/tests/fuzz_smoke.rs and sched_equivalence — already runs it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,9 +2,9 @@
 //! `hsimd` feeds client-supplied kernel text straight into
 //! `hopper_isa::asm::assemble`.  These tests pin the hardening contract:
 //! arbitrary input must never panic (errors surface only as `AsmError`),
-//! and the golden example kernels survive a full
-//! assemble → disassemble → assemble round trip with identical content
-//! digests.
+//! whatever is accepted is safe for the engine to index, and the golden
+//! example kernels survive a full assemble → disassemble → assemble round
+//! trip with identical content digests.
 
 use hopper_isa::asm::assemble;
 use hopper_isa::disasm::disassemble;
@@ -77,18 +77,28 @@ fn token_soup() -> impl Strategy<Value = String> {
     })
 }
 
+/// Success or `AsmError` are both fine (a panic fails the test), but an
+/// accepted kernel must be one the engine can index.
+fn assemble_untrusted(src: &str) {
+    if let Ok(k) = assemble(src) {
+        assert_eq!(k.validate(), Ok(()), "{src:?}");
+        for r in k.instrs.iter().flat_map(|i| i.operands().regs().to_vec()) {
+            assert!((r.0 as u32) < k.regs_per_thread, "{r} in {src:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn arbitrary_input_never_panics(src in arbitrary_text()) {
-        // Success or AsmError are both fine; a panic fails the test.
-        let _ = assemble(&src);
+        assemble_untrusted(&src);
     }
 
     #[test]
     fn token_soup_never_panics(src in token_soup()) {
-        let _ = assemble(&src);
+        assemble_untrusted(&src);
     }
 }
 
