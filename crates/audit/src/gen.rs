@@ -112,8 +112,10 @@ pub enum Seg {
         /// Base offset before masking.
         offset: i64,
     },
-    /// Shared atomic add.
+    /// Shared atomic add (optionally fetching the old value).
     SharedAtom {
+        /// Fetch old value into the accumulator.
+        fetch: bool,
         /// Base offset before masking.
         offset: i64,
     },
@@ -140,6 +142,16 @@ pub enum Seg {
         /// Shape/type descriptor.
         desc: MmaDesc,
         /// Operand fill pattern.
+        pat: TilePattern,
+    },
+    /// `stmatrix` then `ldmatrix` of a freshly filled 8×8 f16 tile at a
+    /// warp-uniform in-range address.
+    TileRw {
+        /// Through shared memory (else the global buffer).
+        shared: bool,
+        /// 128-byte-aligned offset, in range for either space.
+        offset: i64,
+        /// Tile fill pattern.
         pat: TilePattern,
     },
     /// Warp-group wgmma group (Hopper, block ≥ 128 only).
@@ -270,7 +282,7 @@ impl KernelPlan {
     pub fn is_textual(&self) -> bool {
         fn textual(s: &Seg) -> bool {
             match s {
-                Seg::Mma { .. } | Seg::Wgmma { .. } => false,
+                Seg::Mma { .. } | Seg::Wgmma { .. } | Seg::TileRw { .. } => false,
                 Seg::Loop { body, .. } => body.iter().all(textual),
                 _ => true,
             }
@@ -406,6 +418,7 @@ fn gen_seg(g: &mut SplitMix64, geom: &Geometry, hopper: bool, allow_loop: bool) 
             }
             9 => {
                 return Seg::SharedAtom {
+                    fetch: g.chance(1, 2),
                     offset: g.below(SMEM as u64) as i64,
                 }
             }
@@ -439,6 +452,16 @@ fn gen_seg(g: &mut SplitMix64, geom: &Geometry, hopper: bool, allow_loop: bool) 
                 } else {
                     TilePattern::Random { seed: g.next_u64() }
                 };
+                // A third of the tile segments move a tile instead of
+                // multiplying one (128 B, so any 128-aligned offset below
+                // SMEM fits both spaces).
+                if g.chance(1, 3) {
+                    return Seg::TileRw {
+                        shared: g.chance(1, 2),
+                        offset: g.below(SMEM as u64 / 128) as i64 * 128,
+                        pat,
+                    };
+                }
                 // wgmma needs a Hopper warp group; otherwise fall back to
                 // warp-synchronous mma, which every modelled arch has.
                 if hopper && geom.block >= 128 && g.chance(1, 2) {
@@ -536,9 +559,12 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.ld(MemSpace::Shared, CacheOp::Ca, *width, R_TMP, R_ADDR, 0);
             b.ialu(IAluOp::Xor, R_ACC, reg(R_ACC), reg(R_TMP));
         }
-        Seg::SharedAtom { offset } => {
+        Seg::SharedAtom { fetch, offset } => {
             emit_saddr(b, R_ADDR, 0, *offset);
-            b.atom_add(MemSpace::Shared, None, R_ADDR, 0, imm(1));
+            b.atom_add(MemSpace::Shared, fetch.then_some(R_TMP), R_ADDR, 0, imm(1));
+            if *fetch {
+                b.ialu(IAluOp::Add, R_ACC, reg(R_ACC), reg(R_TMP));
+            }
         }
         Seg::CpAsync { width, soff, goff } => {
             emit_saddr(b, R_ADDR, width.bytes() as i64, *soff);
@@ -561,6 +587,22 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.fill_tile(TileId(1), desc.ab, k, n, *pat);
             b.fill_tile(TileId(2), desc.cd, m, n, TilePattern::Zero);
             b.mma(*desc, TileId(3), TileId(0), TileId(1), TileId(2));
+        }
+        Seg::TileRw {
+            shared,
+            offset,
+            pat,
+        } => {
+            let space = if *shared {
+                b.mov(R_ADDR, imm(*offset));
+                MemSpace::Shared
+            } else {
+                b.ialu(IAluOp::Add, R_ADDR, reg(R_BUF), imm(*offset));
+                MemSpace::Global
+            };
+            b.fill_tile(TileId(7), DType::F16, 8, 8, *pat);
+            b.st_tile(TileId(7), space, R_ADDR, 0);
+            b.ld_tile(TileId(8), DType::F16, 8, 8, space, R_ADDR, 0);
         }
         Seg::Wgmma { desc, pat } => {
             let (m, n, k) = (desc.m as u16, desc.n as u16, desc.k as u16);

@@ -224,6 +224,28 @@ fn out_of_range_operands_never_reach_the_worker() {
     server.join();
 }
 
+/// A kernel fault (here a shared load through a wild pointer) used to be
+/// an engine panic that cost the daemon its worker; it is a typed
+/// `launch_error` now, and the one worker keeps serving.
+#[test]
+fn kernel_faults_are_launch_errors_and_the_worker_survives() {
+    let (server, client) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let wild = "mov.s32 %r2, 1048576;\nld.shared.b32 %r4, [%r2];\nexit;";
+    let line = client.run(&RunSpec::new(wild, "h800", 2, 64)).unwrap();
+    let v = parse(&line);
+    assert_eq!(status(&v), "error", "{line}");
+    assert_eq!(error_kind(&v), "launch_error", "{line}");
+    assert!(line.contains("kernel fault at pc 1"), "{line}");
+    let saxpy = include_str!("../../../examples/kernels/saxpy.asm");
+    let line = client.run(&RunSpec::new(saxpy, "h800", 2, 64)).unwrap();
+    assert_eq!(status(&parse(&line)), "ok", "{line}");
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn tight_cycle_budget_returns_deadline_exceeded() {
     let (server, client) = start(ServerConfig::default());

@@ -9,7 +9,7 @@
 //! co-simulate whole clusters so SM-to-SM traffic is real.
 
 use crate::device::{DeviceConfig, SimOptions};
-use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit};
+use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit, SimFault};
 use crate::mem::GlobalMem;
 use crate::metrics::{Metrics, RunStats};
 use crate::power::resolve_dvfs;
@@ -148,6 +148,9 @@ pub enum LaunchError {
     /// A replayed launch's trace does not match the kernel or launch
     /// geometry (missing warp stream, bad PC, payload arity mismatch).
     Replay(String),
+    /// The kernel faulted while executing (e.g. a shared-memory access
+    /// outside the block's allocation); the launch stopped there.
+    Fault(SimFault),
 }
 
 impl core::fmt::Display for LaunchError {
@@ -175,6 +178,7 @@ impl core::fmt::Display for LaunchError {
                 write!(f, "cancelled after {cycles_run} simulated cycles")
             }
             LaunchError::Replay(s) => write!(f, "replay trace mismatch: {s}"),
+            LaunchError::Fault(fault) => write!(f, "kernel fault at {fault}"),
         }
     }
 }
@@ -660,7 +664,7 @@ impl Gpu {
     /// One engine run: simulate `specs` with `bw_share` of the shared L2/DRAM
     /// bandwidth, scale the counters by the `replicas` identical groups the
     /// run stands for, and append the wave to `run.total`.  Fails on a
-    /// replay mismatch or a tripped budget.
+    /// replay mismatch, a tripped budget or a kernel fault.
     fn run_wave(
         &mut self,
         run: &mut InFlight,
@@ -687,15 +691,16 @@ impl Gpu {
         if let Some(src) = run.replay {
             engine = engine.with_replay(src).map_err(LaunchError::Replay)?;
         }
-        let (mut wave, hit_limit) = engine.run_to_limit();
+        let (mut wave, end) = engine.run_to_limit();
         if replicas != 1.0 {
             scale_counters(&mut wave, replicas);
         }
         run.total.merge_sequential(&wave);
-        if hit_limit {
-            return Err(run.budget.abort_error(run.total.cycles));
+        match end {
+            Ok(false) => Ok(()),
+            Ok(true) => Err(run.budget.abort_error(run.total.cycles)),
+            Err(fault) => Err(LaunchError::Fault(fault)),
         }
-        Ok(())
     }
 
     /// Cluster launches: co-simulate one representative cluster per wave

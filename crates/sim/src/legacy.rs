@@ -1,8 +1,7 @@
 //! The original issue loop ([`crate::Scheduler::LegacyScan`]): one global
-//! clock, full roster rescan every iteration.  Kept as the reference
+//! clock, full roster rescan every iteration.  Kept only as the reference
 //! implementation the scheduler-equivalence tests and audit oracles
-//! compare the per-SM step against, and as the fallback for rosters wider
-//! than the ready masks.
+//! compare the per-SM step against; no production run takes it.
 
 use super::{Engine, IssueResult, WarpStatus, CANCEL_CHECK_PERIOD, OUT_IDLE, OUT_ISSUED};
 use hopper_trace::StallReason;

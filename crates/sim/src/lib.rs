@@ -54,7 +54,7 @@ pub mod threads;
 pub mod tiles;
 
 pub use device::{DeviceConfig, LevelBw, Scheduler, SimOptions, TcRate};
-pub use engine::{BlockSpec, Engine, EngineConfig, RunLimit};
+pub use engine::{BlockSpec, Engine, EngineConfig, RunLimit, SimFault, SimFaultKind};
 pub use gpu::{Gpu, Launch, LaunchError, PhaseSink, RunBudget, RunPhase};
 pub use mem::GlobalMem;
 pub use metrics::{Metrics, RunStats};

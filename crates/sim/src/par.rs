@@ -1,11 +1,13 @@
 //! Parallel intra-kernel execution: shard SMs across a worker pool.
 //!
 //! Each SM advances through the same per-SM step as the serial driver
-//! ([`Engine::step_sm`], untraced), on its own clock.  SMs interact with
-//! run-shared state — global memory, the L2 and TLB, the L2/DRAM
-//! bandwidth queues — only through *shared-class* instructions
-//! (`Decoded::shared`: `Instr::mem_space` is `Global`), and those are
-//! serialized by a gate that grants access in strict `(cycle, sm)` order, which is
+//! ([`Engine::step_sm`], untraced), on its own clock.  Everything SMs
+//! share is one struct, the memory side (`memside.rs`: global memory, the
+//! L2 and TLB, the L2/DRAM bandwidth queues), and SM code reaches it only
+//! through `Engine::shared`, which debug-asserts the step holds shared
+//! access.  Only *shared-class* instructions (`Decoded::shared`:
+//! `Instr::mem_space` is `Global`) get there, and those are serialized by
+//! a gate that grants access in strict `(cycle, sm)` order, which is
 //! exactly the order the serial engine visits SMs within a cycle.  All
 //! other work commutes across SMs, so the parallel schedule is a
 //! reordering of commuting operations and the final state — metrics,
@@ -45,12 +47,13 @@
 //!
 //! Workers share the engine through a raw pointer and materialize `&mut
 //! Engine` concurrently.  The accesses are disjoint by construction
-//! (per-SM state by ownership, shared state by the gate), but
-//! overlapping `&mut` is still formally UB by Rust's aliasing rules; the
-//! honest alternative — splitting `Engine` into per-SM shards behind
-//! `UnsafeCell` — would churn every accessor in the hot path.  We take
-//! the documented tradeoff: the pointer never escapes this module, and
-//! the serial oracle plus the equivalence suite guard the behaviour.
+//! (per-SM state by ownership, the memory side by the gate — the
+//! `Engine::shared` assert is what checks a local-only step never opens
+//! it), but overlapping `&mut` is still formally UB by Rust's aliasing
+//! rules; the honest alternative — per-SM shards behind `UnsafeCell` —
+//! belongs to the decision whether this driver stays (DESIGN.md §4g).
+//! Until then the pointer never escapes this module, and the serial
+//! oracle plus the equivalence suite guard the behaviour.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -216,7 +219,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::par_workers`]).  Bitwise-identical results to the
     /// serial driver, per the module-level argument.
     pub(super) fn run_parallel(&mut self, roster: &[Vec<Vec<usize>>], workers: usize) {
-        debug_assert!(self.sink.is_none() && !self.capture && self.replay.is_none());
+        debug_assert!(self.tr.sink.is_none() && !self.capture && self.replay.is_none());
         let nsms = self.sms.len();
         let gate = Gate::new(nsms);
         let mut runs: Vec<ParSm> = roster

@@ -18,7 +18,7 @@ use std::sync::atomic::Ordering;
 
 /// Per-scheduler-slot state.  `ready` and `sleep` are disjoint bitmasks
 /// over roster *positions* (a slot holds at most [`MAX_SLOT_WARPS`] warps —
-/// checked at dispatch) and together cover exactly the slot's non-`Done`
+/// `Engine::new` rejects wider) and together cover exactly the slot's non-`Done`
 /// warps: `ready` holds every warp with `retry_at <= cycle` (including
 /// barrier waiters, whose wakeup is not a known time), `sleep` holds warps
 /// parked until a known wakeup.  Parked warps' wakeup cycles and stall
@@ -65,13 +65,10 @@ impl SmRun {
         let slots = std::array::from_fn(|sched| {
             let len = sm_roster[sched].len();
             live += len;
-            let ready = if len >= MAX_SLOT_WARPS {
-                u64::MAX
-            } else {
-                (1u64 << len) - 1
-            };
+            debug_assert!(len <= MAX_SLOT_WARPS);
             SlotState {
-                ready,
+                // The low `len` bits, without overflowing the shift at 64.
+                ready: u64::MAX.checked_shr(64 - len as u32).unwrap_or(0),
                 sleep: 0,
                 sleep_min: u64::MAX,
             }
@@ -104,7 +101,7 @@ pub(super) enum Step {
 
 impl Engine<'_> {
     /// The run's [`super::RunLimit`] poll, once per visited cycle: `true`
-    /// when the cycle budget is spent or (checked every
+    /// when the cycle budget is spent, a warp has faulted or (checked every
     /// [`CANCEL_CHECK_PERIOD`] calls) the cancel flag is set.
     pub(super) fn limit_tripped(&self, cycle: u64, cancel_countdown: &mut u32) -> bool {
         assert!(
@@ -112,7 +109,7 @@ impl Engine<'_> {
             "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
             self.kernel.name
         );
-        if cycle >= self.cfg.limit.max_cycles {
+        if cycle >= self.cfg.limit.max_cycles || self.faulted.load(Ordering::Relaxed) {
             return true;
         }
         if let Some(c) = &self.cfg.limit.cancel {
@@ -261,7 +258,7 @@ impl Engine<'_> {
     /// clock across its own stall — no event on this SM can occur before
     /// its earliest wakeup (cluster releases, the one cross-SM wakeup, are
     /// the serial driver's job).  `local_only` scans abort before any
-    /// shared-class instruction executes.
+    /// shared-class instruction executes (`Engine::shared` checks it).
     pub(super) fn step_sm<const TRACED: bool>(
         &mut self,
         roster: &[Vec<Vec<usize>>],
@@ -270,6 +267,7 @@ impl Engine<'_> {
         local_only: bool,
     ) -> Step {
         let cycle = run.cycle;
+        self.sms[sm].shared_access = !local_only;
         if TRACED {
             self.book(run, sm, cycle);
         }

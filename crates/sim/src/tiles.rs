@@ -316,6 +316,40 @@ fn compress_row(ab: DType, row: &[f64]) -> Result<Sparse24<F16>, String> {
     Sparse24::compress(&vals).map_err(|e| e.to_string())
 }
 
+/// Decode a raw little-endian element into its numeric value.
+pub fn decode_elem(dtype: DType, raw: u64) -> f64 {
+    match dtype {
+        DType::F16 => F16::from_bits(raw).to_f64(),
+        DType::BF16 => Bf16::from_bits(raw).to_f64(),
+        DType::TF32 => Tf32::from_bits(raw & 0x7ffff).to_f64(),
+        DType::F32 => f32::from_bits(raw as u32) as f64,
+        DType::F64 => f64::from_bits(raw),
+        DType::E4M3 => Fp8E4M3::from_bits(raw).to_f64(),
+        DType::E5M2 => Fp8E5M2::from_bits(raw).to_f64(),
+        DType::S8 => raw as u8 as i8 as f64,
+        DType::S4 => hopper_numerics::Int4::from_nibble(raw as u8).get() as f64,
+        DType::B1 => (raw & 1) as f64,
+        DType::S32 => raw as u32 as i32 as f64,
+    }
+}
+
+/// Encode a numeric value into its raw little-endian element bits.
+pub fn encode_elem(dtype: DType, v: f64) -> u64 {
+    match dtype {
+        DType::F16 => F16::from_f64(v).to_bits(),
+        DType::BF16 => Bf16::from_f64(v).to_bits(),
+        DType::TF32 => Tf32::from_f64(v).to_bits(),
+        DType::F32 => (v as f32).to_bits() as u64,
+        DType::F64 => v.to_bits(),
+        DType::E4M3 => Fp8E4M3::from_f64(v).to_bits(),
+        DType::E5M2 => Fp8E5M2::from_f64(v).to_bits(),
+        DType::S8 => (v as i64 as i8) as u8 as u64,
+        DType::S4 => hopper_numerics::Int4::new_clamped(v as i32).to_nibble() as u64,
+        DType::B1 => (v != 0.0) as u64,
+        DType::S32 => (v as i64 as i32) as u32 as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

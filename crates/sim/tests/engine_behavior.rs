@@ -806,3 +806,124 @@ fn tlb_cold_misses_inflate_global_latency() {
         "cold-vs-warm delta {delta:.0} vs expected ≈{expected:.0}"
     );
 }
+
+/// Out-of-bounds shared-memory accesses — through every instruction that
+/// reads or writes shared memory — are typed launch errors naming the
+/// faulting PC, under the serial and the parallel driver alike, and leave
+/// the `Gpu` usable.
+#[test]
+fn shared_memory_faults_are_launch_errors() {
+    use hopper_isa::{CacheOp, KernelBuilder as KB, Operand, Special, Width};
+    use hopper_sim::{LaunchError, SimFaultKind, SimOptions};
+
+    const SMEM: u32 = 1024;
+    type Emit = fn(&mut KB);
+    // Each case emits its instruction(s) right after the two-`mov`
+    // prologue with the shared address in `%r2`; the last one faults.
+    let cases: [(&str, i64, Emit); 10] = [
+        ("ld.shared", 4096, |b| {
+            b.ld(MemSpace::Shared, CacheOp::Ca, Width::B4, Reg(4), Reg(2), 0);
+        }),
+        ("st.shared", 4096, |b| {
+            b.st(MemSpace::Shared, Width::B4, Reg(3), Reg(2), 0);
+        }),
+        ("atom.shared", 4096, |b| {
+            b.atom_add(MemSpace::Shared, Some(Reg(4)), Reg(2), 0, Imm(1));
+        }),
+        // 16-byte accesses: the low half straddles the end / only the
+        // high half lies beyond it.
+        ("ld.shared.b128 low", 1020, |b| {
+            b.ld(MemSpace::Shared, CacheOp::Ca, Width::B16, Reg(4), Reg(2), 0);
+        }),
+        ("ld.shared.b128 high", 1016, |b| {
+            b.ld(MemSpace::Shared, CacheOp::Ca, Width::B16, Reg(4), Reg(2), 0);
+        }),
+        ("st.shared.b128 high", 1016, |b| {
+            b.st(MemSpace::Shared, Width::B16, Reg(4), Reg(2), 0);
+        }),
+        ("cp.async", 1020, |b| {
+            b.cp_async(Width::B8, (Reg(2), 0), (Reg(0), 0));
+        }),
+        ("tma", 512, |b| {
+            b.tma_copy(4, 256, 256, (Reg(2), 0), (Reg(0), 0));
+        }),
+        ("ldmatrix", 1000, |b| {
+            b.ld_tile(TileId(0), DType::F16, 8, 8, MemSpace::Shared, Reg(2), 0);
+        }),
+        ("stmatrix", 1000, |b| {
+            b.fill_tile(TileId(1), DType::F16, 8, 8, TilePattern::Zero);
+            b.st_tile(TileId(1), MemSpace::Shared, Reg(2), 0);
+        }),
+    ];
+    for sim_threads in [0, 2] {
+        let opts = SimOptions {
+            sim_threads,
+            ..Default::default()
+        };
+        let mut gpu = Gpu::with_options(DeviceConfig::h800(), opts);
+        let buf = gpu.alloc(4096).unwrap();
+        for (what, addr, emit) in cases {
+            let mut b = KB::new(what);
+            b.shared_mem(SMEM);
+            b.mov(Reg(2), Imm(addr));
+            b.mov(Reg(3), Imm(7));
+            emit(&mut b);
+            b.cp_async_commit();
+            b.cp_async_wait(0);
+            b.exit();
+            let k = b.build();
+            let want_pc = k.instrs.len() as u32 - 4;
+            let launch = Launch::new(2, 32).with_params(vec![buf]);
+            match gpu.launch(&k, &launch) {
+                Err(LaunchError::Fault(f)) => {
+                    assert_eq!(f.pc, want_pc, "{what} @ sim_threads {sim_threads}: {f}");
+                    assert!(
+                        matches!(f.kind, SimFaultKind::SharedOutOfBounds { size, .. } if size == SMEM as u64),
+                        "{what}: {f}"
+                    );
+                }
+                other => {
+                    panic!("{what} @ sim_threads {sim_threads}: expected a fault, got {other:?}")
+                }
+            }
+            // The device survives: an in-range kernel runs to completion.
+            let mut ok = KB::new("ok");
+            ok.shared_mem(SMEM);
+            ok.special(Reg(1), Special::TidX);
+            ok.ialu(IAluOp::Shl, Reg(2), Operand::Reg(Reg(1)), Imm(2));
+            ok.st(MemSpace::Shared, Width::B4, Reg(1), Reg(2), 0);
+            ok.exit();
+            gpu.launch(&ok.build(), &Launch::new(2, 32)).unwrap();
+        }
+    }
+}
+
+/// A `mapa` address naming a rank the cluster does not have is a typed
+/// fault too, not a panic.
+#[test]
+fn unmapped_cluster_rank_is_a_launch_error() {
+    use hopper_isa::{CacheOp, KernelBuilder as KB, Width};
+    use hopper_sim::{LaunchError, SimFaultKind};
+    let mut b = KB::new("bad_rank");
+    b.shared_mem(256);
+    b.mapa(Reg(2), Imm(0), Imm(5));
+    b.ld(
+        MemSpace::SharedCluster,
+        CacheOp::Ca,
+        Width::B4,
+        Reg(3),
+        Reg(2),
+        0,
+    );
+    b.exit();
+    let err = h800()
+        .launch(&b.build(), &Launch::new(2, 32).with_cluster(2))
+        .unwrap_err();
+    let LaunchError::Fault(f) = err else {
+        panic!("expected a fault, got {err:?}");
+    };
+    assert_eq!(
+        (f.pc, f.kind),
+        (1, SimFaultKind::RankNotResident { rank: 5 })
+    );
+}

@@ -1,11 +1,8 @@
 //! Over-wide scheduler slots (> 64 warps, wider than the ready-set bit
-//! masks) silently fall back to the legacy serial scan.  The parallel
-//! engine must take the same fallback — never shard a wave the ready-set
-//! path cannot represent — and the engine must say so once through the
-//! structured log, so sweeps that hit the fallback can see why their
-//! `--sim-threads` request bought nothing.
-//!
-//! Kept in its own test binary: the warning is one-shot per process.
+//! masks) are rejected at construction.  `Gpu::launch` can never build one
+//! (device occupancy caps a slot at 16 warps), so the engine refuses the
+//! geometry outright — under either scheduler, with or without
+//! `sim_threads` — instead of silently degrading to the legacy serial scan.
 
 use hopper_isa::asm::assemble_named;
 use hopper_sim::engine::CacheState;
@@ -14,11 +11,12 @@ use hopper_sim::{
     SimOptions,
 };
 
-/// 9 blocks of 1024 threads on one SM = 288 warps = 72 per scheduler
-/// slot — past the 64-warp ready mask.
-fn overwide_config(sim_threads: u32) -> EngineConfig {
+/// `blocks` blocks of 1024 threads on one SM: 8 warps per block per
+/// scheduler slot, so 8 blocks fill the 64-warp ready mask exactly and 9
+/// overflow it.
+fn one_sm_config(blocks: u32, scheduler: Scheduler, sim_threads: u32) -> EngineConfig {
     EngineConfig {
-        blocks: (0..9)
+        blocks: (0..blocks)
             .map(|i| BlockSpec {
                 ctaid: i,
                 sm: 0,
@@ -28,13 +26,13 @@ fn overwide_config(sim_threads: u32) -> EngineConfig {
             })
             .collect(),
         threads_per_block: 1024,
-        grid_dim: 9,
+        grid_dim: blocks,
         cluster_size: 1,
         params: vec![],
         l2_bw_scale: 1.0,
         dram_bw_scale: 1.0,
         opts: SimOptions {
-            scheduler: Scheduler::ReadySet,
+            scheduler,
             sim_threads,
             ..Default::default()
         },
@@ -42,7 +40,8 @@ fn overwide_config(sim_threads: u32) -> EngineConfig {
     }
 }
 
-fn run_overwide(dev: &DeviceConfig, sim_threads: u32) -> Metrics {
+fn run_one_sm(blocks: u32, scheduler: Scheduler, sim_threads: u32) -> Metrics {
+    let dev = DeviceConfig::h800();
     let k = assemble_named(
         r#"
         mov %r1, %tid.x;
@@ -53,37 +52,26 @@ fn run_overwide(dev: &DeviceConfig, sim_threads: u32) -> Metrics {
     )
     .expect("assembles");
     let mut mem = GlobalMem::new();
-    let mut caches = CacheState::new(dev);
-    Engine::new(dev, &k, overwide_config(sim_threads), &mut mem, &mut caches).run()
+    let mut caches = CacheState::new(&dev);
+    let cfg = one_sm_config(blocks, scheduler, sim_threads);
+    Engine::new(&dev, &k, cfg, &mut mem, &mut caches).run()
 }
 
 #[test]
-fn overwide_slots_fall_back_and_warn_once() {
-    let dev = DeviceConfig::h800();
-    let cap = hopper_obs::log::Capture::start();
+fn full_width_slots_run_on_the_ready_set_scan() {
+    let ready = run_one_sm(8, Scheduler::ReadySet, 4);
+    assert_eq!(ready.instructions, 8 * 32 * 3);
+    assert_eq!(ready, run_one_sm(8, Scheduler::LegacyScan, 0));
+}
 
-    // Parallel request over an over-wide roster: must complete (via the
-    // legacy fallback) and match the serial run exactly.
-    let serial = run_overwide(&dev, 0);
-    let parallel = run_overwide(&dev, 4);
-    assert_eq!(
-        serial, parallel,
-        "sim_threads=4 over-wide fallback diverged from serial"
-    );
+#[test]
+#[should_panic(expected = "72 warps on one scheduler slot")]
+fn overwide_slots_are_rejected() {
+    run_one_sm(9, Scheduler::ReadySet, 4);
+}
 
-    let warns: Vec<String> = cap
-        .lines()
-        .into_iter()
-        .filter(|l| l.contains("64 warps"))
-        .collect();
-    assert_eq!(
-        warns.len(),
-        1,
-        "expected exactly one over-wide warning, got {warns:#?}"
-    );
-    assert!(
-        warns[0].contains("sim.engine") && warns[0].contains("overwide"),
-        "warning missing target or kernel name: {}",
-        warns[0]
-    );
+#[test]
+#[should_panic(expected = "72 warps on one scheduler slot")]
+fn overwide_slots_are_rejected_under_the_legacy_scan_too() {
+    run_one_sm(9, Scheduler::LegacyScan, 0);
 }

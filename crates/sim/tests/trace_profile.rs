@@ -364,3 +364,35 @@ fn pc_sampling_sums_match_stall_summary() {
         );
     }
 }
+
+/// The engine's `Unit` table names nothing new: every row's trace name is
+/// one the hand-written reservation sites emitted before it (the names
+/// `hopper-prof`'s occupancy lookups and recorded Chrome traces key on),
+/// and a profiled launch still reports the same occupancy records in the
+/// same order — eight pipes and ports, then one `tensor` per quadrant
+/// (merged by the profile), then the two memory-side queues.
+#[test]
+fn unit_table_names_are_the_established_ones() {
+    use hopper_sim::engine::Unit;
+    const ESTABLISHED: [&str; 9] = [
+        "int",
+        "fp32",
+        "fp64",
+        "dpx",
+        "tensor.wg",
+        "l1_port",
+        "smem_port",
+        "dsm_port",
+        "tensor",
+    ];
+    for unit in Unit::ALL {
+        assert!(ESTABLISHED.contains(&unit.name), "new unit name {unit:?}");
+    }
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let (k, launch) = pchase_setup(&mut gpu);
+    let (_, prof) = gpu.profile(&k, &launch).expect("launch");
+    let reported: Vec<(u32, &str)> = prof.units.iter().map(|u| (u.sm, u.unit)).collect();
+    let mut want: Vec<(u32, &str)> = ESTABLISHED.iter().map(|&n| (0, n)).collect();
+    want.extend([(u32::MAX, "l2_port"), (u32::MAX, "dram")]);
+    assert_eq!(reported, want);
+}

@@ -17,14 +17,21 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== seam: shared state only in memside.rs, reservations only through the Unit table, no file over 1200 lines"
+src=crates/sim/src
+if grep -nE 'self\.global\b|l2_port|dram_port|caches\.l2|caches\.tlb' $src/*.rs | grep -v "^$src/memside.rs:"; then exit 1; fi
+if grep -n '\.acquire(' $src/*.rs | grep -vE "^$src/(exec|memside|mem)\.rs:"; then exit 1; fi
+if wc -l $src/*.rs | awk '$2 != "total" && $1 > 1200' | grep .; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
 
 echo "== hopper-sim under the threaded rayon shim (4-wide)"
-# sched_equivalence and par_fallback replay every workload under the legacy
-# scan, the per-SM step and the sharded parallel driver and demand
-# bitwise-identical metrics with debug assertions on, so data races or
+# sched_equivalence replays every workload under the legacy scan, the
+# per-SM step and the sharded parallel driver and demands bitwise-identical
+# metrics with debug assertions on — including the `Engine::shared` assert
+# that a local-only step never reaches the memory side — so data races or
 # grant-order bugs fail loudly.  The workspace run above already covers
 # them at the host's width; this is the only run under a 4-wide shim.
 RAYON_NUM_THREADS=4 cargo test -q -p hopper-sim
