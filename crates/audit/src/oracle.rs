@@ -41,8 +41,8 @@ use hopper_obs::Registry;
 use hopper_replay::Trace;
 use hopper_serve::{canonical_response, Client, ReportKind, RunSpec, Server, ServerConfig};
 use hopper_sim::{
-    ChromeTrace, DeviceConfig, Gpu, Launch, PcSampleSink, ReplayConfig, RunBudget, RunStats,
-    Scheduler, SimOptions,
+    ChromeTrace, DeviceConfig, Gpu, Launch, PcSampleSink, Replay, Run, RunStats, Scheduler,
+    SimOptions, StallProfile,
 };
 use std::sync::Arc;
 
@@ -279,14 +279,20 @@ pub fn check_plan(
     let (rp_s, rp_p) = {
         let mut gpu = gpu_with(dev, Scheduler::ReadySet);
         let (_, l) = setup(&mut gpu, plan)?;
-        gpu.profile_replayed_bounded(
-            &k,
-            &l,
-            &source,
-            &ReplayConfig::default(),
-            &RunBudget::default(),
-        )
-        .map_err(|e| format!("replay oracle: profiled replay failed: {e:?}"))?
+        let mut prof = StallProfile::default();
+        let run = Run {
+            sink: Some(&mut prof),
+            replay: Some(Replay {
+                source: &source,
+                prevalidated: false,
+            }),
+            ..Run::default()
+        };
+        let mut stats = gpu
+            .run(&k, &l, run)
+            .map_err(|e| format!("replay oracle: profiled replay failed: {e:?}"))?;
+        stats.stalls = Some(prof.summary());
+        (stats, prof)
     };
     ensure!(
         rp_s.metrics == sa.metrics && rp_s.stalls == sa.stalls,

@@ -1,6 +1,6 @@
-//! A `NullSink` launch must be free: the Gpu drops null sinks before the
-//! engine ever sees them, so the traced entry point compiles down to the
-//! untraced hot path plus one virtual `is_null` call per launch.
+//! A `NullSink` launch must be free: the engine drops a sink that wants
+//! nothing, so the traced entry point compiles down to the untraced hot
+//! path plus one virtual `wants` call per wave.
 
 use hopper_isa::asm::assemble;
 use hopper_sim::{DeviceConfig, Gpu, Launch, NullSink};

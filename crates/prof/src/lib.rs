@@ -1,7 +1,8 @@
 //! Nsight-Compute-style kernel profiler for the Hopper-dissection
 //! simulator.
 //!
-//! [`profile_kernel`] runs a kernel under a stall profiler plus the
+//! [`profile_kernel`] (or [`profile_run`], for a bounded or replayed
+//! launch) runs a kernel under a stall profiler plus the
 //! engine's per-PC sampler and derives a sectioned [`KernelReport`] in the
 //! spirit of the paper's multi-level analysis (and of Nsight Compute):
 //!
@@ -35,8 +36,8 @@ pub use json::run_stats_to_json;
 
 use hopper_isa::{disasm, DType, Kernel};
 use hopper_sim::{
-    DeviceConfig, Gpu, Launch, LaunchError, PcSampleSink, ReplayConfig, ReplaySource, RunBudget,
-    RunStats, StallProfile, StallReason, StallSummary, TeeSink,
+    DeviceConfig, Gpu, Launch, LaunchError, PcSampleSink, Run, RunStats, StallProfile, StallReason,
+    StallSummary, TeeSink,
 };
 use hopper_trace::{N_SLOT_REASONS, N_WAIT_BUCKETS};
 
@@ -258,53 +259,29 @@ pub fn profile_kernel(
     kernel: &Kernel,
     launch: &Launch,
 ) -> Result<KernelReport, LaunchError> {
-    profile_kernel_bounded(gpu, kernel, launch, &RunBudget::default())
+    profile_run(gpu, kernel, launch, Run::default())
 }
 
-/// [`profile_kernel`] under a [`RunBudget`]: the serve daemon's deadline
-/// path.  A tripped budget or cancel flag surfaces as
-/// [`LaunchError::DeadlineExceeded`] / [`LaunchError::Cancelled`].
-pub fn profile_kernel_bounded(
+/// [`profile_kernel`] for any [`Run`]: under a budget (the serve daemon's
+/// deadline path — a tripped budget or cancel flag surfaces as
+/// [`LaunchError::DeadlineExceeded`] / [`LaunchError::Cancelled`]), or
+/// replaying a captured trace, whose report is byte-identical to the
+/// functional run's.  The profiler's sinks are attached here; a sink
+/// already in `run` is replaced.
+pub fn profile_run(
     gpu: &mut Gpu,
     kernel: &Kernel,
     launch: &Launch,
-    budget: &RunBudget,
+    run: Run<'_>,
 ) -> Result<KernelReport, LaunchError> {
     let mut prof = StallProfile::default();
     let mut pcs = PcSampleSink::default();
     let mut tee = TeeSink::new(&mut prof, &mut pcs);
-    let mut stats = gpu.launch_traced_bounded(kernel, launch, &mut tee, budget)?;
-    stats.stalls = Some(prof.summary());
-    let blocks_per_sm = gpu.occupancy(kernel, launch.block)?;
-    debug_assert!(prof.conservation_ok());
-    Ok(build_report(
-        gpu.device(),
-        kernel,
-        launch,
-        &stats,
-        &prof,
-        &pcs,
-        blocks_per_sm,
-    ))
-}
-
-/// [`profile_kernel_bounded`] for a *replayed* launch: operands come from
-/// a captured [`ReplaySource`], the report pipeline is otherwise
-/// unchanged — so a replayed profile of a captured run is byte-identical
-/// to the functional run's profile.
-pub fn profile_replayed_bounded(
-    gpu: &mut Gpu,
-    kernel: &Kernel,
-    launch: &Launch,
-    source: &ReplaySource,
-    cfg: &ReplayConfig,
-    budget: &RunBudget,
-) -> Result<KernelReport, LaunchError> {
-    let mut prof = StallProfile::default();
-    let mut pcs = PcSampleSink::default();
-    let mut tee = TeeSink::new(&mut prof, &mut pcs);
-    let mut stats =
-        gpu.launch_replayed_traced_bounded(kernel, launch, source, cfg, &mut tee, budget)?;
+    let run = Run {
+        sink: Some(&mut tee),
+        ..run
+    };
+    let mut stats = gpu.run(kernel, launch, run)?;
     stats.stalls = Some(prof.summary());
     let blocks_per_sm = gpu.occupancy(kernel, launch.block)?;
     debug_assert!(prof.conservation_ok());

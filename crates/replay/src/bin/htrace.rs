@@ -22,7 +22,7 @@
 
 use hopper_prof::{json::obj, run_stats_to_json};
 use hopper_replay::{Trace, TraceError};
-use hopper_sim::{DeviceConfig, Gpu, Launch, ReplayConfig, RunBudget};
+use hopper_sim::{DeviceConfig, Gpu, Launch, Replay, Run};
 use serde_json::Value;
 
 fn usage() -> ! {
@@ -187,22 +187,19 @@ fn cmd_replay(args: &[String]) {
     let launch = trace.launch();
     let mut gpu = Gpu::new(dev);
     // Already validated above; skip the redundant prevalidation pass.
-    let cfg = ReplayConfig { prevalidate: false };
+    let run = Run {
+        replay: Some(Replay {
+            source: &trace.source,
+            prevalidated: true,
+        }),
+        ..Run::default()
+    };
     let rendered = if profile {
-        let report = hopper_prof::profile_replayed_bounded(
-            &mut gpu,
-            &kernel,
-            &launch,
-            &trace.source,
-            &cfg,
-            &RunBudget::default(),
-        )
-        .unwrap_or_else(|e| fail(e));
-        report.to_json_string()
+        hopper_prof::profile_run(&mut gpu, &kernel, &launch, run)
+            .unwrap_or_else(|e| fail(e))
+            .to_json_string()
     } else {
-        let stats = gpu
-            .launch_replayed_bounded(&kernel, &launch, &trace.source, &cfg, &RunBudget::default())
-            .unwrap_or_else(|e| fail(e));
+        let stats = gpu.run(&kernel, &launch, run).unwrap_or_else(|e| fail(e));
         serde_json::to_string_pretty(&run_stats_to_json(&stats))
             .expect("Value serialisation is infallible")
     };

@@ -46,7 +46,7 @@ use hopper_obs::log::{event, Level};
 use hopper_obs::{corr, Histogram, Registry, Stage, Timeline};
 use hopper_replay::Trace;
 use hopper_sim::{
-    DeviceConfig, Gpu, Launch, LaunchError, PhaseSink, ReplayConfig, ReplaySource, RunBudget,
+    DeviceConfig, Gpu, Launch, LaunchError, PhaseSink, Replay, ReplaySource, Run, RunBudget,
     RunPhase,
 };
 use serde_json::Value;
@@ -950,29 +950,22 @@ fn run_job(shared: &Arc<Shared>, job: Job, tl: &mut Timeline) -> Result<Value, P
     let sim_start = Instant::now();
     // Trace streams were validated against the kernel at request time, so
     // the engine can skip its prevalidation pass.
-    let replay_cfg = ReplayConfig { prevalidate: false };
-    let raw = match (spec.report, replay) {
-        (ReportKind::Stats, None) => gpu
-            .launch_bounded(kernel, &launch, &budget)
+    let run = Run {
+        sink: None,
+        budget,
+        replay: replay.as_ref().map(|source| Replay {
+            source,
+            prevalidated: true,
+        }),
+    };
+    let raw = match spec.report {
+        ReportKind::Stats => gpu
+            .run(kernel, &launch, run)
             .map(|s| Rendered::Stats(Box::new(s))),
-        (ReportKind::Stats, Some(src)) => gpu
-            .launch_replayed_bounded(kernel, &launch, src, &replay_cfg, &budget)
-            .map(|s| Rendered::Stats(Box::new(s))),
-        (ReportKind::Profile, None) => {
-            hopper_prof::profile_kernel_bounded(&mut gpu, kernel, &launch, &budget)
-                .map(|r| Rendered::Profile(Box::new(r)))
-        }
-        (ReportKind::Profile, Some(src)) => hopper_prof::profile_replayed_bounded(
-            &mut gpu,
-            kernel,
-            &launch,
-            src,
-            &replay_cfg,
-            &budget,
-        )
-        .map(|r| Rendered::Profile(Box::new(r))),
+        ReportKind::Profile => hopper_prof::profile_run(&mut gpu, kernel, &launch, run)
+            .map(|r| Rendered::Profile(Box::new(r))),
         // Infer jobs returned early above.
-        (ReportKind::Infer, _) => unreachable!("infer dispatched before kernel launch"),
+        ReportKind::Infer => unreachable!("infer dispatched before kernel launch"),
     };
     tl.record("simulate", sim_start);
     shared

@@ -224,9 +224,10 @@ fn out_of_range_operands_never_reach_the_worker() {
     server.join();
 }
 
-/// A kernel fault (here a shared load through a wild pointer) used to be
-/// an engine panic that cost the daemon its worker; it is a typed
-/// `launch_error` now, and the one worker keeps serving.
+/// A kernel fault (here a shared load through a wild pointer, then a
+/// divergent branch) used to be an engine panic that cost the daemon its
+/// worker; it is a typed `launch_error` now, and the one worker keeps
+/// serving.
 #[test]
 fn kernel_faults_are_launch_errors_and_the_worker_survives() {
     let (server, client) = start(ServerConfig {
@@ -234,11 +235,15 @@ fn kernel_faults_are_launch_errors_and_the_worker_survives() {
         ..ServerConfig::default()
     });
     let wild = "mov.s32 %r2, 1048576;\nld.shared.b32 %r4, [%r2];\nexit;";
-    let line = client.run(&RunSpec::new(wild, "h800", 2, 64)).unwrap();
-    let v = parse(&line);
-    assert_eq!(status(&v), "error", "{line}");
-    assert_eq!(error_kind(&v), "launch_error", "{line}");
-    assert!(line.contains("kernel fault at pc 1"), "{line}");
+    let divergent = "mov %r1, %tid.x;\nsetp.lt.s32 %p0, %r1, 7;\n@%p0 bra END;\n\
+                     add.s32 %r1, %r1, 1;\nEND: exit;";
+    for (text, fault) in [(wild, "pc 1"), (divergent, "pc 2")] {
+        let line = client.run(&RunSpec::new(text, "h800", 2, 64)).unwrap();
+        let v = parse(&line);
+        assert_eq!(status(&v), "error", "{line}");
+        assert_eq!(error_kind(&v), "launch_error", "{line}");
+        assert!(line.contains(&format!("kernel fault at {fault}")), "{line}");
+    }
     let saxpy = include_str!("../../../examples/kernels/saxpy.asm");
     let line = client.run(&RunSpec::new(saxpy, "h800", 2, 64)).unwrap();
     assert_eq!(status(&parse(&line)), "ok", "{line}");

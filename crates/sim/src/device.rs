@@ -86,9 +86,6 @@ pub struct SimOptions {
     /// Warp-scheduler implementation (equivalent results; see
     /// [`Scheduler`]).
     pub scheduler: Scheduler,
-    /// Event-category enables for attached trace sinks (ignored when no
-    /// sink is attached; see [`crate::Gpu::launch_traced`]).
-    pub trace: hopper_trace::TraceConfig,
     /// Intra-kernel worker threads: SMs of one engine run are sharded
     /// across this many workers (`0` or `1` = serial). Results are
     /// bitwise-identical to the serial path at any count (enforced by
@@ -110,7 +107,6 @@ impl Default for SimOptions {
             block_stagger: true,
             mma_issue_gap: true,
             scheduler: Scheduler::default(),
-            trace: hopper_trace::TraceConfig::all(),
             sim_threads: 0,
         }
     }

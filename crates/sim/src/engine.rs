@@ -23,9 +23,8 @@ use crate::replay::{ReplayRec, ReplaySource};
 use crate::tiles::Tile;
 use hopper_isa::{Kernel, MemSpace, Operands};
 use hopper_trace::{
-    wait_bucket, CacheEvent, CacheLevel, CacheTotals, InstrEvent, IssueEvent, PcTotals, SlotTotals,
-    StallReason, StallSpan, TraceConfig, TraceSink, UnitBusy, UnitSpan, N_SLOT_REASONS,
-    N_WAIT_BUCKETS,
+    wait_bucket, CacheTotals, InstrEvent, IssueEvent, PcTotals, SlotTotals, StallReason, StallSpan,
+    TraceSink, UnitBusy, UnitSpan, Wants, N_SLOT_REASONS, N_WAIT_BUCKETS,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -266,6 +265,26 @@ pub enum SimFaultKind {
         /// The rank asked for.
         rank: u32,
     },
+    /// A guarded branch whose predicate differs across the warp's active
+    /// lanes (the engine models uniform control flow only).
+    DivergentBranch {
+        /// Active lanes on which the guard predicate is set.
+        mask: u32,
+        /// The warp's active lanes.
+        active: u32,
+    },
+    /// An `mma`/`wgmma`/`stmatrix` operand tile that no `filltile`,
+    /// `ldmatrix` or earlier `mma` of this warp has produced.
+    TileNotInitialised {
+        /// The tile id.
+        tile: u8,
+    },
+    /// The operand tiles do not fit the `mma`/`wgmma` descriptor (shape,
+    /// or a sparse A tile off the 2:4 pattern).
+    TileMismatch,
+    /// The instruction needs hardware this device lacks: `wgmma` or TMA
+    /// off Hopper, an `mma` shape the architecture does not execute.
+    UnsupportedOnDevice,
 }
 
 impl core::fmt::Display for SimFault {
@@ -336,7 +355,7 @@ pub struct Engine<'a> {
     /// sums see one addition order and stay bitwise identical.
     sm_metrics: Vec<Metrics>,
     l1_stats0: (u64, u64),
-    /// The attached trace sink and its event-category enables.
+    /// The attached trace sink and what it wants.
     tr: Tracer<'a>,
     /// Device cycle at which this wave starts (multi-wave launches).
     base_cycle: u64,
@@ -344,8 +363,8 @@ pub struct Engine<'a> {
     /// attached.
     slot_acc: Vec<SlotAcc>,
     /// Per-PC sampling accumulators, one per kernel instruction; empty
-    /// unless a sink is attached and [`TraceConfig::pc_sampling`] is on,
-    /// so the untraced hot path never touches it.
+    /// unless the attached sink wants [`Wants::pc_totals`], so the untraced
+    /// hot path never touches it.
     pc_acc: Vec<PcAcc>,
     /// Set when an issue loop broke on its [`RunLimit`] (or a fault) rather
     /// than on warp completion.
@@ -360,11 +379,9 @@ pub struct Engine<'a> {
     /// unchanged.
     replay: Option<ReplayState<'a>>,
     /// Operand payload of the instruction currently being issued
-    /// (capture mode only; cleared at every `execute`).
+    /// (gathered only for a sink that wants [`Wants::instr`]; cleared at
+    /// every `execute`).
     cap_payload: Vec<u64>,
-    /// Capture mode: a sink is attached and wants per-instruction
-    /// records ([`TraceConfig::instr_events`]).
-    capture: bool,
     /// Debug-only shadow counter of L1 tag-array lookups issued by this
     /// engine, cross-checked against the `Metrics` hit/miss delta at end
     /// of wave (`check_wave_invariants`; the memory side keeps L2's).
@@ -372,27 +389,22 @@ pub struct Engine<'a> {
     dbg_l1_lookups: u64,
 }
 
-/// The attached trace sink and its event-category enables (`sink: None` =
-/// untraced hot path).  One struct so the memory side can emit its own
-/// spans while SM state is borrowed.
+/// The attached trace sink and what it declared it consumes (`sink: None`
+/// = untraced hot path, and then `wants` is [`Wants::NONE`]).  One struct
+/// so the memory side can emit its own spans while SM state is borrowed.
 struct Tracer<'a> {
     sink: Option<&'a mut dyn TraceSink>,
-    /// Only consulted while `sink` is attached.
-    cfg: TraceConfig,
+    wants: Wants,
 }
 
 impl Tracer<'_> {
-    fn cache_events(&self) -> bool {
-        self.sink.is_some() && self.cfg.cache_events
-    }
-
-    /// Emit a functional-unit busy span (no-op without a sink).
+    /// Emit a functional-unit busy span (no-op unless the sink wants them).
     #[inline]
     fn unit(&mut self, sm: u32, unit: &'static str, w: usize, start: f64, cost: f64) {
-        let Some(s) = self.sink.as_mut() else { return };
-        if !self.cfg.unit_events {
+        if !self.wants.unit {
             return;
         }
+        let Some(s) = self.sink.as_mut() else { return };
         let s0 = start.floor() as u64;
         let end = ((start + cost).ceil() as u64).max(s0 + 1);
         s.unit(&UnitSpan {
@@ -402,19 +414,6 @@ impl Tracer<'_> {
             start: s0,
             end,
         });
-    }
-
-    /// Emit a cache hit/miss event (callers check [`Self::cache_events`]).
-    fn cache(&mut self, cycle: u64, sm: u32, level: CacheLevel, hit: bool, sectors: u32) {
-        if let Some(s) = self.sink.as_mut() {
-            s.cache(&CacheEvent {
-                cycle,
-                sm,
-                level,
-                hit,
-                sectors,
-            });
-        }
     }
 }
 
@@ -534,7 +533,7 @@ impl<'a> Engine<'a> {
         let l1_stats0 = l1_stats(l1);
         let tr = Tracer {
             sink: None,
-            cfg: cfg.opts.trace,
+            wants: Wants::NONE,
         };
         let mut cluster_members: Vec<(u32, Vec<usize>, usize)> = Vec::new();
         for (bi, b) in blocks.iter().enumerate() {
@@ -577,21 +576,25 @@ impl<'a> Engine<'a> {
             faulted: AtomicBool::new(false),
             replay: None,
             cap_payload: Vec::new(),
-            capture: false,
             #[cfg(debug_assertions)]
             dbg_l1_lookups: 0,
         }
     }
 
-    /// Attach a trace sink. Event timestamps stay wave-local; the sink is
+    /// Attach a trace sink.  What it [wants](TraceSink::wants) is read here,
+    /// once, and is all the run constructs for it; a sink that wants nothing
+    /// (a [`hopper_trace::NullSink`]) is dropped and the run stays on the
+    /// untraced hot path.  Event timestamps stay wave-local; the sink is
     /// told `base_cycle` (the device cycle this wave starts at) so
-    /// multi-wave timelines can be assembled. A [`hopper_trace::NullSink`]
-    /// is dropped here, keeping the untraced hot path branch-free.
+    /// multi-wave timelines can be assembled.
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink, base_cycle: u64) -> Self {
-        if !sink.is_null() {
-            self.tr.sink = Some(sink);
+        let wants = sink.wants();
+        if wants != Wants::NONE {
+            self.tr = Tracer {
+                sink: Some(sink),
+                wants,
+            };
             self.base_cycle = base_cycle;
-            self.capture = self.tr.cfg.instr_events;
         }
         self
     }
@@ -642,7 +645,7 @@ impl<'a> Engine<'a> {
         }
         if tracing {
             self.slot_acc = vec![SlotAcc::default(); self.sms.len() * 4];
-            if self.tr.cfg.pc_sampling {
+            if self.tr.wants.pc_totals {
                 self.pc_acc = vec![PcAcc::default(); self.kernel.instrs.len()];
             }
         }
@@ -679,9 +682,9 @@ impl<'a> Engine<'a> {
     /// then 1 (silent serial fallback; results are identical either way,
     /// which is what the `parallel_equivalence` oracle enforces).
     ///
-    /// The exclusions: tracing and replay/capture observe a global issue
-    /// order; a finite cycle budget stops all SMs at one global cycle;
-    /// clustered launches and cluster-feature kernels (`cluster.sync`,
+    /// The exclusions: tracing (capture included) and replay observe a
+    /// global issue order; a finite cycle budget stops all SMs at one
+    /// global cycle; clustered launches and cluster-feature kernels (`cluster.sync`,
     /// `mapa`, `shared::cluster` DSM accesses) reach across SMs outside
     /// the shared-class gate.
     fn par_workers(&self, tracing: bool) -> usize {
@@ -689,7 +692,6 @@ impl<'a> Engine<'a> {
         if t <= 1
             || self.sms.len() <= 1
             || tracing
-            || self.capture
             || self.replay.is_some()
             || self.cfg.limit.max_cycles != u64::MAX
             || self.cfg.cluster_size > 1
@@ -751,33 +753,57 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// End-of-wave aggregate emission: per-slot totals, functional-unit
-    /// occupancy, cache totals.
+    /// End of wave: the summary (per-slot totals, functional-unit
+    /// occupancy, cache totals) for a sink that wants it, the per-PC totals
+    /// (accumulated only when wanted), and the closing frame.
     fn emit_wave_summary(&mut self) {
         let total = self.cycle;
-        let cache = CacheTotals {
-            l1_hits: self.metrics.l1_hits,
-            l1_misses: self.metrics.l1_misses,
-            l2_hits: self.metrics.l2_hits,
-            l2_misses: self.metrics.l2_misses,
-            tlb_misses: self.metrics.tlb_misses,
-        };
         let Some(s) = self.tr.sink.as_mut() else {
             return;
         };
-        for (slot, acc) in self.slot_acc.iter().enumerate() {
-            debug_assert_eq!(
-                acc.issued + acc.idle + acc.stalled.iter().sum::<u64>(),
-                total,
-                "slot {slot}: issued+idle+stalled must equal wave cycles"
-            );
-            s.slot_totals(&SlotTotals {
-                sm: (slot / 4) as u32,
-                sched: (slot % 4) as u32,
-                issued: acc.issued,
-                idle: acc.idle,
-                stalled: acc.stalled,
-                total,
+        if self.tr.wants.summary {
+            for (slot, acc) in self.slot_acc.iter().enumerate() {
+                debug_assert_eq!(
+                    acc.issued + acc.idle + acc.stalled.iter().sum::<u64>(),
+                    total,
+                    "slot {slot}: issued+idle+stalled must equal wave cycles"
+                );
+                s.slot_totals(&SlotTotals {
+                    sm: (slot / 4) as u32,
+                    sched: (slot % 4) as u32,
+                    issued: acc.issued,
+                    idle: acc.idle,
+                    stalled: acc.stalled,
+                    total,
+                });
+            }
+            for (sm, st) in self.sms.iter().enumerate() {
+                // One record per tensor quadrant (last in the table); the
+                // profile merges them so the reported "tensor" occupancy is
+                // the mean over quadrants.
+                for (unit, row) in st.units.iter().zip(Unit::ALL) {
+                    s.unit_busy(&UnitBusy {
+                        sm: sm as u32,
+                        unit: row.name,
+                        busy: unit.busy_cycles(),
+                        total,
+                    });
+                }
+            }
+            for (unit, port) in self.mem.ports() {
+                s.unit_busy(&UnitBusy {
+                    sm: u32::MAX,
+                    unit,
+                    busy: port.busy_cycles(),
+                    total,
+                });
+            }
+            s.cache_totals(&CacheTotals {
+                l1_hits: self.metrics.l1_hits,
+                l1_misses: self.metrics.l1_misses,
+                l2_hits: self.metrics.l2_hits,
+                l2_misses: self.metrics.l2_misses,
+                tlb_misses: self.metrics.tlb_misses,
             });
         }
         for (pc, a) in self.pc_acc.iter().enumerate() {
@@ -792,28 +818,6 @@ impl<'a> Engine<'a> {
                 wait_hist: a.wait_hist,
             });
         }
-        for (sm, st) in self.sms.iter().enumerate() {
-            // One record per tensor quadrant (last in the table); the
-            // profile merges them so the reported "tensor" occupancy is
-            // the mean over quadrants.
-            for (unit, row) in st.units.iter().zip(Unit::ALL) {
-                s.unit_busy(&UnitBusy {
-                    sm: sm as u32,
-                    unit: row.name,
-                    busy: unit.busy_cycles(),
-                    total,
-                });
-            }
-        }
-        for (unit, port) in self.mem.ports() {
-            s.unit_busy(&UnitBusy {
-                sm: u32::MAX,
-                unit,
-                busy: port.busy_cycles(),
-                total,
-            });
-        }
-        s.cache_totals(&cache);
         s.end_wave(total);
     }
 
@@ -854,7 +858,7 @@ impl<'a> Engine<'a> {
         let Some(s) = self.tr.sink.as_mut() else {
             return;
         };
-        if self.tr.cfg.stall_events && since != u64::MAX && now > since {
+        if self.tr.wants.stall && since != u64::MAX && now > since {
             s.stall(&StallSpan {
                 sm: sm as u32,
                 sched: sched as u32,
@@ -864,7 +868,7 @@ impl<'a> Engine<'a> {
                 reason,
             });
         }
-        if self.tr.cfg.issue_events {
+        if self.tr.wants.issue {
             s.issue(&IssueEvent {
                 cycle: now,
                 sm: sm as u32,
@@ -873,7 +877,7 @@ impl<'a> Engine<'a> {
                 op: self.kernel.instrs[pc].mnemonic(),
             });
         }
-        if self.tr.cfg.instr_events {
+        if self.tr.wants.instr {
             let ws = &self.warps[w];
             s.instr(&InstrEvent {
                 cycle: now,
@@ -908,7 +912,7 @@ impl<'a> Engine<'a> {
             };
             ws.stalled_since = now;
             ws.stall_reason = reason;
-            if self.tr.cfg.stall_events {
+            if self.tr.wants.stall {
                 if let Some(s) = self.tr.sink.as_mut() {
                     s.stall(&span);
                 }

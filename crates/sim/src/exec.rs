@@ -3,7 +3,7 @@
 //! the ALU, FP, DPX and tensor-core instructions.  Memory instructions
 //! dispatch to `lsu.rs`.
 
-use super::{Engine, IssueResult, Stalled, WarpStatus, DSM_TAG, MEM_QUEUE_DEPTH};
+use super::{Engine, IssueResult, SimFaultKind, Stalled, WarpStatus, DSM_TAG, MEM_QUEUE_DEPTH};
 use crate::power;
 use crate::replay::ReplayRec;
 use crate::tc_timing;
@@ -13,6 +13,7 @@ use hopper_isa::{
     Special, TileId,
 };
 use hopper_trace::StallReason;
+use std::collections::HashMap;
 
 /// When a [`Unit`] admits a new reservation.
 #[derive(Debug, Clone, Copy)]
@@ -221,7 +222,7 @@ impl<'a> Engine<'a> {
     fn execute(&mut self, w: usize, instr: &Instr, nowc: u64) -> Result<(), Stalled> {
         let now = nowc as f64;
         let sm = self.sm_of(w);
-        if self.capture {
+        if self.tr.wants.instr {
             // Stalled attempts may leave pushes behind; the payload is
             // only read after an Issued outcome, so clearing here keeps
             // it exact.
@@ -335,13 +336,12 @@ impl<'a> Engine<'a> {
                         let active = self.warps[w].active;
                         let t = mask & active;
                         if t != 0 && t != active {
-                            panic!(
-                                "divergent branch in kernel `{}` at pc {} — \
-                                 the engine supports uniform control flow only",
-                                self.kernel.name, self.warps[w].pc
-                            );
+                            let kind = SimFaultKind::DivergentBranch { mask: t, active };
+                            self.fault(w, kind);
+                            false
+                        } else {
+                            (t == active) == *expect
                         }
-                        (t == active) == *expect
                     }
                 };
                 if taken {
@@ -515,7 +515,7 @@ impl<'a> Engine<'a> {
             Some(rec) => rec.payload.first().copied().unwrap_or(0),
             None => self.uniform_addr(w, addr),
         };
-        if self.capture {
+        if self.tr.wants.instr {
             self.cap_payload.push(base);
         }
         base
@@ -631,12 +631,10 @@ impl<'a> Engine<'a> {
         [d, a, b, c]: [TileId; 4],
         nowc: u64,
     ) -> Result<(), Stalled> {
-        assert!(
-            desc.supported_on(self.dev.arch),
-            "{desc} is not executable on {} ({})",
-            self.dev.name,
-            self.dev.arch
-        );
+        if !desc.supported_on(self.dev.arch) {
+            self.fault(w, SimFaultKind::UnsupportedOnDevice);
+            return Ok(());
+        }
         let now = nowc as f64;
         let key = self.tile_owner(w);
         let bi = self.warps[w].block;
@@ -670,7 +668,9 @@ impl<'a> Engine<'a> {
             self.sm_metrics[sm].instructions += lowered.expansion as u64 - 1;
             start
         };
-        let act = self.mma_act(w, desc, [d, a, b], Some(c));
+        let Some(act) = self.mma_act(w, desc, [d, a, b], Some(c)) else {
+            return Ok(());
+        };
         self.sm_metrics[sm].tc_ops += desc.flops();
         if tensor {
             self.sm_metrics[sm].energy_j += desc.flops() as f64
@@ -689,12 +689,10 @@ impl<'a> Engine<'a> {
         dab: [TileId; 3],
         now: f64,
     ) -> Result<(), Stalled> {
-        assert!(
-            desc.supported_on(self.dev.arch),
-            "{desc} requires Hopper; {} is {}",
-            self.dev.name,
-            self.dev.arch
-        );
+        if !desc.supported_on(self.dev.arch) {
+            self.fault(w, SimFaultKind::UnsupportedOnDevice);
+            return Ok(());
+        }
         // Only the warp-group leader drives the tensor cores.
         if !self.warps[w].warp_in_block.is_multiple_of(4) {
             return Ok(());
@@ -707,7 +705,9 @@ impl<'a> Engine<'a> {
         // latency" measures (N/2 = 128 at N=256 while the sustained
         // interval is ~142).
         let done = start + tc_timing::wgmma_latency(self.dev, desc);
-        let act = self.mma_act(w, desc, dab, None);
+        let Some(act) = self.mma_act(w, desc, dab, None) else {
+            return Ok(());
+        };
         self.sm_metrics[sm].tc_ops += desc.flops();
         self.sm_metrics[sm].energy_j += desc.flops() as f64
             * power::tc_energy_per_flop(self.dev, desc.ab, desc.cd, desc.sparse, MmaKind::Wgmma)
@@ -726,7 +726,8 @@ impl<'a> Engine<'a> {
 
     /// Run the functional datapath of an `mma`/`wgmma` and return the
     /// operand activity factor for the power model (capture mode records
-    /// it).  Replay takes the factor from the trace instead — it is
+    /// it), or `None` after recording a fault for a missing or ill-fitting
+    /// operand tile.  Replay takes the factor from the trace instead — it is
     /// tile-*value*-dependent and the values are gone, the one non-address
     /// operand a trace must carry — and registers only the destination
     /// tile's shape, so downstream `st.tile`/`mma` find it.
@@ -736,66 +737,71 @@ impl<'a> Engine<'a> {
         desc: &MmaDesc,
         [d, a, b]: [TileId; 3],
         c: Option<TileId>,
-    ) -> f64 {
-        let (m, n) = (desc.m as usize, desc.n as usize);
+    ) -> Option<f64> {
         let (bi, key) = (self.warps[w].block, self.tile_owner(w));
         if let Some(rec) = self.replay_rec(w) {
             let shape = Tile {
                 dtype: desc.cd,
-                rows: m,
-                cols: n,
+                rows: desc.m as usize,
+                cols: desc.n as usize,
                 data: Vec::new(),
             };
             self.blocks[bi].tiles.insert((key, d.0), shape);
-            return rec
-                .payload
-                .first()
-                .map_or(1.0, |&bits| f64::from_bits(bits));
+            let act = rec.payload.first();
+            return Some(act.map_or(1.0, |&bits| f64::from_bits(bits)));
         }
-        // Operands by reference: cloning A/B/C (hundreds of KB for a
-        // full-size wgmma) per instruction would dwarf the datapath cost.
-        // The shared borrows all end before the result is inserted.
-        let tiles = &self.blocks[bi].tiles;
-        let missing = |what: &str, id: TileId| -> ! {
-            panic!(
-                "kernel `{}`: {what} tile t{} not initialised (FillTile/LdTile first)",
-                self.kernel.name, id.0
-            )
+        let (out, act) = match mma_functional(desc, &self.blocks[bi].tiles, key, [d, a, b], c) {
+            Ok(done) => done,
+            Err(kind) => {
+                self.fault(w, kind);
+                return None;
+            }
         };
-        let ta = tiles.get(&(key, a.0)).unwrap_or_else(|| missing("A", a));
-        let tb = tiles.get(&(key, b.0)).unwrap_or_else(|| missing("B", b));
-        // 2:4-sparse A stores half its elements as structural zeros; the
-        // *compressed* data the hardware toggles is the non-zero half.
-        let act_a = if desc.sparse {
-            (ta.activity() * 2.0).min(1.0)
-        } else {
-            ta.activity()
-        };
-        let zeros;
-        let tc = match c {
-            Some(ct) => tiles.get(&(key, ct.0)).unwrap_or_else(|| missing("C", ct)),
-            None => match tiles.get(&(key, d.0)) {
-                Some(t) => t,
-                None => {
-                    zeros = Tile::zeros(desc.cd, m, n);
-                    &zeros
-                }
-            },
-        };
-        let act = (act_a + tb.activity()) / 2.0;
-        let out = execute_mma(desc, ta, tb, tc).unwrap_or_else(|e| {
-            panic!(
-                "kernel `{}`: functional {desc} failed: {e}",
-                self.kernel.name
-            )
-        });
         self.blocks[bi].tiles.insert((key, d.0), out);
         let act = power::ACT_FLOOR + (1.0 - power::ACT_FLOOR) * act.min(1.0);
-        if self.capture {
+        if self.tr.wants.instr {
             self.cap_payload.push(act.to_bits());
         }
-        act
+        Some(act)
     }
+}
+
+/// `D = A·B + C` over warp `key`'s tiles (`C` is `D` itself for `wgmma`,
+/// zeros if it was never written): the result and the raw operand activity.
+/// Operands are used by reference — cloning A/B/C (hundreds of KB for a
+/// full-size wgmma) per instruction would dwarf the datapath cost.
+fn mma_functional(
+    desc: &MmaDesc,
+    tiles: &HashMap<(u32, u8), Tile>,
+    key: u32,
+    [d, a, b]: [TileId; 3],
+    c: Option<TileId>,
+) -> Result<(Tile, f64), SimFaultKind> {
+    let get = |id: TileId| {
+        let missing = SimFaultKind::TileNotInitialised { tile: id.0 };
+        tiles.get(&(key, id.0)).ok_or(missing)
+    };
+    let (ta, tb) = (get(a)?, get(b)?);
+    // 2:4-sparse A stores half its elements as structural zeros; the
+    // *compressed* data the hardware toggles is the non-zero half.
+    let act_a = if desc.sparse {
+        (ta.activity() * 2.0).min(1.0)
+    } else {
+        ta.activity()
+    };
+    let zeros;
+    let tc = match c {
+        Some(ct) => get(ct)?,
+        None => match tiles.get(&(key, d.0)) {
+            Some(t) => t,
+            None => {
+                zeros = Tile::zeros(desc.cd, desc.m as usize, desc.n as usize);
+                &zeros
+            }
+        },
+    };
+    let out = execute_mma(desc, ta, tb, tc).map_err(|_| SimFaultKind::TileMismatch)?;
+    Ok((out, (act_a + tb.activity()) / 2.0))
 }
 
 /// `*.wait_group N` over a FIFO of commit-group completion times: retire

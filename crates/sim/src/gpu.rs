@@ -13,9 +13,9 @@ use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit, SimFa
 use crate::mem::GlobalMem;
 use crate::metrics::{Metrics, RunStats};
 use crate::power::resolve_dvfs;
-use crate::replay::{CaptureSink, ReplayConfig, ReplaySource};
+use crate::replay::{CaptureSink, Replay, ReplaySource};
 use hopper_isa::kernel::{Kernel, MAX_REGS_PER_THREAD};
-use hopper_trace::{StallProfile, TraceConfig, TraceSink};
+use hopper_trace::{StallProfile, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -59,6 +59,20 @@ impl Launch {
         self.cluster = cs;
         self
     }
+}
+
+/// What distinguishes one run of a kernel from another: who listens, how
+/// long it may go, and where operands come from.  [`Gpu::run`] takes it;
+/// the default is a plain [`Gpu::launch`].
+#[derive(Default)]
+pub struct Run<'a> {
+    /// Receives the trace categories it [wants](TraceSink::wants) — and the
+    /// run constructs only those.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Cycle budget and/or cancel flag (default: unbounded).
+    pub budget: RunBudget,
+    /// Replay a captured launch instead of executing functionally.
+    pub replay: Option<Replay<'a>>,
 }
 
 /// A bound on a launch: a total simulated-cycle budget (across all waves)
@@ -224,8 +238,8 @@ struct InFlight<'a, 's> {
     kernel: &'a Kernel,
     launch: &'a Launch,
     sink: Option<&'s mut dyn TraceSink>,
-    budget: &'a RunBudget,
-    replay: Option<&'a ReplaySource>,
+    budget: RunBudget,
+    replay: Option<&'s ReplaySource>,
     total: Metrics,
 }
 
@@ -364,7 +378,7 @@ impl Gpu {
 
     /// Launch and simulate a kernel; returns aggregate statistics.
     pub fn launch(&mut self, kernel: &Kernel, launch: &Launch) -> Result<RunStats, LaunchError> {
-        self.launch_with_sink(kernel, launch, None, &RunBudget::default(), None)
+        self.run(kernel, launch, Run::default())
     }
 
     /// Launch under a [`RunBudget`]: abort with a structured error if the
@@ -376,30 +390,33 @@ impl Gpu {
         launch: &Launch,
         budget: &RunBudget,
     ) -> Result<RunStats, LaunchError> {
-        self.launch_with_sink(kernel, launch, None, budget, None)
+        self.run(
+            kernel,
+            launch,
+            Run {
+                budget: budget.clone(),
+                ..Run::default()
+            },
+        )
     }
 
-    /// Launch with an attached [`TraceSink`] receiving cycle-level events
-    /// (see `hopper-trace`). Event categories are filtered by
-    /// [`SimOptions::trace`]. A `NullSink` is detected and costs nothing.
+    /// Launch with an attached [`TraceSink`] receiving the cycle-level
+    /// events it [wants](TraceSink::wants) (see `hopper-trace`).  A
+    /// `NullSink` wants nothing and costs nothing.
     pub fn launch_traced(
         &mut self,
         kernel: &Kernel,
         launch: &Launch,
         sink: &mut dyn TraceSink,
     ) -> Result<RunStats, LaunchError> {
-        self.launch_with_sink(kernel, launch, Some(sink), &RunBudget::default(), None)
-    }
-
-    /// [`Self::launch_traced`] under a [`RunBudget`].
-    pub fn launch_traced_bounded(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        sink: &mut dyn TraceSink,
-        budget: &RunBudget,
-    ) -> Result<RunStats, LaunchError> {
-        self.launch_with_sink(kernel, launch, Some(sink), budget, None)
+        self.run(
+            kernel,
+            launch,
+            Run {
+                sink: Some(sink),
+                ..Run::default()
+            },
+        )
     }
 
     /// Launch under a [`StallProfile`] aggregator and return it alongside
@@ -409,18 +426,8 @@ impl Gpu {
         kernel: &Kernel,
         launch: &Launch,
     ) -> Result<(RunStats, StallProfile), LaunchError> {
-        self.profile_bounded(kernel, launch, &RunBudget::default())
-    }
-
-    /// [`Self::profile`] under a [`RunBudget`].
-    pub fn profile_bounded(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        budget: &RunBudget,
-    ) -> Result<(RunStats, StallProfile), LaunchError> {
         let mut prof = StallProfile::default();
-        let mut stats = self.launch_with_sink(kernel, launch, Some(&mut prof), budget, None)?;
+        let mut stats = self.launch_traced(kernel, launch, &mut prof)?;
         stats.stalls = Some(prof.summary());
         Ok((stats, prof))
     }
@@ -428,104 +435,61 @@ impl Gpu {
     /// Launch a kernel while capturing every issued instruction — PC,
     /// active mask and resolved operand payload — into a [`ReplaySource`].
     ///
-    /// Capture rides the instruction-event trace category only; all other
-    /// categories stay off, so the returned [`RunStats`] are bitwise
-    /// identical to an uncaptured [`Self::launch`] of the same kernel.
+    /// Capture is a sink like any other ([`CaptureSink`]), and what it
+    /// wants is the instruction records alone, so the returned
+    /// [`RunStats`] are bitwise identical to an uncaptured
+    /// [`Self::launch`] of the same kernel.
     pub fn launch_captured(
         &mut self,
         kernel: &Kernel,
         launch: &Launch,
     ) -> Result<(RunStats, ReplaySource), LaunchError> {
-        let saved = self.opts.trace;
-        self.opts.trace = TraceConfig::capture();
         let mut sink = CaptureSink::default();
-        let res =
-            self.launch_with_sink(kernel, launch, Some(&mut sink), &RunBudget::default(), None);
-        self.opts.trace = saved;
-        Ok((res?, sink.into_source()))
+        let stats = self.launch_traced(kernel, launch, &mut sink)?;
+        Ok((stats, sink.into_source()))
     }
 
     /// Re-run a captured launch in replay mode: the full timing model
     /// (schedulers, caches, DRAM, banks, DVFS) executes as usual, but
     /// operands — memory addresses, branch directions, tensor-core
     /// activity — come from `source` instead of functional execution.
+    /// `source` is validated against `kernel` first.
     pub fn launch_replayed(
         &mut self,
         kernel: &Kernel,
         launch: &Launch,
         source: &ReplaySource,
     ) -> Result<RunStats, LaunchError> {
-        self.launch_replayed_bounded(
+        let replay = Replay {
+            source,
+            prevalidated: false,
+        };
+        self.run(
             kernel,
             launch,
-            source,
-            &ReplayConfig::default(),
-            &RunBudget::default(),
+            Run {
+                replay: Some(replay),
+                ..Run::default()
+            },
         )
     }
 
-    /// [`Self::launch_replayed`] under a [`RunBudget`], with explicit
-    /// [`ReplayConfig`] (e.g. to skip prevalidation on a trusted
-    /// capture→replay round trip).
-    pub fn launch_replayed_bounded(
+    /// The one door every launch goes through: simulate `kernel` over
+    /// `launch` as `run` describes.  The methods above are this with one
+    /// field of [`Run`] set.
+    pub fn run(
         &mut self,
         kernel: &Kernel,
         launch: &Launch,
-        source: &ReplaySource,
-        cfg: &ReplayConfig,
-        budget: &RunBudget,
+        run: Run<'_>,
     ) -> Result<RunStats, LaunchError> {
-        if cfg.prevalidate {
+        if let Some(Replay {
+            source,
+            prevalidated: false,
+        }) = run.replay
+        {
             source.validate(kernel).map_err(LaunchError::Replay)?;
         }
-        self.launch_with_sink(kernel, launch, None, budget, Some(source))
-    }
-
-    /// [`Self::launch_replayed_bounded`] with an attached [`TraceSink`] —
-    /// the profiling path for replayed runs (hopper-prof reports work on
-    /// traces exactly as on functional runs).
-    pub fn launch_replayed_traced_bounded(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        source: &ReplaySource,
-        cfg: &ReplayConfig,
-        sink: &mut dyn TraceSink,
-        budget: &RunBudget,
-    ) -> Result<RunStats, LaunchError> {
-        if cfg.prevalidate {
-            source.validate(kernel).map_err(LaunchError::Replay)?;
-        }
-        self.launch_with_sink(kernel, launch, Some(sink), budget, Some(source))
-    }
-
-    /// [`Self::profile_bounded`] for a replayed launch.
-    pub fn profile_replayed_bounded(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        source: &ReplaySource,
-        cfg: &ReplayConfig,
-        budget: &RunBudget,
-    ) -> Result<(RunStats, StallProfile), LaunchError> {
-        if cfg.prevalidate {
-            source.validate(kernel).map_err(LaunchError::Replay)?;
-        }
-        let mut prof = StallProfile::default();
-        let mut stats =
-            self.launch_with_sink(kernel, launch, Some(&mut prof), budget, Some(source))?;
-        stats.stalls = Some(prof.summary());
-        Ok((stats, prof))
-    }
-
-    fn launch_with_sink(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-        mut sink: Option<&mut dyn TraceSink>,
-        budget: &RunBudget,
-        replay: Option<&ReplaySource>,
-    ) -> Result<RunStats, LaunchError> {
         let t_setup = std::time::Instant::now();
         if launch.cluster > 1 && !self.dev.arch.has_clusters() {
             return Err(LaunchError::Unsupported(format!(
@@ -548,16 +512,13 @@ impl Gpu {
         }
         let occ = self.occupancy(kernel, launch.block)?;
 
-        if sink.as_ref().is_some_and(|s| s.is_null()) {
-            sink = None;
-        }
         let t_waves = std::time::Instant::now();
         let mut run = InFlight {
             kernel,
             launch,
-            sink,
-            budget,
-            replay,
+            sink: run.sink,
+            budget: run.budget,
+            replay: run.replay.map(|r| r.source),
             total: Metrics::default(),
         };
         if launch.cluster > 1 {

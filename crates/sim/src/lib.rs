@@ -55,15 +55,15 @@ pub mod tiles;
 
 pub use device::{DeviceConfig, LevelBw, Scheduler, SimOptions, TcRate};
 pub use engine::{BlockSpec, Engine, EngineConfig, RunLimit, SimFault, SimFaultKind};
-pub use gpu::{Gpu, Launch, LaunchError, PhaseSink, RunBudget, RunPhase};
+pub use gpu::{Gpu, Launch, LaunchError, PhaseSink, Run, RunBudget, RunPhase};
 pub use mem::GlobalMem;
 pub use metrics::{Metrics, RunStats};
-pub use replay::{CaptureSink, ReplayConfig, ReplayRec, ReplaySource};
+pub use replay::{CaptureSink, Replay, ReplayRec, ReplaySource};
 pub use tiles::Tile;
 
 /// Re-export of the `hopper-trace` event/profiling crate.
 pub use hopper_trace as trace;
 pub use hopper_trace::{
     ChromeTrace, InstrEvent, NullSink, PcSampleSink, PcStat, StallProfile, StallReason,
-    StallSummary, TeeSink, TraceConfig, TraceSink,
+    StallSummary, TeeSink, TraceSink, Wants,
 };

@@ -12,7 +12,6 @@ use crate::power;
 use crate::replay::ReplayRec;
 use crate::tiles::{decode_elem, encode_elem, Tile};
 use hopper_isa::{AddrExpr, CacheOp, DType, MemSpace, Operand, Reg, TileId, Width};
-use hopper_trace::CacheLevel;
 
 /// Active lanes of a warp-wide access, as `(lane, address)`, and the stack
 /// buffer they are gathered into.
@@ -20,12 +19,12 @@ type Lanes = [(usize, u64)];
 type LaneBuf = [(usize, u64); 32];
 
 /// Coalescer output of one global access (sectors, then the lines L1 did
-/// not serve with their sector counts).  Lives on the SM so the buffers
-/// amortise across the whole run.
+/// not serve).  Lives on the SM so the buffers amortise across the whole
+/// run.
 #[derive(Default)]
 pub(super) struct Coalesced {
     sectors: Vec<u64>,
-    missed: Vec<(u64, u32)>,
+    missed: Vec<u64>,
 }
 
 impl Engine<'_> {
@@ -55,7 +54,7 @@ impl Engine<'_> {
             Some(rec) => rec_lanes(rec, buf),
             None => self.lane_addrs(w, addr, buf),
         };
-        if self.capture {
+        if self.tr.wants.instr {
             self.cap_payload.extend(lanes.iter().map(|&(_, a)| a));
         }
         lanes
@@ -189,7 +188,6 @@ impl Engine<'_> {
 
         // One L1 lookup per touched line (sectors arrive grouped by line);
         // only `.ca` accesses allocate in L1.
-        let tracing = self.tr.cache_events();
         co.missed.clear();
         let mut prev = u64::MAX;
         for &s in &co.sectors {
@@ -198,32 +196,21 @@ impl Engine<'_> {
                 continue;
             }
             prev = line;
-            let nsec = if tracing {
-                co.sectors.iter().filter(|&&s| s / 128 == line).count() as u32
-            } else {
-                0
-            };
             if cop == CacheOp::Ca {
                 let hit = self.l1[sm].access(line * 128);
                 #[cfg(debug_assertions)]
                 {
                     self.dbg_l1_lookups += 1;
                 }
-                if tracing {
-                    self.tr
-                        .cache(now as u64, sm as u32, CacheLevel::L1, hit, nsec);
-                }
                 if hit {
                     continue;
                 }
             }
-            co.missed.push((line, nsec));
+            co.missed.push(line);
         }
         let l1_done = start + l1_cost + self.dev.l1_latency as f64 - 1.0;
         let fetch = Fetch {
-            sm: sm as u32,
             warp: w,
-            cycle: now as u64,
             start,
             width: bytes,
             sectors: &co.sectors,
@@ -467,12 +454,10 @@ impl Engine<'_> {
         gmem: AddrExpr,
         now: f64,
     ) -> Result<(), Stalled> {
-        assert!(
-            self.dev.arch.has_tma(),
-            "TMA bulk copies require Hopper; {} is {}",
-            self.dev.name,
-            self.dev.arch
-        );
+        if !self.dev.arch.has_tma() {
+            self.fault(w, SimFaultKind::UnsupportedOnDevice);
+            return Ok(());
+        }
         self.shared(sm).0.backpressure(now)?;
         let (rows, row_bytes, gstride) = (rows as u64, row_bytes as u64, gstride as u64);
         // Addresses come from lane 0 (the TMA descriptor is uniform).
@@ -561,10 +546,8 @@ impl Engine<'_> {
     ) {
         let key = (self.tile_owner(w), tile.0);
         let Some(t) = self.blocks[self.warps[w].block].tiles.get(&key).cloned() else {
-            panic!(
-                "kernel `{}`: store tile t{} not initialised (FillTile/LdTile first)",
-                self.kernel.name, tile.0
-            )
+            self.fault(w, SimFaultKind::TileNotInitialised { tile: tile.0 });
+            return;
         };
         let base = self.uniform_base(w, addr);
         let ebytes = t.dtype.bits().max(8) as u64 / 8;

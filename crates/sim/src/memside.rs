@@ -21,23 +21,20 @@ use crate::device::DeviceConfig;
 use crate::mem::{GlobalMem, Limiter, TagArray};
 use crate::metrics::Metrics;
 use crate::power;
-use hopper_trace::{CacheLevel, StallReason};
+use hopper_trace::StallReason;
 
 /// One coalesced access below L1, as the issuing SM describes it.
 pub(super) struct Fetch<'r> {
-    /// Issuing SM and warp (trace attribution only).
-    pub sm: u32,
+    /// Issuing warp (unit-span attribution only).
     pub warp: usize,
-    /// Issue cycle (timestamps cache events).
-    pub cycle: u64,
     /// When the request leaves the SM's L1 port.
     pub start: f64,
     /// Per-lane access width, bytes (selects the L2 bandwidth column).
     pub width: u64,
     /// Every 32-byte sector the access touches (all are translated).
     pub sectors: &'r [u64],
-    /// The 128-byte lines L1 did not serve, each with its sector count.
-    pub missed: &'r [(u64, u32)],
+    /// The 128-byte lines L1 did not serve.
+    pub missed: &'r [u64],
 }
 
 /// Run-shared memory state (see the module docs).
@@ -114,7 +111,6 @@ impl<'a> MemSide<'a> {
     /// adds it to whichever level ultimately serves the request.
     pub(super) fn fetch(&mut self, f: &Fetch, m: &mut Metrics, tr: &mut Tracer) -> (f64, f64) {
         let dev = self.dev;
-        let tracing = tr.cache_events();
         let mut tlb_penalty = 0.0;
         self.pages.clear();
         self.pages.extend(f.sectors.iter().map(|&s| s >> 21));
@@ -124,20 +120,14 @@ impl<'a> MemSide<'a> {
             if !self.tlb.access(page << 21) {
                 tlb_penalty = dev.tlb_miss_latency as f64;
                 m.tlb_misses += 1;
-                if tracing {
-                    tr.cache(f.cycle, f.sm, CacheLevel::Tlb, false, 0);
-                }
             }
         }
         let mut done = 0.0f64;
-        for &(line, nsec) in f.missed {
+        for &line in f.missed {
             let hit = self.l2.access(line * 128);
             #[cfg(debug_assertions)]
             {
                 self.dbg_l2_lookups += 1;
-            }
-            if tracing {
-                tr.cache(f.cycle, f.sm, CacheLevel::L2, hit, nsec);
             }
             done = done.max(if hit {
                 f.start + dev.l2_latency as f64

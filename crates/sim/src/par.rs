@@ -219,7 +219,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::par_workers`]).  Bitwise-identical results to the
     /// serial driver, per the module-level argument.
     pub(super) fn run_parallel(&mut self, roster: &[Vec<Vec<usize>>], workers: usize) {
-        debug_assert!(self.tr.sink.is_none() && !self.capture && self.replay.is_none());
+        debug_assert!(self.tr.sink.is_none() && self.replay.is_none());
         let nsms = self.sms.len();
         let gate = Gate::new(nsms);
         let mut runs: Vec<ParSm> = roster

@@ -14,7 +14,7 @@
 //! a functional run into that representation.
 
 use hopper_isa::{Instr, Kernel};
-use hopper_trace::{InstrEvent, TraceSink};
+use hopper_trace::{InstrEvent, TraceSink, Wants};
 use std::collections::BTreeMap;
 
 /// One issued instruction in a captured warp stream.
@@ -141,25 +141,23 @@ impl ReplaySource {
     }
 }
 
-/// Options for a replayed launch.
+/// The replay half of a [`Run`](crate::Run): where operands come from
+/// instead of functional execution.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Validate the source against the kernel before launching
-    /// (recommended for traces from disk; capture→replay round trips may
-    /// skip it).
-    pub prevalidate: bool,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        ReplayConfig { prevalidate: true }
-    }
+pub struct Replay<'a> {
+    /// The captured streams.
+    pub source: &'a ReplaySource,
+    /// The caller already ran [`ReplaySource::validate`] against the
+    /// kernel being launched (a front door that checks traces at request
+    /// time), so the launch skips its own pass.  Leave `false` otherwise:
+    /// the engine trusts a validated stream's PCs and arities.
+    pub prevalidated: bool,
 }
 
 /// Trace sink that records every issued instruction into a
-/// [`ReplaySource`].  Attach with `TraceConfig::capture()` — all other
-/// event categories stay disabled, so capture perturbs nothing and the
-/// recorded run's metrics equal an untraced run's.
+/// [`ReplaySource`].  It wants [`Wants::instr`] and nothing else, so a
+/// captured run builds no profiling events and its metrics equal an
+/// untraced run's.
 #[derive(Debug, Default)]
 pub struct CaptureSink {
     streams: BTreeMap<(u32, u32), Vec<ReplayRec>>,
@@ -175,6 +173,13 @@ impl CaptureSink {
 }
 
 impl TraceSink for CaptureSink {
+    fn wants(&self) -> Wants {
+        Wants {
+            instr: true,
+            ..Wants::NONE
+        }
+    }
+
     fn instr(&mut self, ev: &InstrEvent) {
         self.streams
             .entry((ev.ctaid, ev.warp_in_block))

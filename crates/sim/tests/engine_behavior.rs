@@ -807,53 +807,98 @@ fn tlb_cold_misses_inflate_global_latency() {
     );
 }
 
-/// Out-of-bounds shared-memory accesses — through every instruction that
-/// reads or writes shared memory — are typed launch errors naming the
-/// faulting PC, under the serial and the parallel driver alike, and leave
-/// the `Gpu` usable.
+/// Kernel faults — an out-of-bounds shared-memory access through every
+/// instruction that reads or writes shared memory, a divergent branch, a
+/// tensor-core instruction on missing or ill-fitting tiles or one the
+/// device cannot execute — are typed launch errors naming the faulting PC,
+/// under the serial and the parallel driver alike, and leave the `Gpu`
+/// usable.
 #[test]
 fn shared_memory_faults_are_launch_errors() {
     use hopper_isa::{CacheOp, KernelBuilder as KB, Operand, Special, Width};
     use hopper_sim::{LaunchError, SimFaultKind, SimOptions};
 
     const SMEM: u32 = 1024;
+    const OOB: Option<SimFaultKind> = None; // any `SharedOutOfBounds` of `SMEM`
     type Emit = fn(&mut KB);
+    fn mma() -> MmaDesc {
+        MmaDesc::mma(16, 8, 16, DType::F16, DType::F32, false).expect("valid shape")
+    }
+    let diverged = SimFaultKind::DivergentBranch {
+        mask: 0x7f,
+        active: u32::MAX,
+    };
     // Each case emits its instruction(s) right after the two-`mov`
     // prologue with the shared address in `%r2`; the last one faults.
-    let cases: [(&str, i64, Emit); 10] = [
-        ("ld.shared", 4096, |b| {
+    let cases: [(&str, i64, Option<SimFaultKind>, Emit); 14] = [
+        ("ld.shared", 4096, OOB, |b| {
             b.ld(MemSpace::Shared, CacheOp::Ca, Width::B4, Reg(4), Reg(2), 0);
         }),
-        ("st.shared", 4096, |b| {
+        ("st.shared", 4096, OOB, |b| {
             b.st(MemSpace::Shared, Width::B4, Reg(3), Reg(2), 0);
         }),
-        ("atom.shared", 4096, |b| {
+        ("atom.shared", 4096, OOB, |b| {
             b.atom_add(MemSpace::Shared, Some(Reg(4)), Reg(2), 0, Imm(1));
         }),
         // 16-byte accesses: the low half straddles the end / only the
         // high half lies beyond it.
-        ("ld.shared.b128 low", 1020, |b| {
+        ("ld.shared.b128 low", 1020, OOB, |b| {
             b.ld(MemSpace::Shared, CacheOp::Ca, Width::B16, Reg(4), Reg(2), 0);
         }),
-        ("ld.shared.b128 high", 1016, |b| {
+        ("ld.shared.b128 high", 1016, OOB, |b| {
             b.ld(MemSpace::Shared, CacheOp::Ca, Width::B16, Reg(4), Reg(2), 0);
         }),
-        ("st.shared.b128 high", 1016, |b| {
+        ("st.shared.b128 high", 1016, OOB, |b| {
             b.st(MemSpace::Shared, Width::B16, Reg(4), Reg(2), 0);
         }),
-        ("cp.async", 1020, |b| {
+        ("cp.async", 1020, OOB, |b| {
             b.cp_async(Width::B8, (Reg(2), 0), (Reg(0), 0));
         }),
-        ("tma", 512, |b| {
+        ("tma", 512, OOB, |b| {
             b.tma_copy(4, 256, 256, (Reg(2), 0), (Reg(0), 0));
         }),
-        ("ldmatrix", 1000, |b| {
+        ("ldmatrix", 1000, OOB, |b| {
             b.ld_tile(TileId(0), DType::F16, 8, 8, MemSpace::Shared, Reg(2), 0);
         }),
-        ("stmatrix", 1000, |b| {
+        ("stmatrix", 1000, OOB, |b| {
             b.fill_tile(TileId(1), DType::F16, 8, 8, TilePattern::Zero);
             b.st_tile(TileId(1), MemSpace::Shared, Reg(2), 0);
         }),
+        ("divergent bra", 0, Some(diverged), |b| {
+            b.special(Reg(4), Special::TidX);
+            b.setp(Pred(0), CmpOp::Lt, Operand::Reg(Reg(4)), Imm(7));
+            let end = b.forward_label();
+            b.bra_if(end, Pred(0), true);
+            b.place(end);
+        }),
+        (
+            "mma, A never filled",
+            0,
+            Some(SimFaultKind::TileNotInitialised { tile: 1 }),
+            |b| {
+                b.fill_tile(TileId(0), DType::F32, 16, 8, TilePattern::Zero);
+                b.mma(mma(), TileId(0), TileId(1), TileId(2), TileId(0));
+            },
+        ),
+        (
+            "stmatrix, never filled",
+            0,
+            Some(SimFaultKind::TileNotInitialised { tile: 5 }),
+            |b| {
+                b.st_tile(TileId(5), MemSpace::Shared, Reg(2), 0);
+            },
+        ),
+        (
+            "mma, B of the wrong shape",
+            0,
+            Some(SimFaultKind::TileMismatch),
+            |b| {
+                b.fill_tile(TileId(0), DType::F32, 16, 8, TilePattern::Zero);
+                b.fill_tile(TileId(1), DType::F16, 16, 16, TilePattern::Zero);
+                b.fill_tile(TileId(2), DType::F16, 8, 8, TilePattern::Zero);
+                b.mma(mma(), TileId(0), TileId(1), TileId(2), TileId(0));
+            },
+        ),
     ];
     for sim_threads in [0, 2] {
         let opts = SimOptions {
@@ -862,7 +907,7 @@ fn shared_memory_faults_are_launch_errors() {
         };
         let mut gpu = Gpu::with_options(DeviceConfig::h800(), opts);
         let buf = gpu.alloc(4096).unwrap();
-        for (what, addr, emit) in cases {
+        for (what, addr, want, emit) in cases {
             let mut b = KB::new(what);
             b.shared_mem(SMEM);
             b.mov(Reg(2), Imm(addr));
@@ -877,10 +922,8 @@ fn shared_memory_faults_are_launch_errors() {
             match gpu.launch(&k, &launch) {
                 Err(LaunchError::Fault(f)) => {
                     assert_eq!(f.pc, want_pc, "{what} @ sim_threads {sim_threads}: {f}");
-                    assert!(
-                        matches!(f.kind, SimFaultKind::SharedOutOfBounds { size, .. } if size == SMEM as u64),
-                        "{what}: {f}"
-                    );
+                    let oob = matches!(f.kind, SimFaultKind::SharedOutOfBounds { size, .. } if size == SMEM as u64);
+                    assert!(want.map_or(oob, |k| k == f.kind), "{what}: {f}");
                 }
                 other => {
                     panic!("{what} @ sim_threads {sim_threads}: expected a fault, got {other:?}")
@@ -895,6 +938,29 @@ fn shared_memory_faults_are_launch_errors() {
             ok.exit();
             gpu.launch(&ok.build(), &Launch::new(2, 32)).unwrap();
         }
+    }
+
+    // So is an instruction the device has no hardware for.
+    let desc = MmaDesc::wgmma(
+        64,
+        DType::F16,
+        DType::F32,
+        false,
+        hopper_isa::OperandSource::SharedShared,
+    );
+    let mut b = KB::new("wgmma off Hopper");
+    b.wgmma(desc.expect("valid shape"), TileId(0), TileId(1), TileId(2));
+    b.exit();
+    let mut gpu = Gpu::new(DeviceConfig::a100());
+    match gpu.launch(&b.build(), &Launch::new(1, 128)) {
+        Err(LaunchError::Fault(f)) => {
+            assert_eq!(
+                (f.pc, f.kind),
+                (0, SimFaultKind::UnsupportedOnDevice),
+                "{f}"
+            )
+        }
+        other => panic!("wgmma on an A100: expected a fault, got {other:?}"),
     }
 }
 

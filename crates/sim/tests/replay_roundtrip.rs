@@ -10,7 +10,7 @@ use hopper_isa::{
     CmpOp, DType, IAluOp, KernelBuilder, MmaDesc, Operand::Imm, Operand::Reg as R, Pred, Reg,
     TileId, TilePattern,
 };
-use hopper_sim::{DeviceConfig, Gpu, Launch, LaunchError, ReplayConfig, RunBudget};
+use hopper_sim::{DeviceConfig, Gpu, Launch, LaunchError, Replay, Run, StallProfile};
 
 /// An L1-resident pointer chase (single warp, dependent loads).
 fn pchase_setup(gpu: &mut Gpu) -> (hopper_isa::Kernel, Launch) {
@@ -143,15 +143,16 @@ fn roundtrip_on(dev: DeviceConfig, setup: fn(&mut Gpu) -> (hopper_isa::Kernel, L
     let (_, prof_fun) = gpu.profile(&k, &launch).expect("functional profile");
     let mut gpu = Gpu::new(dev);
     let (k, launch) = setup(&mut gpu);
-    let (_, prof_rep) = gpu
-        .profile_replayed_bounded(
-            &k,
-            &launch,
-            &source,
-            &ReplayConfig::default(),
-            &RunBudget::default(),
-        )
-        .expect("replayed profile");
+    let mut prof_rep = StallProfile::default();
+    let run = Run {
+        sink: Some(&mut prof_rep),
+        replay: Some(Replay {
+            source: &source,
+            prevalidated: false,
+        }),
+        ..Run::default()
+    };
+    gpu.run(&k, &launch, run).expect("replayed profile");
     assert_eq!(
         prof_fun, prof_rep,
         "{name}: replayed stall profile must match the functional one"

@@ -13,7 +13,7 @@ use hopper_isa::{
 use hopper_sim::engine::CacheState;
 use hopper_sim::{
     BlockSpec, ChromeTrace, DeviceConfig, Engine, EngineConfig, GlobalMem, Gpu, Launch,
-    LaunchError, Metrics, NullSink, PcSampleSink, RunBudget, RunLimit, Scheduler, SimOptions,
+    LaunchError, Metrics, NullSink, PcSampleSink, Run, RunBudget, RunLimit, Scheduler, SimOptions,
     StallProfile, TraceSink,
 };
 
@@ -126,7 +126,12 @@ fn cut_run<S: TraceSink + Default>(
     let mut gpu = gpu_with(dev.clone(), sched);
     let (k, l) = setup(&mut gpu);
     let mut sink = S::default();
-    let r = gpu.launch_traced_bounded(&k, &l, &mut sink, &RunBudget::cycles(budget));
+    let run = Run {
+        sink: Some(&mut sink),
+        budget: RunBudget::cycles(budget),
+        ..Run::default()
+    };
+    let r = gpu.run(&k, &l, run);
     (r.map(|s| s.metrics), sink)
 }
 

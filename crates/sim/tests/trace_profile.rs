@@ -9,7 +9,10 @@ use hopper_isa::{
     TileId, TilePattern,
 };
 use hopper_sim::trace::TeeSink;
-use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, Launch, NullSink, StallProfile, StallReason};
+use hopper_sim::{
+    CaptureSink, ChromeTrace, DeviceConfig, Gpu, Launch, NullSink, PcSampleSink, StallProfile,
+    StallReason, TraceSink, Wants,
+};
 
 /// An L1-resident pointer chase (single warp, dependent loads).
 fn pchase_setup(gpu: &mut Gpu) -> (hopper_isa::Kernel, Launch) {
@@ -258,33 +261,107 @@ fn null_sink_matches_untraced_run() {
     );
 }
 
-#[test]
-fn aggregates_only_config_still_conserves() {
-    // With per-event categories off, slot totals still arrive (they are
-    // emitted from the engine's accumulator, not from events).
-    let mut gpu = Gpu::new(hopper_sim::DeviceConfig::h800());
-    let opts = hopper_sim::SimOptions {
-        trace: hopper_sim::TraceConfig::aggregates_only(),
-        ..Default::default()
-    };
-    let mut gpu2 = Gpu::with_options(DeviceConfig::h800(), opts);
-    let (k, launch) = pchase_setup(&mut gpu);
-    let (k2, launch2) = pchase_setup(&mut gpu2);
+/// A sink that wants every category and counts what arrives.
+#[derive(Default)]
+struct Everything {
+    /// issue, stall, unit, instr, pc_totals, summary callbacks.
+    calls: [u64; 6],
+}
 
-    let (_, prof_full) = gpu.profile(&k, &launch).expect("launch");
-    let (_, prof_agg) = gpu2.profile(&k2, &launch2).expect("launch");
-    assert!(prof_agg.conservation_ok());
-    assert_eq!(
-        prof_full.slots, prof_agg.slots,
-        "aggregates identical without events"
+impl TraceSink for Everything {
+    fn wants(&self) -> Wants {
+        Wants {
+            issue: true,
+            stall: true,
+            unit: true,
+            instr: true,
+            pc_totals: true,
+            summary: true,
+        }
+    }
+    fn issue(&mut self, _: &hopper_sim::trace::IssueEvent) {
+        self.calls[0] += 1;
+    }
+    fn stall(&mut self, _: &hopper_sim::trace::StallSpan) {
+        self.calls[1] += 1;
+    }
+    fn unit(&mut self, _: &hopper_sim::trace::UnitSpan) {
+        self.calls[2] += 1;
+    }
+    fn instr(&mut self, _: &hopper_sim::InstrEvent) {
+        self.calls[3] += 1;
+    }
+    fn pc_totals(&mut self, _: &hopper_sim::trace::PcTotals) {
+        self.calls[4] += 1;
+    }
+    fn slot_totals(&mut self, _: &hopper_sim::trace::SlotTotals) {
+        self.calls[5] += 1;
+    }
+}
+
+type Setup = fn(&mut Gpu) -> (hopper_isa::Kernel, Launch);
+
+/// Run `setup`'s kernel under a fresh `S` alone and under a fresh `S` tee'd
+/// to an [`Everything`]: both runs must equal the untraced launch, and what
+/// `read` extracts from the two `S`s must be equal.
+fn alone_vs_teed<S: TraceSink + Default, T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    setup: Setup,
+    read: fn(S) -> T,
+) {
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let (k, launch) = setup(&mut gpu);
+    let plain = format!("{:?}", gpu.launch(&k, &launch).expect("launch"));
+
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let (k, launch) = setup(&mut gpu);
+    let mut alone = S::default();
+    let stats = gpu.launch_traced(&k, &launch, &mut alone).expect("launch");
+    assert_eq!(format!("{stats:?}"), plain, "{what}: traced run diverged");
+
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let (k, launch) = setup(&mut gpu);
+    let (mut teed, mut every) = (S::default(), Everything::default());
+    let mut tee = TeeSink::new(&mut teed, &mut every);
+    let stats = gpu.launch_traced(&k, &launch, &mut tee).expect("launch");
+    assert_eq!(format!("{stats:?}"), plain, "{what}: tee'd run diverged");
+    assert!(
+        every.calls.iter().all(|&n| n > 0),
+        "{what}: the partner must see every category, got {:?}",
+        every.calls
     );
+    assert_eq!(
+        read(alone),
+        read(teed),
+        "{what}: depends on the tee partner"
+    );
+}
 
-    // But a Chrome trace under aggregates-only records no timeline.
-    let mut chrome = ChromeTrace::new();
-    let (k3, launch3) = pchase_setup(&mut gpu2);
-    gpu2.launch_traced(&k3, &launch3, &mut chrome)
-        .expect("launch");
-    assert!(chrome.is_empty(), "event categories disabled → no events");
+/// The sink contract (DESIGN §4c): a sink is handed the categories it wants
+/// whatever else is attached, and no attachment perturbs the run — on a
+/// global-memory kernel and a `wgmma` kernel, for every stock sink.
+#[test]
+fn what_a_sink_receives_does_not_depend_on_its_tee_partner() {
+    let kernels: [(&str, Setup); 2] = [("pchase", pchase_setup), ("wgmma", |_| wgmma_setup())];
+    for (name, setup) in kernels {
+        alone_vs_teed::<ChromeTrace, _>(&format!("{name}/chrome"), setup, |c| {
+            assert!(!c.is_empty());
+            c.to_json()
+        });
+        alone_vs_teed::<StallProfile, _>(&format!("{name}/stall profile"), setup, |p| {
+            assert!(p.conservation_ok());
+            p
+        });
+        alone_vs_teed::<PcSampleSink, _>(&format!("{name}/pc samples"), setup, |p| {
+            assert!(p.total_issues() > 0);
+            p
+        });
+        alone_vs_teed::<CaptureSink, _>(&format!("{name}/capture"), setup, |c| {
+            let source = c.into_source();
+            assert!(source.total_records() > 0);
+            source
+        });
+    }
 }
 
 #[test]
@@ -340,7 +417,7 @@ fn pc_sampling_sums_match_stall_summary() {
         let mut gpu = Gpu::new(dev);
         let (k, launch) = pchase_setup(&mut gpu);
         let mut prof = StallProfile::default();
-        let mut pcs = hopper_sim::PcSampleSink::default();
+        let mut pcs = PcSampleSink::default();
         let mut tee = TeeSink::new(&mut prof, &mut pcs);
         gpu.launch_traced(&k, &launch, &mut tee).expect("launch");
         let s = prof.summary();

@@ -1,6 +1,6 @@
 //! Chrome-trace (`chrome://tracing` / Perfetto) JSON exporter.
 
-use crate::{IssueEvent, StallSpan, TraceSink, UnitSpan};
+use crate::{IssueEvent, StallSpan, TraceSink, UnitSpan, Wants};
 
 /// `pid` used for device-wide units (L2/DRAM ports) in the exported trace.
 const DEVICE_PID: u32 = 1_000_000;
@@ -203,6 +203,15 @@ fn span_pid(sm: u32) -> u32 {
 }
 
 impl TraceSink for ChromeTrace {
+    fn wants(&self) -> Wants {
+        Wants {
+            issue: true,
+            stall: true,
+            unit: true,
+            ..Wants::NONE
+        }
+    }
+
     fn begin_wave(&mut self, base_cycle: u64, _sms: u32, _slots_per_sm: u32) {
         self.base = base_cycle;
     }

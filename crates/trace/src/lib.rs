@@ -5,8 +5,9 @@
 //! scheduler per cycle when it can; when it cannot, the reason is one of a
 //! small set of micro-architectural conditions (scoreboard dependency,
 //! barrier wait, memory-queue backpressure, busy tensor pipe, ...). This
-//! crate defines a zero-cost-when-disabled [`TraceSink`] interface the
-//! engine feeds with typed events, plus ready-made sinks:
+//! crate defines the [`TraceSink`] interface the engine feeds with typed
+//! events — each sink declares what it consumes ([`TraceSink::wants`]) and
+//! the engine builds nothing else — plus ready-made sinks:
 //!
 //! * [`StallProfile`] — aggregates per-warp-scheduler stall-reason
 //!   histograms, a per-functional-unit occupancy table, and cache totals.
@@ -14,8 +15,8 @@
 //!   `issued + stalled + idle == total cycles` for every scheduler slot.
 //! * [`ChromeTrace`] — records per-SM / per-warp timelines and serialises
 //!   them to the Chrome `chrome://tracing` / Perfetto JSON event format.
-//! * [`NullSink`] — compiles to no-ops; the engine skips all event
-//!   construction when it is attached (or when no sink is attached).
+//! * [`NullSink`] — wants nothing; a run with it attached is an untraced
+//!   run.
 //!
 //! The crate is dependency-free; the optional `serde` feature derives
 //! `Serialize` for the report types.
@@ -100,98 +101,54 @@ impl StallReason {
     }
 }
 
-/// Which cache level a [`CacheEvent`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
-pub enum CacheLevel {
-    /// Per-SM L1 data cache.
-    L1,
-    /// Device-wide L2.
-    L2,
-    /// Address-translation (TLB) lookups; only misses are emitted.
-    Tlb,
-}
-
-impl CacheLevel {
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheLevel::L1 => "l1",
-            CacheLevel::L2 => "l2",
-            CacheLevel::Tlb => "tlb",
-        }
-    }
-}
-
-/// Per-event-category enables, threaded through `SimOptions`.
+/// What a [`TraceSink`] consumes.  The engine asks once per wave
+/// ([`TraceSink::wants`]) and constructs only these categories, so a run
+/// pays for what its sink measures and nothing else; there is no separate
+/// configuration to keep in step with the sink.
 ///
-/// Only consulted when a real sink is attached; with no sink (or a
-/// [`NullSink`]) the engine skips event construction entirely.
+/// Wave framing ([`TraceSink::begin_wave`] / [`TraceSink::end_wave`]) and
+/// [`TraceSink::dvfs_throttle`] reach every sink that wants anything.  A
+/// sink that wants nothing is not attached at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Emit [`TraceSink::issue`] events (one per issued instruction).
-    pub issue_events: bool,
-    /// Emit [`TraceSink::stall`] spans (per-warp stall intervals).
-    pub stall_events: bool,
-    /// Emit [`TraceSink::cache`] events (per-line hit/miss).
-    pub cache_events: bool,
-    /// Emit [`TraceSink::unit`] spans (functional-unit busy intervals).
-    pub unit_events: bool,
-    /// Keep per-PC accumulators in the engine and emit
-    /// [`TraceSink::pc_totals`] once per instruction per wave (the data
-    /// behind [`PcSampleSink`] and the profiler's Source/PC view).
-    pub pc_sampling: bool,
-    /// Emit [`TraceSink::instr`] events: one record per issued
-    /// instruction carrying the resolved operand payload (memory
-    /// addresses, tensor activity) needed to replay the stream through
-    /// the timing model without functional execution. Off in every
-    /// stock configuration — only trace *capture* turns it on.
-    pub instr_events: bool,
+pub struct Wants {
+    /// [`TraceSink::issue`]: one event per issued instruction.
+    pub issue: bool,
+    /// [`TraceSink::stall`]: one span per closed warp stall interval.
+    pub stall: bool,
+    /// [`TraceSink::unit`]: one span per functional-unit reservation.
+    pub unit: bool,
+    /// [`TraceSink::instr`]: one record per issued instruction carrying
+    /// its resolved operand payload (the engine gathers lane addresses and
+    /// tensor activity for it) — what trace *capture* records.
+    pub instr: bool,
+    /// [`TraceSink::pc_totals`]: the engine keeps one accumulator per
+    /// kernel instruction and reports each once per wave.
+    pub pc_totals: bool,
+    /// The end-of-wave summary: [`TraceSink::slot_totals`],
+    /// [`TraceSink::unit_busy`] and [`TraceSink::cache_totals`].
+    pub summary: bool,
 }
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            issue_events: true,
-            stall_events: true,
-            cache_events: true,
-            unit_events: true,
-            pc_sampling: true,
-            instr_events: false,
-        }
-    }
-}
+impl Wants {
+    /// Nothing ([`NullSink`]).
+    pub const NONE: Wants = Wants {
+        issue: false,
+        stall: false,
+        unit: false,
+        instr: false,
+        pc_totals: false,
+        summary: false,
+    };
 
-impl TraceConfig {
-    /// Everything needed for profiling (same as `default()`; capture
-    /// records stay off).
-    pub fn all() -> Self {
-        TraceConfig::default()
-    }
-
-    /// Aggregate-only tracing: per-slot/unit/cache/PC totals still flow
-    /// to the sink, but no per-event records are constructed.
-    pub fn aggregates_only() -> Self {
-        TraceConfig {
-            issue_events: false,
-            stall_events: false,
-            cache_events: false,
-            unit_events: false,
-            pc_sampling: true,
-            instr_events: false,
-        }
-    }
-
-    /// Trace capture: only [`TraceSink::instr`] records are emitted; all
-    /// profiling categories are off so capture overhead stays minimal.
-    pub fn capture() -> Self {
-        TraceConfig {
-            issue_events: false,
-            stall_events: false,
-            cache_events: false,
-            unit_events: false,
-            pc_sampling: false,
-            instr_events: true,
+    /// Everything either side wants ([`TeeSink`]).
+    pub fn union(self, o: Wants) -> Wants {
+        Wants {
+            issue: self.issue || o.issue,
+            stall: self.stall || o.stall,
+            unit: self.unit || o.unit,
+            instr: self.instr || o.instr,
+            pc_totals: self.pc_totals || o.pc_totals,
+            summary: self.summary || o.summary,
         }
     }
 }
@@ -219,8 +176,7 @@ pub struct IssueEvent {
 /// (lane-ascending, any DSM tag bits preserved), the global-side lane
 /// addresses for `cp.async`, the lane-0 base address for TMA and tile
 /// loads/stores, the tensor activity factor bits for `mma`/`wgmma`, and
-/// empty for everything else. Only emitted when
-/// [`TraceConfig::instr_events`] is on.
+/// empty for everything else. Only built for sinks with [`Wants::instr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrEvent<'a> {
     /// Wave-local cycle of issue.
@@ -256,21 +212,6 @@ pub struct StallSpan {
     pub end: u64,
     /// Binding stall reason over the interval.
     pub reason: StallReason,
-}
-
-/// One cache lookup outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheEvent {
-    /// Wave-local cycle of the lookup.
-    pub cycle: u64,
-    /// SM performing the access (for L2/TLB: the requesting SM).
-    pub sm: u32,
-    /// Which cache level.
-    pub level: CacheLevel,
-    /// Hit or miss.
-    pub hit: bool,
-    /// Number of 32-byte sectors moved by this line access.
-    pub sectors: u32,
 }
 
 /// A functional unit busy interval attributed to one warp's instruction.
@@ -338,11 +279,14 @@ pub struct CacheTotals {
 
 /// Receiver for engine trace events.
 ///
-/// All methods default to no-ops so sinks implement only what they need.
-/// The engine consults [`TraceSink::is_null`] once per launch and treats a
-/// `true` answer like "no sink attached", keeping the hot path free of
-/// event construction.
+/// Every event method defaults to a no-op, so a sink implements what it
+/// needs and names the same set in [`TraceSink::wants`] — the one required
+/// method, which is what keeps the engine from building events nobody
+/// reads.
 pub trait TraceSink {
+    /// The categories this sink consumes (see [`Wants`]).
+    fn wants(&self) -> Wants;
+
     /// A wave of blocks starts simulating. `base_cycle` is the device
     /// cycle at which this wave begins (waves run back-to-back);
     /// subsequent event timestamps are wave-local and should be offset by
@@ -361,8 +305,8 @@ pub trait TraceSink {
         let _ = ev;
     }
 
-    /// An instruction issued, with its resolved operand payload (only
-    /// when [`TraceConfig::instr_events`] is on — see [`InstrEvent`]).
+    /// An instruction issued, with its resolved operand payload
+    /// ([`Wants::instr`] — see [`InstrEvent`]).
     fn instr(&mut self, ev: &InstrEvent) {
         let _ = ev;
     }
@@ -370,11 +314,6 @@ pub trait TraceSink {
     /// A warp stall interval closed.
     fn stall(&mut self, span: &StallSpan) {
         let _ = span;
-    }
-
-    /// A cache lookup completed.
-    fn cache(&mut self, ev: &CacheEvent) {
-        let _ = ev;
     }
 
     /// A functional unit busy interval was reserved.
@@ -397,9 +336,9 @@ pub trait TraceSink {
         let _ = totals;
     }
 
-    /// End-of-wave per-PC sampling totals (one call per kernel
-    /// instruction that issued or bound a stall during the wave; only
-    /// emitted when [`TraceConfig::pc_sampling`] is on).
+    /// End-of-wave per-PC sampling totals ([`Wants::pc_totals`]; one call
+    /// per kernel instruction that issued or bound a stall during the
+    /// wave).
     fn pc_totals(&mut self, totals: &PcTotals) {
         let _ = totals;
     }
@@ -409,26 +348,22 @@ pub trait TraceSink {
     fn dvfs_throttle(&mut self, cycles: u64) {
         let _ = cycles;
     }
-
-    /// `true` if this sink ignores every event; lets the engine skip
-    /// event construction entirely.
-    fn is_null(&self) -> bool {
-        false
-    }
 }
 
-/// A sink that drops everything; the engine short-circuits on it.
+/// A sink that wants nothing: attaching it leaves the run untraced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn is_null(&self) -> bool {
-        true
+    fn wants(&self) -> Wants {
+        Wants::NONE
     }
 }
 
 /// Forwards every event to two sinks (e.g. a [`StallProfile`] and a
-/// [`ChromeTrace`] in the same run).
+/// [`ChromeTrace`] in the same run) and wants what either wants.  Each side
+/// may therefore be handed categories only its partner asked for; the
+/// default no-op methods drop them.
 pub struct TeeSink<'a> {
     a: &'a mut dyn TraceSink,
     b: &'a mut dyn TraceSink,
@@ -442,6 +377,9 @@ impl<'a> TeeSink<'a> {
 }
 
 impl TraceSink for TeeSink<'_> {
+    fn wants(&self) -> Wants {
+        self.a.wants().union(self.b.wants())
+    }
     fn begin_wave(&mut self, base_cycle: u64, sms: u32, slots_per_sm: u32) {
         self.a.begin_wave(base_cycle, sms, slots_per_sm);
         self.b.begin_wave(base_cycle, sms, slots_per_sm);
@@ -461,10 +399,6 @@ impl TraceSink for TeeSink<'_> {
     fn stall(&mut self, span: &StallSpan) {
         self.a.stall(span);
         self.b.stall(span);
-    }
-    fn cache(&mut self, ev: &CacheEvent) {
-        self.a.cache(ev);
-        self.b.cache(ev);
     }
     fn unit(&mut self, span: &UnitSpan) {
         self.a.unit(span);
@@ -490,9 +424,6 @@ impl TraceSink for TeeSink<'_> {
         self.a.dvfs_throttle(cycles);
         self.b.dvfs_throttle(cycles);
     }
-    fn is_null(&self) -> bool {
-        self.a.is_null() && self.b.is_null()
-    }
 }
 
 #[cfg(test)]
@@ -509,12 +440,17 @@ mod tests {
 
     #[test]
     fn null_sink_reports_null() {
-        assert!(NullSink.is_null());
-        let mut a = NullSink;
-        let mut b = NullSink;
-        assert!(TeeSink::new(&mut a, &mut b).is_null());
-        let mut p = StallProfile::default();
-        let mut n = NullSink;
-        assert!(!TeeSink::new(&mut p, &mut n).is_null());
+        assert_eq!(NullSink.wants(), Wants::NONE);
+        let (mut a, mut b) = (NullSink, NullSink);
+        assert_eq!(TeeSink::new(&mut a, &mut b).wants(), Wants::NONE);
+        let (mut p, mut c) = (StallProfile::default(), ChromeTrace::new());
+        let want = Wants {
+            issue: true,
+            stall: true,
+            unit: true,
+            summary: true,
+            ..Wants::NONE
+        };
+        assert_eq!(TeeSink::new(&mut p, &mut c).wants(), want);
     }
 }

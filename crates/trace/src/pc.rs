@@ -2,14 +2,14 @@
 //! attribution and issue-wait histograms.
 //!
 //! The engine keeps one accumulator per kernel instruction while a sink
-//! with [`crate::TraceConfig::pc_sampling`] enabled is attached.  Each
+//! that wants [`crate::Wants::pc_totals`] is attached.  Each
 //! scheduler-slot cycle that stalls is charged to the *binding* warp's
 //! current PC (the minimum-wakeup warp whose reason the slot histogram
 //! records), so summing the per-PC buckets reproduces the launch's
 //! [`crate::StallSummary::stalled`] totals exactly — the same conservation
 //! idea as the per-slot invariant, projected onto the instruction axis.
 
-use crate::{TraceSink, N_SLOT_REASONS};
+use crate::{TraceSink, Wants, N_SLOT_REASONS};
 
 /// Number of log2-spaced buckets in the issue-wait histogram.
 pub const N_WAIT_BUCKETS: usize = 16;
@@ -102,10 +102,8 @@ impl PcStat {
 /// cycles and issue-wait histograms — the data behind the profiler's
 /// Source/PC view.
 ///
-/// Uses only the aggregate [`TraceSink::pc_totals`] callback (emitted once
-/// per PC per wave), so it composes with
-/// [`crate::TraceConfig::aggregates_only`] plus `pc_sampling` at near-zero
-/// event cost.
+/// Wants only the aggregate [`TraceSink::pc_totals`] callback (emitted once
+/// per PC per wave), so a sampled run builds no per-event records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PcSampleSink {
@@ -162,6 +160,13 @@ impl PcSampleSink {
 }
 
 impl TraceSink for PcSampleSink {
+    fn wants(&self) -> Wants {
+        Wants {
+            pc_totals: true,
+            ..Wants::NONE
+        }
+    }
+
     fn begin_wave(&mut self, _base_cycle: u64, _sms: u32, _slots_per_sm: u32) {
         self.waves += 1;
     }

@@ -1,6 +1,6 @@
 //! Aggregating stall-attribution sink and its report types.
 
-use crate::{CacheTotals, SlotTotals, StallReason, TraceSink, UnitBusy, N_SLOT_REASONS};
+use crate::{CacheTotals, SlotTotals, StallReason, TraceSink, UnitBusy, Wants, N_SLOT_REASONS};
 
 /// Accumulated cycle accounting for one warp-scheduler slot, summed over
 /// all waves of a launch.
@@ -56,9 +56,8 @@ impl UnitOccupancy {
 /// Launch-wide stall attribution: per-scheduler histograms, functional
 /// unit occupancy, cache totals and DVFS losses.
 ///
-/// Implements [`TraceSink`] using only the aggregate callbacks, so it
-/// works with [`crate::TraceConfig::aggregates_only`] at near-zero
-/// overhead.
+/// Wants only the end-of-wave summary ([`Wants::summary`]), so a profiled
+/// run builds no per-event records.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct StallProfile {
@@ -273,6 +272,13 @@ fn pct(f: f64) -> String {
 }
 
 impl TraceSink for StallProfile {
+    fn wants(&self) -> Wants {
+        Wants {
+            summary: true,
+            ..Wants::NONE
+        }
+    }
+
     fn begin_wave(&mut self, _base_cycle: u64, _sms: u32, _slots_per_sm: u32) {
         self.waves += 1;
     }

@@ -23,6 +23,15 @@ if grep -nE 'self\.global\b|l2_port|dram_port|caches\.l2|caches\.tlb' $src/*.rs 
 if grep -n '\.acquire(' $src/*.rs | grep -vE "^$src/(exec|memside|mem)\.rs:"; then exit 1; fi
 if wc -l $src/*.rs | awk '$2 != "total" && $1 > 1200' | grep .; then exit 1; fi
 
+echo "== seam: a run is its arguments — no trace knob beside the sink, one launch door"
+if grep -rnE 'TraceConfig|opts\.trace|fn is_null|CacheEvent' crates/{trace,sim,prof,serve,replay,audit}/src; then exit 1; fi
+if [ "$(grep -cE '^\s*pub fn (run|launch|profile)' $src/gpu.rs)" -gt 7 ]; then
+    echo "$src/gpu.rs: more than seven public run/launch/profile entry points"; exit 1
+fi
+if [ "$(grep -cE '^\s*pub fn profile_' crates/prof/src/lib.rs)" -gt 2 ]; then
+    echo "crates/prof/src/lib.rs: more than two public profile_* functions"; exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
