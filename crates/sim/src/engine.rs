@@ -180,22 +180,29 @@ enum WarpStatus {
     Done,
 }
 
+/// `repr(C)` keeps declaration order: the fields every scan examination and
+/// the refusal memo read come first, side by side in the first 40 bytes.
+#[repr(C)]
 struct WarpState {
+    next_ready: u64,
+    /// Earliest cycle a retry can possibly succeed (set on stall; stalls
+    /// only ever resolve at known future times in this engine).
+    retry_at: u64,
+    pc: usize,
+    /// The SM the warp's block runs on.
+    sm: usize,
+    status: WarpStatus,
+    /// The gate that refused the last attempt, kept until the warp issues.
+    refused_by: Option<Gate>,
+    active: u32,
     block: usize,
     warp_in_block: usize,
     scheduler: usize,
-    pc: usize,
-    active: u32,
     /// regs[r * 32 + lane]
     regs: Vec<u64>,
     reg_ready: Vec<u64>,
     pred: [u32; NUM_PREDS],
     pred_ready: [u64; NUM_PREDS],
-    status: WarpStatus,
-    next_ready: u64,
-    /// Earliest cycle a retry can possibly succeed (set on stall; stalls
-    /// only ever resolve at known future times in this engine).
-    retry_at: u64,
     /// Uncommitted cp.async completion times.
     cp_pending: f64,
     /// Committed cp.async groups (completion times, FIFO).
@@ -473,18 +480,20 @@ impl<'a> Engine<'a> {
                     (1u32 << threads_left) - 1
                 };
                 let mut ws = WarpState {
+                    next_ready: dispatch_at,
+                    retry_at: 0,
+                    pc: 0,
+                    sm: spec.sm,
+                    status: WarpStatus::Ready,
+                    refused_by: None,
+                    active,
                     block: bi,
                     warp_in_block: w,
                     scheduler: sm_warp_count[spec.sm] % 4,
-                    pc: 0,
-                    active,
                     regs: vec![0u64; nregs * 32],
                     reg_ready: vec![0u64; nregs],
                     pred: [0; NUM_PREDS],
                     pred_ready: [0; NUM_PREDS],
-                    status: WarpStatus::Ready,
-                    next_ready: dispatch_at,
-                    retry_at: 0,
                     cp_pending: 0.0,
                     cp_groups: Vec::new(),
                     stall_reason: StallReason::Dispatch,
@@ -1028,9 +1037,22 @@ struct PcAcc {
     wait_hist: [u64; N_WAIT_BUCKETS],
 }
 
-/// A refused issue attempt: the earliest cycle worth retrying at, plus the
-/// micro-architectural reason (trace attribution).
-struct Stalled(u64, StallReason);
+/// A refused issue attempt: the earliest cycle worth retrying at, the
+/// micro-architectural reason (trace attribution), and the admission gate
+/// that refused it when that was a [`Unit`]-table door — the warp keeps it
+/// and re-checks only that gate until it issues (DESIGN.md §4d point 7).
+#[derive(Debug, PartialEq, Eq)]
+struct Stalled(u64, StallReason, Option<Gate>);
+
+/// An admission check an issue attempt can be refused at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// The row of [`Unit::ALL`] at this index ([`Engine::admit`]).
+    Unit(u8),
+    /// Global-memory admission: the SM's L1 port, then the memory side's
+    /// backpressure (`admit_global`).
+    Global,
+}
 
 /// Result of an issue attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,9 @@
 //! the ALU, FP, DPX and tensor-core instructions.  Memory instructions
 //! dispatch to `lsu.rs`.
 
-use super::{Engine, IssueResult, SimFaultKind, Stalled, WarpStatus, DSM_TAG, MEM_QUEUE_DEPTH};
+use super::{
+    Engine, Gate, IssueResult, SimFaultKind, Stalled, WarpStatus, DSM_TAG, MEM_QUEUE_DEPTH,
+};
 use crate::power;
 use crate::replay::ReplayRec;
 use crate::tc_timing;
@@ -36,6 +38,8 @@ enum Admit {
 pub struct Unit {
     /// Name in unit spans and occupancy records.
     pub name: &'static str,
+    /// Index of this row in [`Unit::ALL`] (what a refusal's [`Gate`] holds).
+    row: u8,
     /// Index of the unit's limiter in `SmState::units`.
     limiter: usize,
     admit: Admit,
@@ -46,10 +50,12 @@ pub struct Unit {
 /// Limiters per SM: one per [`Unit::ALL`] row but the last.
 pub(super) const N_UNITS: usize = 12;
 
-const fn unit(name: &'static str, limiter: usize, admit: Admit, stall: StallReason) -> Unit {
+/// A row whose limiter is its own index; only [`Unit::INT_SEQ`] shares one.
+const fn unit(name: &'static str, row: usize, admit: Admit, stall: StallReason) -> Unit {
     Unit {
         name,
-        limiter,
+        row: row as u8,
+        limiter: row,
         admit,
         stall,
     }
@@ -82,7 +88,10 @@ impl Unit {
     }
     /// The integer pipe as a multi-instruction sequence holds it (emulated
     /// DPX, lowered INT4 `mma`): [`Unit::INT`]'s limiter, deeper slack.
-    pub const INT_SEQ: Unit = unit("int", 0, Admit::Backlog(4), StallReason::MathPipeBusy);
+    pub const INT_SEQ: Unit = Unit {
+        row: N_UNITS as u8,
+        ..unit("int", 0, Admit::Backlog(4), StallReason::MathPipeBusy)
+    };
 
     /// Every row, limiter-major: the first [`N_UNITS`] are one per limiter
     /// in the order the end-of-wave occupancy records leave in.
@@ -103,6 +112,15 @@ impl Unit {
     ];
 }
 
+// A refusal names its row by index; every row must sit at its own.
+const _: () = {
+    let mut i = 0;
+    while i < Unit::ALL.len() {
+        assert!(Unit::ALL[i].row as usize == i);
+        i += 1;
+    }
+};
+
 impl<'a> Engine<'a> {
     // ------------------------------------------------------------ units
 
@@ -117,7 +135,16 @@ impl<'a> Engine<'a> {
             Admit::Queue if free > now + MEM_QUEUE_DEPTH => free as u64,
             _ => return Ok(()),
         };
-        Err(Stalled(until, unit.stall))
+        Err(Stalled(until, unit.stall, Some(Gate::Unit(unit.row))))
+    }
+
+    /// Ask `gate` again, exactly as the door that set it asks.
+    #[inline]
+    fn readmit(&mut self, sm: usize, gate: Gate, now: f64) -> Result<(), Stalled> {
+        match gate {
+            Gate::Unit(row) => self.admit(sm, Unit::ALL[row as usize], now),
+            Gate::Global => self.admit_global(sm, now),
+        }
     }
 
     /// Occupy `unit` for `cost` cycles from `now` without an admission
@@ -153,7 +180,21 @@ impl<'a> Engine<'a> {
         if ws.next_ready > now {
             return IssueResult::Stalled(ws.next_ready, StallReason::Dispatch);
         }
-        let pc = ws.pc;
+        let (pc, sm) = (ws.pc, ws.sm);
+
+        // A warp refused at a gate has not issued since, so every check in
+        // front of that gate still passes: ask the gate alone (DESIGN.md
+        // §4d point 7).  A local-only step leaves shared-class
+        // instructions to the `NeedsShared` hand-back below.
+        if let Some(gate) = ws.refused_by {
+            if !(local_only && self.decoded[pc].shared) {
+                if let Err(refusal) = self.readmit(sm, gate, now as f64) {
+                    #[cfg(debug_assertions)]
+                    self.check_refusal(w, now, &refusal);
+                    return IssueResult::Stalled(refusal.0, refusal.1);
+                }
+            }
+        }
 
         // Data-dependency check.
         let ready_at = self.deps_ready_at(w, pc);
@@ -172,12 +213,13 @@ impl<'a> Engine<'a> {
         // `self` so the borrow of the instruction doesn't pin `self` (and
         // no clone per attempt).
         let kernel: &Kernel = self.kernel;
-        if let Err(Stalled(until, reason)) = self.execute(w, &kernel.instrs[pc], now) {
+        if let Err(Stalled(until, reason, gate)) = self.execute(w, &kernel.instrs[pc], now) {
+            self.warps[w].refused_by = gate;
             return IssueResult::Stalled(until, reason);
         }
-        let sm = self.sm_of(w);
         self.sm_metrics[sm].instructions += 1;
         let ws = &mut self.warps[w];
+        ws.refused_by = None;
         ws.next_ready = ws.next_ready.max(now + 1);
         // Replay: follow the recorded PC sequence (this is what resolves
         // branches, whose guards are never evaluated).
@@ -202,6 +244,26 @@ impl<'a> Engine<'a> {
         regs.fold(pred, u64::max)
     }
 
+    /// Debug oracle for the refusal memo: re-derive `memo` the long way —
+    /// scoreboard, then `execute` — and demand the identical verdict.  A
+    /// refused `execute` commits nothing, so the check leaves no trace.
+    #[cfg(debug_assertions)]
+    fn check_refusal(&mut self, w: usize, now: u64, memo: &Stalled) {
+        let pc = self.warps[w].pc;
+        let ready_at = self.deps_ready_at(w, pc);
+        assert!(
+            ready_at <= now,
+            "warp {w} pc {pc}: memo hid a scoreboard stall"
+        );
+        let kernel: &Kernel = self.kernel;
+        let full = self.execute(w, &kernel.instrs[pc], now);
+        assert_eq!(
+            full.as_ref().err(),
+            Some(memo),
+            "warp {w} pc {pc} cycle {now}: the memo's refusal differs from execute's"
+        );
+    }
+
     /// Debug touch-audit: a register the datapath reads or writes while
     /// issuing must be listed by `Instr::operands` for the issuing PC, or
     /// the scoreboard and the validator are blind to it.
@@ -221,7 +283,7 @@ impl<'a> Engine<'a> {
     /// advances on the way out unless the arm set it (taken branch, exit).
     fn execute(&mut self, w: usize, instr: &Instr, nowc: u64) -> Result<(), Stalled> {
         let now = nowc as f64;
-        let sm = self.sm_of(w);
+        let sm = self.warps[w].sm;
         if self.tr.wants.instr {
             // Stalled attempts may leave pushes behind; the payload is
             // only read after an Issued outcome, so clearing here keeps
@@ -379,7 +441,7 @@ impl<'a> Engine<'a> {
             }
             Instr::CpAsyncWait { groups } => {
                 if let Some(until) = wait_groups(&mut self.warps[w].cp_groups, *groups, now) {
-                    return Err(Stalled(until, StallReason::TmaInFlight));
+                    return Err(Stalled(until, StallReason::TmaInFlight, None));
                 }
             }
             Instr::TmaCopy {
@@ -398,7 +460,7 @@ impl<'a> Engine<'a> {
             }
             Instr::WgmmaWait { groups } => {
                 if let Some(until) = wait_groups(&mut self.wgmma_pipe(w).1, *groups, now) {
-                    return Err(Stalled(until, StallReason::TensorPipeBusy));
+                    return Err(Stalled(until, StallReason::TensorPipeBusy, None));
                 }
             }
             Instr::LdTile {
@@ -482,10 +544,6 @@ impl<'a> Engine<'a> {
     }
 
     // ------------------------------------------------------------- helpers
-
-    pub(super) fn sm_of(&self, w: usize) -> usize {
-        self.blocks[self.warps[w].block].spec.sm
-    }
 
     #[inline]
     pub(super) fn finish_reg(&mut self, w: usize, r: Reg, at: u64) {
@@ -648,7 +706,7 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(0);
         if dep > nowc {
-            return Err(Stalled(dep, StallReason::Scoreboard));
+            return Err(Stalled(dep, StallReason::Scoreboard, None));
         }
 
         // Hopper INT4 falls back to IMAD on the integer pipe (Table VI).

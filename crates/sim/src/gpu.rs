@@ -24,6 +24,10 @@ use std::sync::Arc;
 /// grids keep complete functional side effects.
 const COSIM_MAX_BLOCKS: u64 = 32;
 
+/// Words per host-copy chunk of [`Gpu::write_u32s`]/[`Gpu::read_u32s`]:
+/// one 4 KiB page.
+const U32_CHUNK: usize = 1024;
+
 /// Launch geometry.
 #[derive(Debug, Clone)]
 pub struct Launch {
@@ -310,18 +314,30 @@ impl Gpu {
         self.mem.read_bytes(addr, n)
     }
 
-    /// Write a slice of little-endian u32s.
+    /// Write a slice of little-endian u32s, a page's worth at a time
+    /// through a stack buffer (no copy of the whole input).
     pub fn write_u32s(&mut self, addr: u64, vals: &[u32]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.mem.write_scalar(addr + 4 * i as u64, 4, v as u64);
+        let mut buf = [0u8; U32_CHUNK * 4];
+        for (i, chunk) in vals.chunks(U32_CHUNK).enumerate() {
+            for (b, v) in buf.chunks_exact_mut(4).zip(chunk) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            let at = addr + (i * U32_CHUNK * 4) as u64;
+            self.mem.write_bytes(at, &buf[..chunk.len() * 4]);
         }
     }
 
-    /// Read a slice of little-endian u32s.
+    /// Read a slice of little-endian u32s, a page's worth at a time.
     pub fn read_u32s(&self, addr: u64, n: usize) -> Vec<u32> {
-        (0..n)
-            .map(|i| self.mem.read_scalar(addr + 4 * i as u64, 4) as u32)
-            .collect()
+        let mut out = Vec::with_capacity(n);
+        let mut buf = [0u8; U32_CHUNK * 4];
+        while out.len() < n {
+            let bytes = &mut buf[..(n - out.len()).min(U32_CHUNK) * 4];
+            self.mem.read_into(addr + out.len() as u64 * 4, bytes);
+            let words = bytes.chunks_exact(4);
+            out.extend(words.map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        }
+        out
     }
 
     /// Direct access to backing memory (test setup).

@@ -6,7 +6,7 @@
 
 use super::exec::Unit;
 use super::memside::Fetch;
-use super::{Engine, SimFaultKind, Stalled, CP_ASYNC_EXTRA_LATENCY, DSM_TAG};
+use super::{Engine, Gate, SimFaultKind, Stalled, CP_ASYNC_EXTRA_LATENCY, DSM_TAG};
 use crate::mem::{bank_conflict_degree, coalesce_sectors_into};
 use crate::power;
 use crate::replay::ReplayRec;
@@ -115,6 +115,41 @@ impl Engine<'_> {
         }
     }
 
+    /// [`Self::read_mem`] at each of `addrs` in order, into `out`; global
+    /// memory resolves a page once per run of same-page addresses.
+    fn read_many(
+        &mut self,
+        (w, sm): (usize, usize),
+        space: MemSpace,
+        n: u64,
+        addrs: &[u64],
+        out: &mut [u64],
+    ) {
+        if space == MemSpace::Global {
+            return self.shared(sm).0.global().read_scalars(n, addrs, out);
+        }
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = self.read_mem((w, sm), space, a, n);
+        }
+    }
+
+    /// [`Self::write_mem`] of each `(addr, v)` in order; global memory
+    /// resolves a page once per run of same-page addresses.
+    fn write_many(
+        &mut self,
+        (w, sm): (usize, usize),
+        space: MemSpace,
+        n: u64,
+        writes: &[(u64, u64)],
+    ) {
+        if space == MemSpace::Global {
+            return self.shared(sm).0.global().write_scalars(n, writes);
+        }
+        for &(a, v) in writes {
+            self.write_mem((w, sm), space, a, n, v);
+        }
+    }
+
     /// Bank-conflict degree, honouring the ablation toggle.
     fn conflict_degree(&self, addrs: impl Iterator<Item = u64>, width: u64) -> f64 {
         if self.cfg.opts.model_bank_conflicts {
@@ -157,10 +192,12 @@ impl Engine<'_> {
     // ------------------------------------------------------- global memory
 
     /// Admission of a global `ld`/`st`/`cp.async`: room in the SM's L1
-    /// port queue and no backpressure from the memory side.
-    fn admit_global(&mut self, sm: usize, now: f64) -> Result<(), Stalled> {
-        self.admit(sm, Unit::L1_PORT, now)?;
-        self.shared(sm).0.backpressure(now)
+    /// port queue and no backpressure from the memory side.  Either refusal
+    /// names the pair, so a retry re-asks both in this order.
+    pub(super) fn admit_global(&mut self, sm: usize, now: f64) -> Result<(), Stalled> {
+        let gated = |Stalled(until, reason, _)| Stalled(until, reason, Some(Gate::Global));
+        self.admit(sm, Unit::L1_PORT, now).map_err(gated)?;
+        self.shared(sm).0.backpressure(now).map_err(gated)
     }
 
     /// Timing of a coalesced global access: the SM's L1 port and L1 tags,
@@ -222,11 +259,11 @@ impl Engine<'_> {
         (l1_done.max(served) + tlb_penalty).ceil() as u64
     }
 
-    /// Admission and timing of a `ld`/`st`, one path per space: the L1 port
-    /// and the memory side for global; for shared, bank-conflict
-    /// serialisation on the SM's own port or bandwidth only on the DSM
-    /// network.  Returns the cycle a load's data is back, and whether a
-    /// shared access left the SM.
+    /// Timing of a `ld`/`st`, one path per space: the L1 port and the
+    /// memory side for global (admitted by the caller before it gathered
+    /// lanes); for shared, admission and bank-conflict serialisation on the
+    /// SM's own port or bandwidth only on the DSM network.  Returns the
+    /// cycle a load's data is back, and whether a shared access left the SM.
     fn ldst_time(
         &mut self,
         (w, sm): (usize, usize),
@@ -236,7 +273,6 @@ impl Engine<'_> {
         now: f64,
     ) -> Result<(u64, bool), Stalled> {
         if space == MemSpace::Global {
-            self.admit_global(sm, now)?;
             let addrs = lanes.iter().map(|&(_, a)| a);
             return Ok((self.global_access((w, sm), addrs, bytes, cop, now), false));
         }
@@ -266,6 +302,9 @@ impl Engine<'_> {
         addr: AddrExpr,
         now: f64,
     ) -> Result<(), Stalled> {
+        if space == MemSpace::Global {
+            self.admit_global(sm, now)?;
+        }
         let mut abuf = [(0usize, 0u64); 32];
         let lanes = self.issue_lanes(w, addr, &mut abuf);
         let bytes = width.bytes();
@@ -279,12 +318,25 @@ impl Engine<'_> {
             self.sm_metrics[sm].energy_j += lanes.len() as f64 * bytes as f64 * per_byte;
         }
         if !self.replaying() {
-            for &(lane, a) in lanes {
-                let lo = self.read_mem((w, sm), space, a, bytes.min(8));
-                self.warps[w].regs[dst.0 as usize * 32 + lane] = lo;
-                if width == Width::B16 {
-                    let hi = self.read_mem((w, sm), space, a + 8, 8);
-                    self.warps[w].regs[(dst.0 + 1) as usize * 32 + lane] = hi;
+            // Lane-major ≤ 8-byte accesses: `.v4` adds a second one 8 bytes
+            // up, into the pair's second register.
+            let wide = width == Width::B16;
+            let k = 1 + wide as usize;
+            let (mut addrs, mut vals) = ([0u64; 64], [0u64; 64]);
+            for (&(_, a), at) in lanes.iter().zip(addrs.chunks_exact_mut(k)) {
+                at[0] = a;
+                if wide {
+                    at[1] = a + 8;
+                }
+            }
+            let n = lanes.len() * k;
+            self.read_many((w, sm), space, bytes.min(8), &addrs[..n], &mut vals[..n]);
+            let (lo, hi) = (dst.0 as usize * 32, (dst.0 + 1) as usize * 32);
+            let regs = &mut self.warps[w].regs;
+            for (&(lane, _), v) in lanes.iter().zip(vals.chunks_exact(k)) {
+                regs[lo + lane] = v[0];
+                if wide {
+                    regs[hi + lane] = v[1];
                 }
             }
         }
@@ -304,20 +356,26 @@ impl Engine<'_> {
         addr: AddrExpr,
         now: f64,
     ) -> Result<(), Stalled> {
+        if space == MemSpace::Global {
+            self.admit_global(sm, now)?;
+        }
         let mut abuf = [(0usize, 0u64); 32];
         let lanes = self.issue_lanes(w, addr, &mut abuf);
         let bytes = width.bytes();
         // Stores are fire-and-forget; they still consume bandwidth.
         self.ldst_time((w, sm), (space, CacheOp::Cg), lanes, bytes, now)?;
         if !self.replaying() {
-            for &(lane, a) in lanes {
-                let lo = self.read_reg(w, src, lane);
-                self.write_mem((w, sm), space, a, bytes.min(8), lo);
-                if width == Width::B16 {
-                    let hi = self.read_reg(w, Reg(src.0 + 1), lane);
-                    self.write_mem((w, sm), space, a + 8, 8, hi);
+            // Lane-major like `load`'s, so a later lane wins an overlap.
+            let wide = width == Width::B16;
+            let k = 1 + wide as usize;
+            let mut writes = [(0u64, 0u64); 64];
+            for (&(lane, a), at) in lanes.iter().zip(writes.chunks_exact_mut(k)) {
+                at[0] = (a, self.read_reg(w, src, lane));
+                if wide {
+                    at[1] = (a + 8, self.read_reg(w, Reg(src.0 + 1), lane));
                 }
             }
+            self.write_many((w, sm), space, bytes.min(8), &writes[..lanes.len() * k]);
         }
         Ok(())
     }
@@ -331,12 +389,14 @@ impl Engine<'_> {
         src: Operand,
         now: f64,
     ) -> Result<(), Stalled> {
+        if space == MemSpace::Global {
+            self.admit(sm, Unit::L1_PORT, now)?;
+        }
         let mut abuf = [(0usize, 0u64); 32];
         let lanes = self.issue_lanes(w, addr, &mut abuf);
         let done = match space {
             MemSpace::Global => {
-                // Atomics resolve at L2.
-                self.admit(sm, Unit::L1_PORT, now)?;
+                // Atomics resolve at L2 (admitted above, before the lanes).
                 let (mem, tr, m) = self.shared(sm);
                 mem.atomic(now, lanes.len(), w, m, tr) as u64
             }

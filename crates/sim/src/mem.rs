@@ -107,11 +107,7 @@ impl GlobalMem {
             let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
                 return 0;
             };
-            let mut v = 0u64;
-            for i in 0..n as usize {
-                v |= (p[off + i] as u64) << (8 * i);
-            }
-            v
+            le_read(&p[off..off + n as usize])
         } else {
             let mut v = 0u64;
             for i in 0..n {
@@ -127,13 +123,52 @@ impl GlobalMem {
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + n as usize <= PAGE_SIZE {
             let p = self.page_mut(addr);
-            for i in 0..n as usize {
-                p[off + i] = (v >> (8 * i)) as u8;
-            }
+            p[off..off + n as usize].copy_from_slice(&v.to_le_bytes()[..n as usize]);
         } else {
             for i in 0..n {
                 self.write_u8(addr + i, (v >> (8 * i)) as u8);
             }
+        }
+    }
+
+    /// [`Self::read_scalar`] at each of `addrs` in order, into `out` (a warp's
+    /// lanes): one page lookup per run of same-page addresses instead of
+    /// one per access.
+    pub fn read_scalars(&self, n: u64, addrs: &[u64], out: &mut [u64]) {
+        let (mut page, mut data) = (u64::MAX, None);
+        for (o, &addr) in out.iter_mut().zip(addrs) {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            if off + n as usize > PAGE_SIZE {
+                *o = self.read_scalar(addr, n);
+                continue;
+            }
+            if addr >> PAGE_SHIFT != page {
+                page = addr >> PAGE_SHIFT;
+                data = self.pages.get(&page);
+            }
+            *o = data.map_or(0, |p| le_read(&p[off..off + n as usize]));
+        }
+    }
+
+    /// [`Self::write_scalar`] of each `(addr, v)` in order (a warp's lanes;
+    /// a later lane wins an overlap): one page lookup per run of same-page
+    /// addresses instead of one per access.
+    pub fn write_scalars(&mut self, n: u64, writes: &[(u64, u64)]) {
+        let mut cur: Option<(u64, &mut [u8; PAGE_SIZE])> = None;
+        for &(addr, v) in writes {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            if off + n as usize > PAGE_SIZE {
+                cur = None;
+                self.write_scalar(addr, n, v);
+                continue;
+            }
+            let page = addr >> PAGE_SHIFT;
+            let p = match cur.take() {
+                Some((q, p)) if q == page => p,
+                _ => self.page_mut(addr),
+            };
+            p[off..off + n as usize].copy_from_slice(&v.to_le_bytes()[..n as usize]);
+            cur = Some((page, p));
         }
     }
 
@@ -154,18 +189,32 @@ impl GlobalMem {
     /// pages read as zeros without materialising.
     pub fn read_bytes(&self, addr: u64, n: usize) -> Vec<u8> {
         let mut out = vec![0u8; n];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// [`Self::read_bytes`] into a caller's buffer.
+    pub fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut filled = 0usize;
-        while filled < n {
+        while filled < out.len() {
             let a = addr + filled as u64;
             let off = (a as usize) & (PAGE_SIZE - 1);
-            let chunk = (PAGE_SIZE - off).min(n - filled);
-            if let Some(p) = self.pages.get(&(a >> PAGE_SHIFT)) {
-                out[filled..filled + chunk].copy_from_slice(&p[off..off + chunk]);
+            let chunk = (PAGE_SIZE - off).min(out.len() - filled);
+            let dst = &mut out[filled..filled + chunk];
+            match self.pages.get(&(a >> PAGE_SHIFT)) {
+                Some(p) => dst.copy_from_slice(&p[off..off + chunk]),
+                None => dst.fill(0),
             }
             filled += chunk;
         }
-        out
     }
+}
+
+/// Little-endian value of up to 8 bytes.
+fn le_read(bytes: &[u8]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
 }
 
 /// A throughput limiter: a pipe that serves work at a fixed rate.
@@ -291,13 +340,23 @@ pub fn coalesce_sectors_into(addrs: impl Iterator<Item = u64>, width: u64, out: 
     // A zero-width access still touches its base sector; without the clamp
     // `a + width - 1` wraps below and panics in debug builds.
     let width = width.max(1);
+    // Largest sector pushed so far: anything above it is new, and the last
+    // one pushed is not, so ascending lanes (the common case) never scan.
+    let mut max = 0u64;
     for a in addrs {
         // An access may straddle sector boundaries (16B at offset 24).
         let first = a / 32;
         let last = (a + width - 1) / 32;
         for s in first..=last {
-            if !out.contains(&(s * 32)) {
-                out.push(s * 32);
+            let sec = s * 32;
+            let new = if out.is_empty() || sec > max {
+                true
+            } else {
+                out.last() != Some(&sec) && !out.contains(&sec)
+            };
+            if new {
+                out.push(sec);
+                max = max.max(sec);
             }
         }
     }
@@ -343,6 +402,8 @@ pub fn bank_conflict_degree(addrs: impl Iterator<Item = u64>, width: u64) -> u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn global_roundtrip() {
@@ -475,6 +536,83 @@ mod tests {
         assert_eq!(bank_conflict_degree((0..32u64).map(|_| 0), 4), 1);
         // Stride 8B: 2-way conflict.
         assert_eq!(bank_conflict_degree((0..32u64).map(|l| l * 8), 4), 2);
+    }
+
+    /// The coalescer before its fast path: the oracle for the property below.
+    fn coalesce_reference(addrs: &[u64], width: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        let width = width.max(1);
+        for &a in addrs {
+            for s in a / 32..=(a + width - 1) / 32 {
+                if !out.contains(&(s * 32)) {
+                    out.push(s * 32);
+                }
+            }
+        }
+        out
+    }
+
+    /// A warp's lane addresses: random, strided ascending (straddling and
+    /// repeating strides included), or strided in a random lane order.
+    fn lanes() -> impl Strategy<Value = Vec<u64>> {
+        let strided = |(base, stride): (u64, u64)| (0..32).map(move |l| base + l * stride);
+        prop_oneof![
+            vec(0u64..1 << 14, 0..33),
+            (0u64..1 << 14, 0u64..80).prop_map(move |bs| strided(bs).collect()),
+            (0u64..1 << 14, 0u64..80, vec(0u64..1 << 20, 32)).prop_map(move |(b, s, keys)| {
+                let mut keyed: Vec<(u64, u64)> = keys.into_iter().zip(strided((b, s))).collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|(_, a)| a).collect()
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// Same sectors in the same order (it feeds L1/L2 LRU order).
+        #[test]
+        fn coalescer_matches_reference(
+            addrs in lanes(),
+            width in prop_oneof![Just(0u64), Just(4), Just(8), Just(16), 0u64..40],
+        ) {
+            let mut out = vec![7];
+            coalesce_sectors_into(addrs.iter().copied(), width, &mut out);
+            prop_assert_eq!(out, coalesce_reference(&addrs, width));
+        }
+
+        /// The page-memoised lane reader and writer agree with one scalar
+        /// access per lane, page-crossing lanes and overlaps included.
+        #[test]
+        fn lane_reader_and_writer_match_scalar_path(
+            offs in vec(0u64..3 * PAGE_SIZE as u64, 0..65),
+            n in 1u64..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (mut bulk, mut scalar) = (GlobalMem::new(), GlobalMem::new());
+            let base = bulk.alloc(4 * PAGE_SIZE as u64);
+            scalar.alloc(4 * PAGE_SIZE as u64);
+            let writes: Vec<(u64, u64)> = offs
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| (base + o, seed.rotate_left(i as u32) ^ o))
+                .collect();
+            bulk.write_scalars(n, &writes);
+            for &(a, v) in &writes {
+                scalar.write_scalar(a, n, v);
+            }
+            let span = 4 * PAGE_SIZE;
+            prop_assert_eq!(bulk.read_bytes(base, span), scalar.read_bytes(base, span));
+            prop_assert_eq!(bulk.pages.len(), scalar.pages.len());
+            // Written lanes, then as many in pages nobody touched.
+            let untouched = offs.iter().map(|&o| base + span as u64 + o);
+            let addrs: Vec<u64> = writes.iter().map(|&(a, _)| a).chain(untouched).collect();
+            let mut got = [0u64; 128];
+            bulk.read_scalars(n, &addrs, &mut got);
+            for (&g, &a) in got.iter().zip(&addrs) {
+                prop_assert_eq!(g, scalar.read_scalar(a, n));
+            }
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl<'a> MemSide<'a> {
             let lag = port.backlog(now);
             if lag > window {
                 let until = (now + lag - window) as u64;
-                return Err(Stalled(until, StallReason::MioQueueFull));
+                return Err(Stalled(until, StallReason::MioQueueFull, None));
             }
         }
         Ok(())

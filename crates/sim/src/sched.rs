@@ -162,7 +162,9 @@ impl Engine<'_> {
             run.earliest = run.earliest.min(st.sleep_min);
             return false;
         }
-        let start = self.sms[sm].last_sched[sched] % candidates.len();
+        // Only ever set to a roster position of this slot.
+        let start = self.sms[sm].last_sched[sched];
+        debug_assert!(start < candidates.len());
         let low_mask = (1u64 << start) - 1;
         let (mut ready, mut sleep, mut sleep_min) = (st.ready, st.sleep, st.sleep_min);
         let mut issued = false;

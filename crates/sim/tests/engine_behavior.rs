@@ -438,6 +438,27 @@ fn cluster_launch_rejected_off_hopper() {
     assert!(matches!(err, hopper_sim::LaunchError::Unsupported(_)));
 }
 
+/// The page-at-a-time host copies leave exactly the bytes one scalar write
+/// per word leaves, across page boundaries, and read them back the same.
+#[test]
+fn bulk_u32_copies_match_scalar_words() {
+    let vals: Vec<u32> = (0..3000u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+    let (mut bulk, mut scalar) = (h800(), h800());
+    let buf = bulk.alloc(4 << 12).unwrap();
+    scalar.alloc(4 << 12).unwrap();
+    // Start 2 bytes short of a page end so words straddle the boundaries.
+    let at = buf + 4094;
+    bulk.write_u32s(at, &vals);
+    for (i, &v) in vals.iter().enumerate() {
+        scalar
+            .mem_mut()
+            .write_scalar(at + 4 * i as u64, 4, v as u64);
+    }
+    assert_eq!(bulk.read(buf, 4 << 12), scalar.read(buf, 4 << 12));
+    assert_eq!(bulk.read_u32s(at, vals.len()), vals);
+    assert_eq!(bulk.read_u32s(at + 8, 0), Vec::<u32>::new());
+}
+
 /// The launch path is a front door too: a `Kernel` literal whose declared
 /// footprint lies (or that has no closing `exit`, or too many parameters
 /// for the register file) is a typed error, not an engine index panic —

@@ -604,6 +604,142 @@ fn equivalent_cluster_release_pulls_back_a_sleeping_sm() {
     assert_eq!(a.2.as_bytes(), b.2.as_bytes(), "Chrome traces differ");
 }
 
+/// RTX 4090's narrow FP64 pipe under 32 warps per SM: most attempts are
+/// refused at the `fp64` row.
+fn fp64_loop_setup(_gpu: &mut Gpu) -> (Kernel, Launch) {
+    let k = assemble_named(
+        r#"
+        mov %r1, %tid.x;
+        mov.s32 %r2, 1;
+        mov.s32 %r3, 3;
+        mov.s32 %r4, 0;
+    LOOP:
+        fma.f64 %r2, %r2, %r3, %r1;
+        fma.f64 %r5, %r3, %r3, %r1;
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, 16;
+        @%p0 bra LOOP;
+        exit;
+    "#,
+        "fp64_loop",
+    )
+    .expect("assembles");
+    (k, Launch::new(2, 1024))
+}
+
+/// A100 has no DPX units: independent DPX ops become integer-pipe
+/// sequences and are refused at the `INT_SEQ` row.
+fn dpx_emulated_setup(_gpu: &mut Gpu) -> (Kernel, Launch) {
+    let k = assemble_named(
+        r#"
+        mov %r1, %tid.x;
+        mov.s32 %r4, 0;
+    LOOP:
+        dpx.viaddmax_s32 %r5, %r1, %r4, 7;
+        dpx.viaddmax_s32 %r6, %r4, %r1, 9;
+        dpx.viaddmax_s32 %r7, %r1, %r1, 3;
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, 12;
+        @%p0 bra LOOP;
+        exit;
+    "#,
+        "dpx_emulated",
+    )
+    .expect("assembles");
+    (k, Launch::new(2, 1024))
+}
+
+/// `.cg.v4` loads flooding L2 from four SMs, with global atomics on the
+/// same lines: refusals at the global-admission pair (L1 port, then L2/DRAM
+/// backpressure) and at the atomics' L1 port, on shared-class instructions.
+fn l2_flood_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
+    let buf = gpu.alloc((1 << 18) + 64).expect("alloc");
+    let words: Vec<u32> = (0..1u32 << 16)
+        .map(|i| i.wrapping_mul(0x9e37_79b9))
+        .collect();
+    gpu.write_u32s(buf, &words);
+    let k = assemble_named(
+        r#"
+        mov %r1, %tid.x;
+        mov %r2, %ctaid.x;
+        mad.s32 %r3, %r2, 1024, %r1;
+        shl.s32 %r3, %r3, 4;
+        and.s32 %r3, %r3, 262143;
+        add.s32 %r3, %r3, %r0;
+        mov.s32 %r4, 0;
+    LOOP:
+        ld.global.cg.v4 %r6, [%r3];
+        ld.global.cg.v4 %r8, [%r3+32];
+        atom.global.add.b32 [%r3+12], 1;
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, 8;
+        @%p0 bra LOOP;
+        st.global.v4 [%r3], %r8;
+        exit;
+    "#,
+        "l2_flood_v4",
+    )
+    .expect("assembles");
+    (k, Launch::new(4, 1024).with_params(vec![buf]))
+}
+
+/// Table XIII's 8×8 tile: 64-thread blocks staging through `cp.async`,
+/// sixteen per SM (the representative-SM path), contending for the L1
+/// port and the shared-memory port.
+fn cp_async_8x8_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
+    let buf = gpu.alloc(1 << 16).expect("alloc");
+    let words: Vec<u32> = (0..1u32 << 14).collect();
+    gpu.write_u32s(buf, &words);
+    let k = assemble_named(
+        r#"
+        .shared 512;
+        mov %r1, %tid.x;
+        mov %r2, %ctaid.x;
+        shl.s32 %r3, %r1, 2;
+        mad.s32 %r4, %r2, 64, %r1;
+        shl.s32 %r4, %r4, 2;
+        and.s32 %r4, %r4, 65535;
+        add.s32 %r4, %r4, %r0;
+        mov.s32 %r5, 0;
+        mov.s32 %r7, 0;
+    LOOP:
+        cp.async.cg.shared.global [%r3], [%r4], 4;
+        cp.async.commit_group;
+        cp.async.wait_group 0;
+        bar.sync;
+        ld.shared.b32 %r6, [%r3];
+        add.s32 %r7, %r7, %r6;
+        bar.sync;
+        add.s32 %r5, %r5, 1;
+        setp.lt.s32 %p0, %r5, 8;
+        @%p0 bra LOOP;
+        exit;
+    "#,
+        "cp_async_8x8",
+    )
+    .expect("assembles");
+    let sms = gpu.device().num_sms;
+    (k, Launch::new(sms * 16, 64).with_params(vec![buf]))
+}
+
+/// Oversubscribed units, where most issue attempts are refusals that a
+/// warp's remembered gate answers (DESIGN.md §4d point 7): every driver,
+/// sink and budget cut must agree bit for bit.
+#[test]
+fn equivalent_contended_units() {
+    type Setup = fn(&mut Gpu) -> (Kernel, Launch);
+    let cases: [(&str, DeviceConfig, Setup); 4] = [
+        ("fp64_loop", DeviceConfig::rtx4090(), fp64_loop_setup),
+        ("dpx_emulated", DeviceConfig::a100(), dpx_emulated_setup),
+        ("l2_flood_v4", DeviceConfig::h800(), l2_flood_setup),
+        ("cp_async_8x8", DeviceConfig::h800(), cp_async_8x8_setup),
+    ];
+    for (name, dev, setup) in cases {
+        assert_equivalent(name, dev.clone(), setup);
+        assert_bounded_equivalent(name, dev, setup);
+    }
+}
+
 #[test]
 fn equivalent_multiwave() {
     assert_equivalent("multiwave_rmw", DeviceConfig::h800(), multiwave_setup);

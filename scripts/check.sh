@@ -36,14 +36,17 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
 
-echo "== hopper-sim under the threaded rayon shim (4-wide)"
+echo "== hopper-sim and hopper-audit under the threaded rayon shim (4-wide)"
 # sched_equivalence replays every workload under the legacy scan, the
 # per-SM step and the sharded parallel driver and demands bitwise-identical
 # metrics with debug assertions on — including the `Engine::shared` assert
-# that a local-only step never reaches the memory side — so data races or
-# grant-order bugs fail loudly.  The workspace run above already covers
-# them at the host's width; this is the only run under a 4-wide shim.
+# that a local-only step never reaches the memory side and the cross-check
+# of every remembered refusal against a full `execute` — so data races or
+# grant-order bugs fail loudly.  hopper-audit's parallel-equivalence oracle
+# does the same on generated kernels.  The workspace run above already
+# covers both at the host's width; these are the only runs 4 wide.
 RAYON_NUM_THREADS=4 cargo test -q -p hopper-sim
+RAYON_NUM_THREADS=4 cargo test -q -p hopper-audit
 
 echo "== vendored rayon shim unit tests"
 cargo test -q --manifest-path vendor/rayon/Cargo.toml
