@@ -168,6 +168,7 @@ fn main() -> ExitCode {
     );
 
     let mut textual = 0u64;
+    let (mut infer_checks, mut infer_preempting) = (0u64, 0u64);
     for i in 0..args.iters {
         let dev = &args.devices[(i % args.devices.len() as u64) as usize];
         let hopper = dev.arch == Arch::Hopper;
@@ -212,7 +213,12 @@ fn main() -> ExitCode {
         // The infer oracle rides the same cadence as the serve oracle:
         // scenario-level determinism is cheap but not free.
         if let Some(srv) = use_serve {
-            if let Err(why) = srv.check_infer(seed, dev) {
+            infer_checks += 1;
+            let checked = srv.check_infer(seed, dev);
+            if checked.as_ref().is_ok_and(|&preempted| preempted > 0) {
+                infer_preempting += 1;
+            }
+            if let Err(why) = checked {
                 eprintln!(
                     "\nhfuzz: FAILURE at iter {i} on {} (infer seed {:#018x})\n{why}\n\
                      hfuzz: reproduce with: hfuzz --seed {:#x} --iters 1 --devices {} --serve-every 1",
@@ -236,10 +242,13 @@ fn main() -> ExitCode {
         s.stop();
     }
     println!(
-        "hfuzz: PASS — {} kernels ({} textual) clean across {} device(s)",
+        "hfuzz: PASS — {} kernels ({} textual) clean across {} device(s); \
+         {} infer scenarios, {} preempting",
         args.iters,
         textual,
-        args.devices.len()
+        args.devices.len(),
+        infer_checks,
+        infer_preempting
     );
     ExitCode::SUCCESS
 }

@@ -475,32 +475,58 @@ impl ServeOracle {
     /// exact payload and records one cache miss+store, (c) the cached
     /// replay is canonically byte-identical and records one hit, and
     /// (d) successful reports satisfy the power/percentile invariants.
-    pub fn check_infer(&self, seed: u64, dev: &DeviceConfig) -> Result<(), String> {
+    ///
+    /// Page sizes run from 1 to 64 tokens and half the small draws get a
+    /// prefill budget of at most 64 tokens, so prompts chunk across
+    /// iterations.  One draw in three is the KV-pressure shape: 2–3 k
+    /// FP16 requests arriving at once with 4096 resident sequences, which
+    /// outgrows every device's pool and must preempt (checked).  Returns
+    /// the run's preemption count.
+    pub fn check_infer(&self, seed: u64, dev: &DeviceConfig) -> Result<u64, String> {
+        use hopper_infer::{Mode, Precision};
         let mut g = SplitMix64::new(seed ^ 0x1FE2_0A5C_11B7_D30D);
         let workload_seed = g.next_u64();
-        let requests = 8 + (g.next_u64() % 25) as u32; // 8..=32
-        let qps = 50.0 * (1 + g.next_u64() % 8) as f64;
-        let max_seqs = 16 << (g.next_u64() % 3); // 16, 32, 64
-        let precision = match g.next_u64() % 3 {
-            0 => hopper_infer::Precision::Fp16,
-            1 => hopper_infer::Precision::Bf16,
-            _ => hopper_infer::Precision::Fp8,
-        };
-        let mode = if g.next_u64().is_multiple_of(4) {
-            hopper_infer::Mode::Disaggregated
+        let kv_page_tokens = 1 + (g.next_u64() % 64) as u32;
+        let pressure = g.next_u64().is_multiple_of(3);
+        let scn = if pressure {
+            hopper_infer::InferScenario {
+                requests: 2000 + (g.next_u64() % 1001) as u32,
+                qps: 1e6,
+                max_seqs: 4096,
+                max_batch_tokens: 512 + (g.next_u64() % 7681) as u32,
+                precision: Precision::Fp16,
+                mode: Mode::Continuous,
+                tp: 1,
+                ..Default::default()
+            }
         } else {
-            hopper_infer::Mode::Continuous
+            hopper_infer::InferScenario {
+                requests: 8 + (g.next_u64() % 25) as u32, // 8..=32
+                qps: 50.0 * (1 + g.next_u64() % 8) as f64,
+                max_seqs: 16 << (g.next_u64() % 3), // 16, 32, 64
+                max_batch_tokens: if g.next_u64().is_multiple_of(2) {
+                    1 + (g.next_u64() % 64) as u32
+                } else {
+                    8192
+                },
+                precision: match g.next_u64() % 3 {
+                    0 => Precision::Fp16,
+                    1 => Precision::Bf16,
+                    _ => Precision::Fp8,
+                },
+                mode: if g.next_u64().is_multiple_of(4) {
+                    Mode::Disaggregated
+                } else {
+                    Mode::Continuous
+                },
+                tp: if g.next_u64().is_multiple_of(4) { 2 } else { 1 },
+                ..Default::default()
+            }
         };
-        let tp = if g.next_u64().is_multiple_of(4) { 2 } else { 1 };
         let scn = hopper_infer::InferScenario {
             seed: workload_seed,
-            requests,
-            qps,
-            max_seqs,
-            precision,
-            mode,
-            tp,
-            ..Default::default()
+            kv_page_tokens,
+            ..scn
         };
 
         let budget = hopper_infer::InferBudget::default();
@@ -548,6 +574,10 @@ impl ServeOracle {
                 "infer oracle: iteration phase counts do not sum"
             );
         }
+        ensure!(
+            !pressure || local.preempted > 0,
+            "infer oracle: the KV-pressure shape did not preempt: {local_json}"
+        );
 
         let mut spec = RunSpec::new(String::new(), dev.wire_name(), 1, 1);
         spec.report = ReportKind::Infer;
@@ -591,7 +621,7 @@ impl ServeOracle {
             self.cache_op("hit") == hit0 + 1,
             "infer oracle: replay did not record exactly one cache hit"
         );
-        Ok(())
+        Ok(local.preempted)
     }
 
     /// Shut the daemon down.

@@ -41,14 +41,18 @@ fn infer_oracle_battery() {
     // seed-derived serving scenarios on both architectures.  The full
     // cadence rides hfuzz's --serve-every in `scripts/check.sh`.
     let srv = ServeOracle::start().expect("bind ephemeral port");
+    let mut preempting = 0;
     for (dev, n) in [(DeviceConfig::h800(), 3u64), (DeviceConfig::a100(), 1u64)] {
         for i in 0..n {
             let seed = kernel_seed(BASE ^ 0x1F3, i);
-            srv.check_infer(seed, &dev)
+            let preempted = srv
+                .check_infer(seed, &dev)
                 .unwrap_or_else(|e| panic!("infer seed {seed:#018x} on {}: {e}", dev.name));
+            preempting += (preempted > 0) as u32;
         }
     }
     srv.stop();
+    assert!(preempting > 0, "no draw reached the KV-pressure path");
 }
 
 #[test]

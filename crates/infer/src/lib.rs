@@ -39,7 +39,7 @@ pub mod tp;
 pub use kv::KvPool;
 pub use metrics::InferMetrics;
 pub use report::{InferReport, Percentiles};
-pub use scenario::{InferScenario, Mode};
+pub use scenario::{check_qps, InferScenario, Mode, MIN_QPS};
 // Re-exported so scenario builders don't need a hopper-te dependency.
 pub use hopper_te::Precision;
 pub use sched::{run, InferBudget, InferError};

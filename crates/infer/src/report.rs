@@ -17,6 +17,20 @@ pub(crate) fn round6(x: f64) -> f64 {
     }
 }
 
+/// A bijection onto integers whose order is `f64::total_cmp`'s: for
+/// finite values the `partial_cmp` order, except that -0 sorts before +0
+/// (simulated times and latencies are never -0).  Sorting these integers
+/// is faster than sorting floats with a comparator.
+pub(crate) fn order_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ (((b as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The inverse of [`order_key`].
+pub(crate) fn from_order_key(k: u64) -> f64 {
+    f64::from_bits(k ^ (((!k as i64 >> 63) as u64) | 1 << 63))
+}
+
 /// Latency summary in milliseconds (nearest-rank percentiles).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Percentiles {
@@ -33,19 +47,23 @@ pub struct Percentiles {
 impl Percentiles {
     /// Summarise `values` (any unit — the caller scales).  Empty input
     /// yields all-zero.
-    pub fn from_values(values: &[f64]) -> Percentiles {
-        if values.is_empty() {
+    pub fn from_values(values: Vec<f64>) -> Percentiles {
+        let n = values.len();
+        if n == 0 {
             return Percentiles::default();
         }
-        let mut v: Vec<f64> = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        debug_assert!(values.iter().all(|x| x.is_finite()), "finite latencies");
+        // Sorted in place as integer keys.  Exact: equal keys are
+        // bitwise-equal values, so the unstable sort yields the sequence
+        // a stable `partial_cmp` sort does — and the mean summed over it.
+        let mut keys: Vec<u64> = values.into_iter().map(order_key).collect();
+        keys.sort_unstable();
         let rank = |q: f64| -> f64 {
-            let n = v.len();
             let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-            v[idx]
+            from_order_key(keys[idx])
         };
         Percentiles {
-            mean: v.iter().sum::<f64>() / v.len() as f64,
+            mean: keys.iter().map(|&k| from_order_key(k)).sum::<f64>() / n as f64,
             p50: rank(0.50),
             p90: rank(0.90),
             p99: rank(0.99),
@@ -227,15 +245,43 @@ mod tests {
     #[test]
     fn nearest_rank_percentiles() {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let p = Percentiles::from_values(&v);
+        let p = Percentiles::from_values(v);
         assert_eq!(p.p50, 50.0);
         assert_eq!(p.p90, 90.0);
         assert_eq!(p.p99, 99.0);
         assert_eq!(p.mean, 50.5);
         // Single sample: every percentile is that sample.
-        let one = Percentiles::from_values(&[7.0]);
+        let one = Percentiles::from_values(vec![7.0]);
         assert_eq!((one.p50, one.p90, one.p99, one.mean), (7.0, 7.0, 7.0, 7.0));
-        assert_eq!(Percentiles::from_values(&[]), Percentiles::default());
+        assert_eq!(Percentiles::from_values(Vec::new()), Percentiles::default());
+    }
+
+    #[test]
+    fn key_sort_matches_a_stable_partial_cmp_sort() {
+        // Many ties (including +0) among a few distinct values, plus
+        // wide-ranging and negative finite ones.
+        let mut v: Vec<f64> = (0..1000u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) % 7) as f64 * 0.1)
+            .collect();
+        v.extend([
+            f64::MAX,
+            -f64::MAX,
+            5e-324,
+            -5e-324,
+            -1.5,
+            1e300,
+            f64::MIN_POSITIVE,
+        ]);
+        let mut stable = v.clone();
+        stable.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut keys: Vec<u64> = v.iter().map(|&x| order_key(x)).collect();
+        keys.sort_unstable();
+        let keyed: Vec<u64> = keys.iter().map(|&k| from_order_key(k).to_bits()).collect();
+        let bits: Vec<u64> = stable.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, keyed);
+        let p = Percentiles::from_values(v);
+        let mean = stable.iter().sum::<f64>() / stable.len() as f64;
+        assert_eq!(p.mean.to_bits(), mean.to_bits());
     }
 
     #[test]

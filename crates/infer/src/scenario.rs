@@ -57,7 +57,7 @@ pub struct InferScenario {
     pub tp: u32,
     /// Scheduler organisation.
     pub mode: Mode,
-    /// Open-loop Poisson arrival rate, requests/s.
+    /// Open-loop Poisson arrival rate, requests/s (at least [`MIN_QPS`]).
     pub qps: f64,
     /// Number of requests to serve.
     pub requests: u32,
@@ -85,6 +85,25 @@ impl Default for InferScenario {
             max_batch_tokens: 8192,
             kv_page_tokens: 16,
         }
+    }
+}
+
+/// Lowest accepted arrival rate, requests/s.  The longest inter-arrival
+/// gap the workload synthesiser can draw is `27.7 / qps` seconds, so at
+/// this floor a million requests still arrive within ~3·10^10 s: every
+/// arrival time, and every latency taken from one, stays finite.
+pub const MIN_QPS: f64 = 1e-3;
+
+/// Validate an arrival rate: finite and at least [`MIN_QPS`].  Every way
+/// a rate enters a scenario (the `infer` payload, `hload --qps`) comes
+/// through here.
+pub fn check_qps(q: f64) -> Result<f64, String> {
+    if q.is_finite() && q >= MIN_QPS {
+        Ok(q)
+    } else {
+        Err(format!(
+            "qps must be finite and at least {MIN_QPS}, got {q}"
+        ))
     }
 }
 
@@ -159,11 +178,7 @@ impl InferScenario {
                     s.tp = n as u32;
                 }
                 "qps" => {
-                    let q = val.as_f64().ok_or("qps must be a number")?;
-                    if !(q.is_finite() && q > 0.0) {
-                        return Err(format!("qps must be finite and positive, got {q}"));
-                    }
-                    s.qps = q;
+                    s.qps = check_qps(val.as_f64().ok_or("qps must be a number")?)?;
                 }
                 "requests" => {
                     let n = val.as_u64().ok_or("requests must be a positive integer")?;
@@ -277,6 +292,20 @@ mod tests {
         ] {
             let v: Value = serde_json::from_str(bad).unwrap();
             assert!(InferScenario::parse(&v).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn qps_below_the_floor_or_non_finite_is_rejected() {
+        // 5e-324 is finite and positive, but every arrival time it
+        // produces overflows to +inf.
+        for q in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, 5e-324, 0.999e-3] {
+            let v = Value::Object(vec![("qps".to_string(), Value::Float(q))]);
+            assert!(InferScenario::parse(&v).is_err(), "qps {q} should fail");
+        }
+        for q in [MIN_QPS, 1.0, f64::MAX] {
+            let v = Value::Object(vec![("qps".to_string(), Value::Float(q))]);
+            assert_eq!(InferScenario::parse(&v).map(|s| s.qps), Ok(q));
         }
     }
 

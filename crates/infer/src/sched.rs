@@ -26,7 +26,7 @@
 
 use crate::kv::{kv_bytes_per_token, KvPool};
 use crate::metrics::InferMetrics;
-use crate::report::{InferReport, Percentiles};
+use crate::report::{from_order_key, order_key, InferReport, Percentiles};
 use crate::scenario::{InferScenario, Mode};
 use crate::tp::TpModel;
 use hopper_isa::{Arch, DType, MmaKind};
@@ -183,8 +183,9 @@ impl CostCtx {
 /// A resident sequence.
 #[derive(Debug, Clone, Copy)]
 struct Seq {
-    /// Request index into the workload arrays.
-    idx: usize,
+    /// Request index into the workload arrays (`requests` is a `u32`;
+    /// the narrow field keeps a `Seq` at 32 bytes).
+    idx: u32,
     input_len: u32,
     output_len: u32,
     /// Prompt tokens processed so far.
@@ -293,6 +294,30 @@ fn check_budget(budget: &InferBudget, iterations: u64) -> Result<(), InferError>
     Ok(())
 }
 
+/// What a scheduler reads: the scenario, its device, model, cost terms
+/// and workload, and the abort controls.
+struct Sim<'a> {
+    scn: &'a InferScenario,
+    dev: &'a DeviceConfig,
+    model: &'a LlmModel,
+    ctx: &'a CostCtx,
+    workload: &'a [TimedRequest],
+    budget: &'a InferBudget,
+    metrics: Option<&'a InferMetrics>,
+}
+
+/// What a scheduler writes: engine statistics and per-request times.
+struct Served {
+    stats: EngineStats,
+    first_token: Vec<Option<f64>>,
+    finish: Vec<f64>,
+}
+
+/// Drains `sim.workload` through the scenario's engine(s), whose KV pool
+/// (the decode engine's, when disaggregated) is `pool`; returns the
+/// simulated seconds.  Tests substitute a reference scheduler.
+type Scheduler = fn(&Sim, &mut KvPool, &mut Served) -> Result<f64, InferError>;
+
 /// Run a scenario on a device.  Returns `Err` only for the daemon's
 /// abort paths; infeasible scenarios (OOM, unsupported precision) come
 /// back as reports with a non-`"ok"` outcome.
@@ -301,6 +326,23 @@ pub fn run(
     dev: &DeviceConfig,
     budget: &InferBudget,
     metrics: Option<&InferMetrics>,
+) -> Result<InferReport, InferError> {
+    simulate(scn, dev, budget, metrics, schedule)
+}
+
+fn schedule(sim: &Sim, pool: &mut KvPool, out: &mut Served) -> Result<f64, InferError> {
+    match sim.scn.mode {
+        Mode::Continuous => run_continuous(sim, pool, out),
+        Mode::Disaggregated => run_disaggregated(sim, pool, out),
+    }
+}
+
+fn simulate(
+    scn: &InferScenario,
+    dev: &DeviceConfig,
+    budget: &InferBudget,
+    metrics: Option<&InferMetrics>,
+    scheduler: Scheduler,
 ) -> Result<InferReport, InferError> {
     let model = scn.llm_model();
     let precision = scn.precision;
@@ -369,36 +411,26 @@ pub fn run(
 
     let ctx = CostCtx::new(dev, &model, precision, scn.tp);
     let n = scn.requests as usize;
-    let mut first_token: Vec<Option<f64>> = vec![None; n];
-    let mut finish: Vec<f64> = vec![0.0; n];
-    let mut stats = EngineStats::new();
-
-    let sim_seconds = match mode {
-        Mode::Continuous => run_continuous(
-            scn,
-            &ctx,
-            &mut pool,
-            &workload,
-            budget,
-            metrics,
-            &mut stats,
-            &mut first_token,
-            &mut finish,
-        )?,
-        Mode::Disaggregated => run_disaggregated(
-            scn,
-            dev,
-            &model,
-            &ctx,
-            &mut pool,
-            &workload,
-            budget,
-            metrics,
-            &mut stats,
-            &mut first_token,
-            &mut finish,
-        )?,
+    let sim = Sim {
+        scn,
+        dev,
+        model: &model,
+        ctx: &ctx,
+        workload: &workload,
+        budget,
+        metrics,
     };
+    let mut served = Served {
+        stats: EngineStats::new(),
+        first_token: vec![None; n],
+        finish: vec![0.0; n],
+    };
+    let sim_seconds = scheduler(&sim, &mut pool, &mut served)?;
+    let Served {
+        stats,
+        first_token,
+        finish,
+    } = served;
 
     // Unique workload tokens (recomputation after preemption is charged
     // in time and energy but not in goodput).
@@ -448,140 +480,152 @@ pub fn run(
         kv_pages: pool.total_pages(),
         kv_pages_peak: pool.peak(),
         kv_page_tokens: scn.kv_page_tokens,
-        ttft_ms: Percentiles::from_values(&ttft),
-        tpot_ms: Percentiles::from_values(&tpot),
-        e2e_ms: Percentiles::from_values(&e2e),
+        ttft_ms: Percentiles::from_values(ttft),
+        tpot_ms: Percentiles::from_values(tpot),
+        e2e_ms: Percentiles::from_values(e2e),
     })
+}
+
+/// Admit pending requests in arrival order while `max_seqs` and `pool`
+/// allow, claiming prompt pages; an idle engine's clock `t` jumps to the
+/// next arrival.
+fn admit(
+    sim: &Sim,
+    pool: &mut KvPool,
+    t: &mut f64,
+    pending: &mut VecDeque<usize>,
+    running: &mut Vec<Seq>,
+) {
+    while running.len() < sim.scn.max_seqs as usize {
+        let Some(&i) = pending.front() else { break };
+        let at = sim.workload[i].at_s;
+        if at > *t {
+            if !running.is_empty() {
+                break;
+            }
+            *t = at; // idle: jump to the next arrival
+        }
+        let req = sim.workload[i].req;
+        let need = pool.pages_for_tokens(req.input_len);
+        if !pool.try_alloc(need) {
+            break;
+        }
+        pending.pop_front();
+        running.push(Seq {
+            idx: i as u32,
+            input_len: req.input_len,
+            output_len: req.output_len,
+            prefilled: 0,
+            generated: 0,
+            pages: need,
+        });
+    }
+    debug_assert!(!running.is_empty(), "admission must make progress");
 }
 
 /// Continuous batching: one engine interleaves chunked prefill with
 /// decode; decode KV pages grow on demand and exhaustion preempts the
-/// youngest sequence.
-#[allow(clippy::too_many_arguments)]
-fn run_continuous(
-    scn: &InferScenario,
-    ctx: &CostCtx,
-    pool: &mut KvPool,
-    workload: &[TimedRequest],
-    budget: &InferBudget,
-    metrics: Option<&InferMetrics>,
-    stats: &mut EngineStats,
-    first_token: &mut [Option<f64>],
-    finish: &mut [f64],
-) -> Result<f64, InferError> {
-    let mut pending: VecDeque<usize> = (0..workload.len()).collect();
+/// youngest sequence.  An iteration is two passes over the batch
+/// (DESIGN §9): grow, schedule and advance; then, once the iteration is
+/// costed, stamp first tokens and retire.
+fn run_continuous(sim: &Sim, pool: &mut KvPool, out: &mut Served) -> Result<f64, InferError> {
+    let Served {
+        stats,
+        first_token,
+        finish,
+    } = out;
+    let page_tokens = pool.page_tokens() as u64;
+    let mut pending: VecDeque<usize> = (0..sim.workload.len()).collect();
     let mut running: Vec<Seq> = Vec::new();
     let mut completed = 0usize;
 
-    while completed < workload.len() {
-        check_budget(budget, stats.iterations)?;
+    while completed < sim.workload.len() {
+        check_budget(sim.budget, stats.iterations)?;
+        admit(sim, pool, &mut stats.t, &mut pending, &mut running);
 
-        // Iteration-level admission in arrival order.
-        while running.len() < scn.max_seqs as usize {
-            let Some(&i) = pending.front() else { break };
-            let at = workload[i].at_s;
-            if at > stats.t {
-                if !running.is_empty() {
-                    break;
-                }
-                stats.t = at; // idle: jump to the next arrival
-            }
-            let req = workload[i].req;
-            let need = pool.pages_for_tokens(req.input_len);
-            if !pool.try_alloc(need) {
-                break;
-            }
-            pending.pop_front();
-            running.push(Seq {
-                idx: i,
-                input_len: req.input_len,
-                output_len: req.output_len,
-                prefilled: 0,
-                generated: 0,
-                pages: need,
-            });
-        }
-        debug_assert!(!running.is_empty(), "admission must make progress");
-
-        // Grow decode KV before costing; preempt the youngest sequence
-        // when the pool runs dry.
+        // Pass 1: grow decode KV, schedule and advance — prefill chunks
+        // under the token budget, one decode token per fully-prefilled
+        // sequence — summing the iteration's work from each sequence's
+        // state before it advances.  A preemption pops the tail, at or
+        // after `j` and not yet visited, so no scheduled sequence is lost
+        // and the budget is spent in the order growing everything first
+        // would spend it.
+        let mut chunk_budget = sim.scn.max_batch_tokens;
+        let mut prefill_tokens = 0u64;
+        let mut decode_tokens = 0u64;
+        let mut decode_ctx_tokens = 0u64;
+        // Lowest index whose sequence emitted its first token or finished.
+        let mut first_event = usize::MAX;
         let mut j = 0;
         while j < running.len() {
-            let s = running[j];
-            if s.prefilled == s.input_len && s.generated < s.output_len {
-                let need = pool
-                    .pages_for_tokens(s.input_len + s.generated + 1)
-                    .saturating_sub(s.pages);
-                if need > 0 && !pool.try_alloc(need) {
-                    // Reclaim from the youngest (tail) sequence; requeue
-                    // it for a fresh prefill, preserving arrival order.
-                    let victim = running.pop().expect("running non-empty");
-                    pool.free(victim.pages);
-                    pending.push_front(victim.idx);
-                    stats.preempted += 1;
-                    if let Some(m) = metrics {
-                        m.preemptions.inc();
+            let s = &mut running[j];
+            if s.prefilled < s.input_len {
+                if chunk_budget > 0 {
+                    let c = (s.input_len - s.prefilled).min(chunk_budget);
+                    chunk_budget -= c;
+                    prefill_tokens += c as u64;
+                    s.prefilled += c;
+                    if s.prefilled == s.input_len {
+                        s.generated = 1; // completing prefill emits a token
+                        first_event = first_event.min(j);
                     }
-                    continue; // retry j against the refilled pool
                 }
-                if need > 0 {
-                    running[j].pages += need;
+            } else {
+                debug_assert!(s.generated < s.output_len, "finished sequences retire");
+                // Divide only when the next token crosses a page boundary.
+                let tokens = (s.input_len + s.generated + 1) as u64;
+                if tokens > s.pages * page_tokens {
+                    let need = tokens.div_ceil(page_tokens) - s.pages;
+                    if !pool.try_alloc(need) {
+                        // Reclaim from the youngest (tail) sequence; requeue
+                        // it for a fresh prefill, preserving arrival order.
+                        let victim = running.pop().expect("running non-empty");
+                        pool.free(victim.pages);
+                        pending.push_front(victim.idx as usize);
+                        stats.preempted += 1;
+                        if let Some(m) = sim.metrics {
+                            m.preemptions.inc();
+                        }
+                        continue; // retry j against the refilled pool
+                    }
+                    s.pages += need;
+                }
+                decode_tokens += 1;
+                decode_ctx_tokens += (s.input_len + s.generated) as u64;
+                s.generated += 1;
+                if s.generated == s.output_len {
+                    first_event = first_event.min(j);
                 }
             }
             j += 1;
         }
-
-        // Schedule: prefill chunks under the token budget, one decode
-        // token per fully-prefilled sequence.
-        let mut chunk_budget = scn.max_batch_tokens;
-        let mut chunks: Vec<(usize, u32)> = Vec::new();
-        let mut decode_js: Vec<usize> = Vec::new();
-        let mut decode_ctx_tokens = 0u64;
-        for (j, s) in running.iter().enumerate() {
-            if s.prefilled < s.input_len {
-                if chunk_budget > 0 {
-                    let c = (s.input_len - s.prefilled).min(chunk_budget);
-                    chunks.push((j, c));
-                    chunk_budget -= c;
-                }
-            } else if s.generated < s.output_len {
-                decode_js.push(j);
-                decode_ctx_tokens += (s.input_len + s.generated) as u64;
-            }
-        }
-        let prefill_tokens: u64 = chunks.iter().map(|&(_, c)| c as u64).sum();
-        let decode_tokens = decode_js.len() as u64;
         debug_assert!(prefill_tokens + decode_tokens > 0, "iteration must work");
 
-        let cost = ctx.iteration(prefill_tokens, decode_tokens, decode_ctx_tokens);
-        stats.account(&cost, prefill_tokens, decode_tokens, pool, metrics);
+        let cost = sim
+            .ctx
+            .iteration(prefill_tokens, decode_tokens, decode_ctx_tokens);
+        stats.account(&cost, prefill_tokens, decode_tokens, pool, sim.metrics);
 
-        // Apply: advance prefill (completing it emits the first token)
-        // and decode.
-        for &(j, c) in &chunks {
-            let s = &mut running[j];
-            s.prefilled += c;
-            if s.prefilled == s.input_len {
-                s.generated = 1;
-                if first_token[s.idx].is_none() {
-                    first_token[s.idx] = Some(stats.t);
-                }
+        // Pass 2, from the first event on: stamp first tokens (the
+        // sequences at `generated == 1`), retire finished sequences and
+        // compact the survivors in order.
+        let start = first_event.min(running.len());
+        let mut kept = start;
+        for r in start..running.len() {
+            let s = running[r];
+            if s.generated == 1 {
+                first_token[s.idx as usize].get_or_insert(stats.t);
             }
-        }
-        for &j in &decode_js {
-            running[j].generated += 1;
-        }
-
-        running.retain(|s| {
-            if s.generated == s.output_len && s.prefilled == s.input_len {
+            if s.generated == s.output_len {
                 pool.free(s.pages);
-                finish[s.idx] = stats.t;
+                finish[s.idx as usize] = stats.t;
                 completed += 1;
-                false
             } else {
-                true
+                running[kept] = s;
+                kept += 1;
             }
-        });
+        }
+        running.truncate(kept);
     }
     Ok(stats.t)
 }
@@ -590,20 +634,25 @@ fn run_continuous(
 /// pages to a `tp`-GPU decode engine over the interconnect.  Decode
 /// admission reserves the full context up front (no preemption), the
 /// conservative policy disaggregation papers assume.
-#[allow(clippy::too_many_arguments)]
 fn run_disaggregated(
-    scn: &InferScenario,
-    dev: &DeviceConfig,
-    model: &LlmModel,
-    ctx: &CostCtx,
+    sim: &Sim,
     decode_pool: &mut KvPool,
-    workload: &[TimedRequest],
-    budget: &InferBudget,
-    metrics: Option<&InferMetrics>,
-    stats: &mut EngineStats,
-    first_token: &mut [Option<f64>],
-    finish: &mut [f64],
+    out: &mut Served,
 ) -> Result<f64, InferError> {
+    let Sim {
+        scn,
+        dev,
+        model,
+        ctx,
+        workload,
+        budget,
+        metrics,
+    } = *sim;
+    let Served {
+        stats,
+        first_token,
+        finish,
+    } = out;
     // Phase 1: prefill engine (its own pool; prompt pages only).
     let mut prefill_pool = match KvPool::for_device(
         dev,
@@ -620,94 +669,85 @@ fn run_disaggregated(
     let kv_tok = kv_bytes_per_token(model, scn.tp);
 
     let mut p_stats = EngineStats::new();
-    // (ready time on the decode engine, request index)
-    let mut handoff: Vec<(f64, usize)> = Vec::new();
+    // (`order_key` of the ready time on the decode engine, request index)
+    let mut handoff: Vec<(u64, usize)> = Vec::new();
     let mut pending: VecDeque<usize> = (0..workload.len()).collect();
     let mut running: Vec<Seq> = Vec::new();
     let mut done_prefill = 0usize;
 
     while done_prefill < workload.len() {
         check_budget(budget, stats.iterations + p_stats.iterations)?;
+        admit(
+            sim,
+            &mut prefill_pool,
+            &mut p_stats.t,
+            &mut pending,
+            &mut running,
+        );
 
-        while running.len() < scn.max_seqs as usize {
-            let Some(&i) = pending.front() else { break };
-            let at = workload[i].at_s;
-            if at > p_stats.t {
-                if !running.is_empty() {
-                    break;
-                }
-                p_stats.t = at;
-            }
-            let req = workload[i].req;
-            let need = prefill_pool.pages_for_tokens(req.input_len);
-            if !prefill_pool.try_alloc(need) {
-                break;
-            }
-            pending.pop_front();
-            running.push(Seq {
-                idx: i,
-                input_len: req.input_len,
-                output_len: req.output_len,
-                prefilled: 0,
-                generated: 0,
-                pages: need,
-            });
-        }
-        debug_assert!(!running.is_empty());
-
+        // Chunks go to a prefix of the batch, in order, until the token
+        // budget runs out; each sequence advances as it is scheduled.
         let mut chunk_budget = scn.max_batch_tokens;
-        let mut chunks: Vec<(usize, u32)> = Vec::new();
-        for (j, s) in running.iter().enumerate() {
+        let mut prefill_tokens = 0u64;
+        let mut scheduled = 0;
+        for s in running.iter_mut() {
             if chunk_budget == 0 {
                 break;
             }
             debug_assert!(s.prefilled < s.input_len);
             let c = (s.input_len - s.prefilled).min(chunk_budget);
-            chunks.push((j, c));
             chunk_budget -= c;
+            prefill_tokens += c as u64;
+            s.prefilled += c;
+            scheduled += 1;
         }
-        let prefill_tokens: u64 = chunks.iter().map(|&(_, c)| c as u64).sum();
 
         let cost = ctx.iteration(prefill_tokens, 0, 0);
         p_stats.account(&cost, prefill_tokens, 0, &prefill_pool, metrics);
 
-        for &(j, c) in &chunks {
-            running[j].prefilled += c;
-        }
-        running.retain(|s| {
-            if s.prefilled == s.input_len {
-                done_prefill += 1;
-                prefill_pool.free(s.pages);
-                first_token[s.idx] = Some(p_stats.t);
-                if s.output_len == 1 {
-                    // Nothing to decode: the request is done at prefill.
-                    finish[s.idx] = p_stats.t;
-                } else {
-                    // Ship the prompt KV shards to the decode engine.
-                    let xfer = tpm.transfer_s(s.input_len as u64 * kv_tok);
-                    handoff.push((p_stats.t + xfer, s.idx));
-                }
-                false
-            } else {
-                true
+        // Hand finished prompts over, compacting the scheduled prefix.
+        let mut kept = 0;
+        for r in 0..scheduled {
+            let s = running[r];
+            if s.prefilled < s.input_len {
+                running[kept] = s;
+                kept += 1;
+                continue;
             }
-        });
+            done_prefill += 1;
+            prefill_pool.free(s.pages);
+            first_token[s.idx as usize] = Some(p_stats.t);
+            if s.output_len == 1 {
+                // Nothing to decode: the request is done at prefill.
+                finish[s.idx as usize] = p_stats.t;
+            } else {
+                // Ship the prompt KV shards to the decode engine.
+                let xfer = tpm.transfer_s(s.input_len as u64 * kv_tok);
+                handoff.push((order_key(p_stats.t + xfer), s.idx as usize));
+            }
+        }
+        running.drain(kept..scheduled);
     }
     stats.merge(&p_stats);
 
     // Phase 2: decode engine, fed by the handoff queue in ready order.
-    handoff.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+    // The integer pairs order as `(ready, idx)` does and are distinct, so
+    // the unstable sort is exact.
+    handoff.sort_unstable();
     let mut d_stats = EngineStats::new();
-    let mut queue: VecDeque<(f64, usize)> = handoff.into();
+    let mut queue: VecDeque<(u64, usize)> = handoff.into();
     let mut running: Vec<Seq> = Vec::new();
+    // Σ(input_len + generated) over `running`.
+    let mut decode_ctx_tokens = 0u64;
 
     while !queue.is_empty() || !running.is_empty() {
         check_budget(budget, stats.iterations + d_stats.iterations)?;
 
         while running.len() < scn.max_seqs as usize {
-            let Some(&(ready, i)) = queue.front() else {
+            let Some(&(key, i)) = queue.front() else {
                 break;
             };
+            let ready = from_order_key(key);
             if ready > d_stats.t {
                 if !running.is_empty() {
                     break;
@@ -723,37 +763,48 @@ fn run_disaggregated(
             }
             queue.pop_front();
             running.push(Seq {
-                idx: i,
+                idx: i as u32,
                 input_len: req.input_len,
                 output_len: req.output_len,
                 prefilled: req.input_len,
                 generated: 1,
                 pages: need,
             });
+            decode_ctx_tokens += (req.input_len + 1) as u64;
         }
         debug_assert!(!running.is_empty());
+        debug_assert_eq!(
+            decode_ctx_tokens,
+            running
+                .iter()
+                .map(|s| (s.input_len + s.generated) as u64)
+                .sum::<u64>()
+        );
 
         let decode_tokens = running.len() as u64;
-        let decode_ctx_tokens: u64 = running
-            .iter()
-            .map(|s| (s.input_len + s.generated) as u64)
-            .sum();
         let cost = ctx.iteration(0, decode_tokens, decode_ctx_tokens);
         d_stats.account(&cost, 0, decode_tokens, decode_pool, metrics);
 
-        for s in running.iter_mut() {
+        // Every sequence gains a token; the finished ones retire.
+        let mut kept = 0;
+        for r in 0..running.len() {
+            let mut s = running[r];
             s.generated += 1;
-        }
-        running.retain(|s| {
             if s.generated == s.output_len {
                 decode_pool.free(s.pages);
-                finish[s.idx] = d_stats.t;
-                false
+                finish[s.idx as usize] = d_stats.t;
+                decode_ctx_tokens -= (s.input_len + s.generated - 1) as u64;
             } else {
-                true
+                running[kept] = s;
+                kept += 1;
+                decode_ctx_tokens += 1;
             }
-        });
+        }
+        running.truncate(kept);
     }
     stats.merge(&d_stats);
     Ok(p_stats.t.max(d_stats.t))
 }
+
+#[cfg(test)]
+mod reference;

@@ -2,10 +2,12 @@
 //! the FP8-vs-FP16 crossover, Table XII OOM propagation, disaggregation
 //! trade-offs, preemption and the daemon abort paths.
 
-use hopper_infer::{run, InferBudget, InferMetrics, InferScenario, Mode};
+use hopper_infer::{run, InferBudget, InferMetrics, InferScenario, Mode, MIN_QPS};
 use hopper_obs::Registry;
 use hopper_sim::DeviceConfig;
 use hopper_te::Precision;
+use proptest::prelude::*;
+use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -263,4 +265,73 @@ fn metrics_families_populate() {
             .any(|s| s.name == "hsim_infer_preemptions_total" && s.value > 0.0),
         "preemptions counter:\n{text}"
     );
+}
+
+/// Every leaf of a rendered report is a string or a finite number (the
+/// JSON writer renders a non-finite float as `null`).
+fn assert_finite(v: &Value, path: &str) {
+    match v {
+        Value::Object(fields) => fields
+            .iter()
+            .for_each(|(k, v)| assert_finite(v, &format!("{path}.{k}"))),
+        Value::Float(x) => assert!(x.is_finite(), "{path} = {x}"),
+        Value::Str(_) | Value::UInt(_) | Value::Int(_) => {}
+        other => panic!("{path} = {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every scenario `parse` accepts — full ranges, arrival rates from
+    /// subnormal to `f64::MAX`, `requests` capped small — ends in a
+    /// report whose JSON parses back with finite numbers, never in a
+    /// panic.  `parse` refuses exactly the rates below `MIN_QPS`.
+    #[test]
+    fn accepted_scenarios_run_to_a_finite_report(
+        names in (0usize..3, 0usize..4, 0usize..2, 0usize..3),
+        tp in 1u64..9,
+        qps in prop_oneof![
+            (1.0f64..10.0, -330i32..310).prop_map(|(m, e)| m * 10f64.powi(e)),
+            Just(0.0),
+            Just(5e-324),
+            Just(MIN_QPS),
+            Just(f64::MAX),
+        ],
+        requests in 1u64..49,
+        seed in 0u64..u64::MAX,
+        knobs in (
+            prop_oneof![1u64..17, 1u64..4097],
+            prop_oneof![1u64..65, 1u64..(1 << 20) + 1],
+            prop_oneof![1u64..3, 1u64..1025],
+        ),
+    ) {
+        let (model, precision, mode, dev) = names;
+        let (max_seqs, max_batch_tokens, kv_page_tokens) = knobs;
+        let str = |s: &str| Value::Str(s.to_string());
+        let fields = [
+            ("model", str(["llama-3b", "llama2-7b", "llama2-13b"][model])),
+            ("precision", str(["fp32", "fp16", "bf16", "fp8"][precision])),
+            ("mode", str(["continuous", "disaggregated"][mode])),
+            ("tp", Value::UInt(tp)),
+            ("qps", Value::Float(qps)),
+            ("requests", Value::UInt(requests)),
+            ("seed", Value::UInt(seed)),
+            ("max_seqs", Value::UInt(max_seqs)),
+            ("max_batch_tokens", Value::UInt(max_batch_tokens)),
+            ("kv_page_tokens", Value::UInt(kv_page_tokens)),
+        ];
+        let v = Value::Object(fields.map(|(k, v)| (k.to_string(), v)).to_vec());
+        match InferScenario::parse(&v) {
+            Err(e) => prop_assert!(!(qps >= MIN_QPS && qps.is_finite()), "{e}"),
+            Ok(scn) => {
+                let dev = [DeviceConfig::h800, DeviceConfig::a100, DeviceConfig::rtx4090][dev]();
+                let report = run(&scn, &dev, &InferBudget::default(), None)
+                    .expect("only a budget aborts a run");
+                let text = report.to_json().to_string();
+                let back: Value = serde_json::from_str(&text).expect("report JSON parses");
+                assert_finite(&back, "report");
+            }
+        }
+    }
 }

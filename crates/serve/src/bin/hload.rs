@@ -14,7 +14,7 @@
 //! scenarios still count as ok — they are reports, not failures),
 //! 2 = usage or transport error.
 
-use hopper_infer::{InferBudget, InferScenario};
+use hopper_infer::{check_qps, InferBudget, InferScenario};
 use hopper_obs::log::{self, Level};
 use hopper_serve::protocol::ReportKind;
 use hopper_serve::server::device_config;
@@ -41,8 +41,9 @@ OPTIONS:
     --requests N       requests per point
     --seed N           workload seed
     --max-seqs N       resident-sequence cap
-    --qps LIST         comma-separated arrival rates to sweep
-                       (default: the scenario's qps, single point)
+    --qps LIST         comma-separated arrival rates to sweep, each at
+                       least 0.001 req/s (default: the scenario's qps,
+                       single point)
     --pretty           pretty-print the output JSON
     -h, --help         print this help
 ";
@@ -146,7 +147,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                         .trim()
                         .parse()
                         .map_err(|_| format!("--qps: `{part}` is not a number"))?;
-                    cli.qps.push(q);
+                    cli.qps
+                        .push(check_qps(q).map_err(|e| format!("--qps: {e}"))?);
                 }
             }
             other => return Err(format!("unknown argument `{other}`")),

@@ -208,6 +208,10 @@ fn real_binaries_round_trip_through_one_daemon() {
     assert_error(&line, "deadline_exceeded");
     let bad = scratch_file("infer_bad.json", r#"{"model":"gpt-5"}"#);
     assert_error(&daemon.request(1, &infer, &[&bad]), "bad_request");
+    // A rate so small every arrival time overflows is refused the same
+    // way; the hload sweep below is the next request served.
+    let tiny = scratch_file("infer_tiny_qps.json", r#"{"qps":5e-324}"#);
+    assert_error(&daemon.request(1, &infer, &[&tiny]), "bad_request");
 
     // hload: a two-point sweep is the library's report at each rate.
     let sweep = ["--device", "h800", "--scenario", &scn_file];
@@ -255,6 +259,25 @@ fn real_binaries_round_trip_through_one_daemon() {
     let last = daemon.stdout.recv_timeout(DEADLINE).expect("exit line");
     assert_eq!(last, "hsimd: drained and stopped");
     assert!(daemon.child.wait().expect("wait hsimd").success());
+}
+
+#[test]
+fn hload_refuses_a_rate_below_the_floor() {
+    for qps in ["0", "5e-324", "NaN"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hload"))
+            .args(["--local", "--requests", "4", "--qps", qps])
+            .output()
+            .expect("spawn hload");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--qps {qps}: {stderr}");
+        assert!(out.stdout.is_empty(), "--qps {qps}: no document");
+        let line = stderr.lines().next().expect("an error line");
+        let event = parse(line);
+        assert_eq!(event.get("level").and_then(Value::as_str), Some("error"));
+        let detail = event.get("detail").and_then(Value::as_str).unwrap_or("");
+        assert!(detail.contains("qps must be finite and at least"), "{line}");
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+    }
 }
 
 #[test]
