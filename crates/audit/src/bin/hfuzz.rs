@@ -4,93 +4,40 @@
 //! implementation pair (legacy vs ready-set scheduler, traced vs
 //! untraced, asm round-trip, serve cold vs cached). Every failure prints
 //! the seed that reproduces it and dumps a repro `.kernel` file runnable
-//! with `hsim-client`.
-//!
-//! ```text
-//! hfuzz [--seed S] [--iters N] [--devices h800,a100,rtx4090]
-//!       [--minimize] [--serve-every N] [--out DIR]
-//! ```
+//! with `hsim-client`. `hfuzz --help` lists the flags.
 
 use hopper_audit::gen::KernelPlan;
 use hopper_audit::oracle::{check_plan, ServeOracle};
 use hopper_audit::rng::{kernel_seed, seed_from_str};
 use hopper_audit::shrink::minimize;
 use hopper_isa::{disassemble, Arch};
+use hopper_obs::cli::{Args, Flag, Spec};
 use hopper_sim::DeviceConfig;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-struct Args {
-    seed: u64,
-    seed_str: String,
-    iters: u64,
-    devices: Vec<DeviceConfig>,
-    minimize: bool,
-    serve_every: u64,
-    out: PathBuf,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: hfuzz [--seed S] [--iters N] [--devices h800,a100,rtx4090]\n\
-         \x20            [--minimize] [--serve-every N] [--out DIR]\n\
-         \n\
-         S may be 0x-hex, decimal, or any string (hashed). --serve-every 0\n\
-         disables the serve-daemon oracle. Exit code 1 on the first failure."
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: seed_from_str("0xh0pper"),
-        seed_str: "0xh0pper".into(),
-        iters: 200,
-        devices: vec![
-            DeviceConfig::h800(),
-            DeviceConfig::a100(),
-            DeviceConfig::rtx4090(),
-        ],
-        minimize: false,
-        serve_every: 25,
-        out: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--seed" => {
-                args.seed_str = val();
-                args.seed = seed_from_str(&args.seed_str);
-            }
-            "--iters" => args.iters = val().parse().unwrap_or_else(|_| usage()),
-            "--devices" => {
-                args.devices = val()
-                    .split(',')
-                    .map(|n| DeviceConfig::by_name(n.trim()).unwrap_or_else(|| usage()))
-                    .collect();
-                if args.devices.is_empty() {
-                    usage();
-                }
-            }
-            "--minimize" => args.minimize = true,
-            "--serve-every" => args.serve_every = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = PathBuf::from(val()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "hfuzz",
+    about: "seeded differential fuzzer for the Hopper simulator",
+    flags: &[
+        Flag::value("seed", "S", "0x-hex, decimal, or any string, hashed (default 0xh0pper)"),
+        Flag::value("iters", "N", "kernels to generate and check (default 200)"),
+        Flag::value("devices", "LIST", "comma-separated devices, in turn (default h800,a100,rtx4090)"),
+        Flag::switch("minimize", "shrink a failing kernel before writing its repro"),
+        Flag::value("serve-every", "N", "serve-daemon oracle cadence; 0 disables it (default 25)"),
+        Flag::value("out", "DIR", "directory for repro files (default .)"),
+    ],
+    notes: "Exit code 1 on the first failure.\n",
+    ..Spec::NONE
+};
 
 /// Write a reproducer file next to the failure: kernel text (assembler
 /// input — `//` comment headers are stripped by the assembler) plus an
 /// `hsim-client` invocation. Non-textual kernels get a debug listing.
-fn dump_repro(args: &Args, plan: &KernelPlan, dev: &DeviceConfig, why: &str) -> PathBuf {
-    let path = args
-        .out
-        .join(format!("hfuzz-repro-{:016x}.kernel", plan.seed));
+fn dump_repro(out: &Path, plan: &KernelPlan, dev: &DeviceConfig, why: &str) -> PathBuf {
+    let path = out.join(format!("hfuzz-repro-{:016x}.kernel", plan.seed));
     let k = plan.kernel();
     let mut body = String::new();
     body.push_str(&format!("// hfuzz reproducer, seed {:#018x}\n", plan.seed));
@@ -133,12 +80,23 @@ fn dump_repro(args: &Args, plan: &KernelPlan, dev: &DeviceConfig, why: &str) -> 
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = Args::from_env(&SPEC);
+    let seed_str: String = args.value("seed").unwrap_or_else(|| "0xh0pper".into());
+    let run_seed = seed_from_str(&seed_str);
+    let iters: u64 = args.value("iters").unwrap_or(200);
+    let names = args.value("devices");
+    let names = names.unwrap_or_else(|| ["h800", "a100", "rtx4090"].map(String::from).to_vec());
+    let device = |n: &String| {
+        DeviceConfig::by_name(n).unwrap_or_else(|| args.fail(format!("unknown device `{n}`")))
+    };
+    let devices: Vec<DeviceConfig> = names.iter().map(device).collect();
+    let serve_every: u64 = args.value("serve-every").unwrap_or(25);
+    let out = PathBuf::from(args.value("out").unwrap_or_else(|| ".".to_string()));
     // The serve oracle daemon shares this process; keep its per-request
     // chatter out of the fuzz log unless HOPPER_LOG asks for it.
     let _ = hopper_obs::log::set_filter("warn");
     hopper_obs::log::init_from_env();
-    let serve = if args.serve_every > 0 {
+    let serve = if serve_every > 0 {
         match ServeOracle::start() {
             Ok(s) => Some(s),
             Err(e) => {
@@ -152,16 +110,16 @@ fn main() -> ExitCode {
 
     println!(
         "hfuzz: seed {} ({:#018x}), {} iters, devices [{}], serve oracle {}",
-        args.seed_str,
-        args.seed,
-        args.iters,
-        args.devices
+        seed_str,
+        run_seed,
+        iters,
+        devices
             .iter()
             .map(|d| d.wire_name())
             .collect::<Vec<_>>()
             .join(","),
         if serve.is_some() {
-            format!("every {}", args.serve_every)
+            format!("every {}", serve_every)
         } else {
             "off".into()
         }
@@ -169,15 +127,15 @@ fn main() -> ExitCode {
 
     let mut textual = 0u64;
     let (mut infer_checks, mut infer_preempting) = (0u64, 0u64);
-    for i in 0..args.iters {
-        let dev = &args.devices[(i % args.devices.len() as u64) as usize];
+    for i in 0..iters {
+        let dev = &devices[(i % devices.len() as u64) as usize];
         let hopper = dev.arch == Arch::Hopper;
-        let seed = kernel_seed(args.seed, i);
+        let seed = kernel_seed(run_seed, i);
         let plan = KernelPlan::generate(seed, hopper);
         if plan.is_textual() {
             textual += 1;
         }
-        let use_serve = if args.serve_every > 0 && i % args.serve_every == 0 {
+        let use_serve = if serve_every > 0 && i % serve_every == 0 {
             serve.as_ref()
         } else {
             None
@@ -188,7 +146,7 @@ fn main() -> ExitCode {
                 dev.wire_name(),
                 seed
             );
-            let final_plan = if args.minimize {
+            let final_plan = if args.switch("minimize") {
                 eprint!("hfuzz: minimizing ({} segments) ...", plan.seg_count());
                 let _ = std::io::stderr().flush();
                 let small = minimize(&plan, |p| check_plan(p, dev, None).is_err());
@@ -197,7 +155,7 @@ fn main() -> ExitCode {
             } else {
                 plan
             };
-            let path = dump_repro(&args, &final_plan, dev, &why);
+            let path = dump_repro(&out, &final_plan, dev, &why);
             eprintln!(
                 "hfuzz: repro written to {}\n\
                  hfuzz: reproduce with: hfuzz --seed {:#x} --iters 1 --devices {} --serve-every 1",
@@ -234,7 +192,7 @@ fn main() -> ExitCode {
             }
         }
         if (i + 1) % 50 == 0 {
-            println!("hfuzz: {}/{} kernels clean", i + 1, args.iters);
+            println!("hfuzz: {}/{} kernels clean", i + 1, iters);
         }
     }
 
@@ -244,9 +202,9 @@ fn main() -> ExitCode {
     println!(
         "hfuzz: PASS — {} kernels ({} textual) clean across {} device(s); \
          {} infer scenarios, {} preempting",
-        args.iters,
+        iters,
         textual,
-        args.devices.len(),
+        devices.len(),
         infer_checks,
         infer_preempting
     );

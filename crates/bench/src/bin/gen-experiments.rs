@@ -1,68 +1,29 @@
 //! Regenerates `EXPERIMENTS.md` from every harness.
 //!
-//! Run with `cargo run --release -p hopper-bench --bin gen-experiments`.
-//! Pass `--jobs N` (or `-j N`) to fan the independent harnesses (and the
-//! rayon-parallel sweeps inside them) over `N` worker threads; the output
-//! is byte-identical at any job count.  `--sim-threads N` additionally
-//! shards each launch's SM loop over `N` engine workers (0 = auto); the
-//! product `jobs × sim_threads` is clamped to the host's parallelism, and
-//! the output stays byte-identical at any combination.
+//! Run with `cargo run --release -p hopper-bench --bin gen-experiments`
+//! (`-- --help` lists the flags).  `--jobs` fans the independent harnesses
+//! over worker threads and `--sim-threads` each launch's SM loop over
+//! engine workers; the output is byte-identical at any combination.
 
+use hopper_obs::cli::{Args, Flag, Spec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 
-struct Args {
-    jobs: usize,
-    sim_threads: Option<u32>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        jobs: 0,
-        sim_threads: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let count = |v: &str| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid count {v:?}");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--jobs" | "-j" | "--sim-threads" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("error: {a} expects a thread count");
-                    std::process::exit(2);
-                });
-                if a == "--sim-threads" {
-                    parsed.sim_threads = Some(count(&v) as u32);
-                } else {
-                    parsed.jobs = count(&v);
-                }
-            }
-            other if other.starts_with("--jobs=") => {
-                parsed.jobs = count(&other["--jobs=".len()..]);
-            }
-            other if other.starts_with("--sim-threads=") => {
-                parsed.sim_threads = Some(count(&other["--sim-threads=".len()..]) as u32);
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: gen-experiments [--jobs N] [--sim-threads N]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "gen-experiments",
+    about: "regenerate EXPERIMENTS.md and experiments.json from every harness",
+    flags: &[
+        Flag::value("jobs", "N", "worker threads for the harnesses (default 0 = auto)").short("j"),
+        Flag::value("sim-threads", "N", "engine workers per launch, 0 = auto (clamped to the host)"),
+    ],
+    ..Spec::NONE
+};
 
 fn main() {
-    let args = parse_args();
-    let jobs = args.jobs;
+    let args = Args::from_env(&SPEC);
+    let jobs: usize = args.value("jobs").unwrap_or(0);
+    let sim_threads: Option<u32> = args.value("sim-threads");
     if jobs > 0 {
         rayon::ThreadPoolBuilder::new()
             .num_threads(jobs)
@@ -73,7 +34,7 @@ fn main() {
     // budget: jobs × sim_threads never oversubscribes the host.  `--jobs
     // 0` (auto) counts at the pool's actual width, not as one job.
     hopper_sim::threads::set_sweep_jobs(rayon::current_num_threads());
-    if let Some(t) = args.sim_threads {
+    if let Some(t) = sim_threads {
         hopper_sim::threads::set_default_sim_threads(t);
     }
     let mut md = String::from(
@@ -132,16 +93,11 @@ fn main() {
         body.push_str(&rep.render_markdown());
     }
     // Agreement summary up front.
-    let _ = writeln!(
-        md,
-        "## Agreement summary
-"
+    md.push_str(
+        "## Agreement summary\n\n\
+         | experiment | comparable rows | within 10 % | within 20 % | median dev | worst dev |\n\
+         |---|---|---|---|---|---|\n",
     );
-    let _ = writeln!(
-        md,
-        "| experiment | comparable rows | within 10 % | within 20 % | median dev | worst dev |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|---|---|");
     for rep in &json_reports {
         let mut devs: Vec<f64> = rep
             .cells
@@ -153,7 +109,7 @@ fn main() {
             let _ = writeln!(md, "| {} | — | — | — | — | — |", rep.id);
             continue;
         }
-        devs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        devs.sort_by(f64::total_cmp);
         let median = devs[devs.len() / 2];
         let worst = *devs.last().unwrap();
         let _ = writeln!(

@@ -3,24 +3,28 @@
 //! Runs a built-in workload on a simulated device and prints the sectioned
 //! kernel report (Speed-of-Light, occupancy, memory, roofline, per-PC).
 //!
-//! ```text
-//! hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] [--json] [--out DIR]
-//! ```
-//!
-//! `--json` switches to the deterministic JSON rendering (sorted keys, no
-//! timestamps: two runs are byte-identical).  `--out DIR` writes one
-//! `hprof_<device>_<workload>.{txt,json}` per report instead of stdout.
+//! `hprof --help` lists the arguments.  The `--json` rendering is
+//! deterministic (sorted keys, no timestamps: two runs are byte-identical).
 
+use hopper_obs::cli::{Arg, Args, Flag, Spec};
 use hopper_prof::workloads::Workload;
 use hopper_prof::{profile_kernel, KernelReport};
 use hopper_sim::{DeviceConfig, Gpu};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] [--json] [--out DIR]"
-    );
-    std::process::exit(2);
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "hprof",
+    about: "Nsight-Compute-style sectioned kernel reports from the simulator",
+    args: &[
+        Arg::optional("DEVICE", "h800 | a100 | rtx4090 | all (default h800)"),
+        Arg::optional("WORKLOAD", "pchase | stream | tensor | dpx | all (default pchase)"),
+    ],
+    flags: &[
+        Flag::switch("json", "deterministic JSON instead of text"),
+        Flag::value("out", "DIR", "write hprof_<device>_<workload>.{txt,json} files to DIR"),
+    ],
+    ..Spec::NONE
+};
 
 fn run_one(dev: DeviceConfig, workload: Workload) -> KernelReport {
     let mut gpu = Gpu::new(dev);
@@ -33,63 +37,33 @@ fn run_one(dev: DeviceConfig, workload: Workload) -> KernelReport {
     report
 }
 
+fn fail(path: impl std::fmt::Display, e: std::io::Error) -> ! {
+    eprintln!("hprof: {path}: {e}");
+    std::process::exit(1)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut device = "h800".to_string();
-    let mut workload = "pchase".to_string();
-    let mut json = false;
-    let mut out_dir: Option<String> = None;
-    let mut pos = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--out" => {
-                i += 1;
-                out_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: hprof [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx|all] \
-                     [--json] [--out DIR]"
-                );
-                return;
-            }
-            a if a.starts_with('-') => usage(),
-            a => {
-                match pos {
-                    0 => device = a.to_string(),
-                    1 => workload = a.to_string(),
-                    _ => usage(),
-                }
-                pos += 1;
-            }
+    let args = Args::from_env(&SPEC);
+    let json = args.switch("json");
+    let devices: Vec<DeviceConfig> = match args.arg("DEVICE").unwrap_or("h800") {
+        "all" => vec!["h800", "a100", "rtx4090"],
+        name => vec![name],
+    }
+    .into_iter()
+    .map(|n| DeviceConfig::by_name(n).unwrap_or_else(|| args.fail(format!("unknown device `{n}`"))))
+    .collect();
+    let workloads: Vec<Workload> = match args.arg("WORKLOAD").unwrap_or("pchase") {
+        "all" => Workload::ALL.to_vec(),
+        w => {
+            vec![Workload::parse(w).unwrap_or_else(|| args.fail(format!("unknown workload `{w}`")))]
         }
-        i += 1;
+    };
+    let out_dir: Option<String> = args.value("out");
+    if let Some(dir) = &out_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
     }
 
-    let devices: Vec<&str> = if device == "all" {
-        vec!["h800", "a100", "rtx4090"]
-    } else {
-        vec![device.as_str()]
-    };
-    let workloads: Vec<Workload> = if workload == "all" {
-        Workload::ALL.to_vec()
-    } else {
-        match Workload::parse(&workload) {
-            Some(w) => vec![w],
-            None => {
-                eprintln!("unknown workload `{workload}` (expected pchase|stream|tensor|dpx|all)");
-                std::process::exit(2);
-            }
-        }
-    };
-
-    for dev_name in &devices {
-        let Some(dev) = DeviceConfig::by_name(dev_name) else {
-            eprintln!("unknown device `{dev_name}` (expected h800|a100|rtx4090|all)");
-            std::process::exit(2);
-        };
+    for dev in &devices {
         for &w in &workloads {
             let report = run_one(dev.clone(), w);
             let rendered = if json {
@@ -100,10 +74,9 @@ fn main() {
             match &out_dir {
                 Some(dir) => {
                     let ext = if json { "json" } else { "txt" };
-                    std::fs::create_dir_all(dir).expect("create output directory");
-                    let path = std::path::Path::new(dir)
-                        .join(format!("hprof_{dev_name}_{}.{ext}", w.name()));
-                    std::fs::write(&path, rendered).expect("write report");
+                    let name = format!("hprof_{}_{}.{ext}", dev.wire_name(), w.name());
+                    let path = std::path::Path::new(dir).join(name);
+                    std::fs::write(&path, rendered).unwrap_or_else(|e| fail(path.display(), e));
                     println!("wrote {}", path.display());
                 }
                 None => println!("{rendered}"),

@@ -7,6 +7,9 @@
 use serde_json::Value;
 use std::collections::BTreeMap;
 
+#[path = "../../obs/tests/support/cli_contract.rs"]
+mod cli_contract;
+
 /// Flatten a JSON tree into `key path → type name`.  Array elements share
 /// one path (`pcs[]`): their number is workload-dependent and free.
 /// `null` counts as a number: it stands in for one in optional slots
@@ -80,4 +83,30 @@ fn doctored_reports_fail_the_structure_comparison() {
             assert_ne!(schema_of(&bad), want, "doctored `{key}` must not pass");
         }
     }
+}
+
+#[test]
+fn hprof_and_gen_experiments_keep_the_command_line_contract() {
+    let bad: [&[&str]; 3] = [&["h900"], &["h800", "nope"], &["h800", "pchase", "x"]];
+    let hprof = env!("CARGO_BIN_EXE_hprof");
+    cli_contract::assert_contract(hprof, &["DEVICE", "WORKLOAD", "--json", "--out"], &bad);
+    // A u32 flag given 2^32 + 2 used to wrap to 2 and run the whole sweep.
+    let bad: [&[&str]; 2] = [&["--sim-threads", "4294967298"], &["-j", "x"]];
+    let gen = env!("CARGO_BIN_EXE_gen-experiments");
+    cli_contract::assert_contract(gen, &["-j, --jobs", "--sim-threads"], &bad);
+}
+
+#[test]
+fn hprof_reports_an_unwritable_output_directory() {
+    // A regular file cannot hold a directory.
+    let file = concat!(env!("CARGO_TARGET_TMPDIR"), "/hprof_out_is_a_file");
+    std::fs::write(file, "").expect("write a regular file");
+    let dir = format!("{file}/reports");
+    let (code, out, err) = cli_contract::run(env!("CARGO_BIN_EXE_hprof"), &["--out", &dir]);
+    assert_eq!(code, 1, "{err}");
+    assert!(
+        out.is_empty() && err.starts_with(&format!("hprof: {dir}: ")),
+        "{err}"
+    );
+    assert!(!err.contains("panicked at"), "{err}");
 }

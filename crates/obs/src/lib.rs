@@ -6,7 +6,7 @@
 //! service behaviour — the serving tier (`hsimd`), the profiler's render
 //! paths and the engine's host-side run phases all report here.
 //!
-//! Four pieces, all plain `std` (no new dependencies):
+//! Five pieces, all plain `std` (no new dependencies):
 //!
 //! * [`Histogram`] — a lock-free log2-bucket histogram with a
 //!   *single-pass* [`HistogramSnapshot`] (bucket counts, their sum and
@@ -21,6 +21,9 @@
 //! * [`span::Timeline`] — per-request stage timelines (name, start,
 //!   duration) anchored at accept time, plus [`corr::mint`] for the
 //!   correlation ids that tie a response envelope to its log lines.
+//! * [`cli`] — the one command-line parser: each bin declares its flags
+//!   in a `const` table that yields both the parse and the `--help`, and
+//!   reports usage errors as a [`log`] event.
 //!
 //! ```
 //! use hopper_obs::Registry;
@@ -37,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod corr;
 pub mod expo;
 pub mod hist;

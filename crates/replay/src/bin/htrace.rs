@@ -1,11 +1,5 @@
-//! `htrace` — capture, inspect and replay simulator traces.
-//!
-//! ```text
-//! htrace capture --device h800 --grid 4 --block 128 [--cluster N]
-//!                [--param V]... [--name NAME] [--binary] -o OUT.htrace KERNEL.asm
-//! htrace info TRACE
-//! htrace replay [--profile] TRACE
-//! ```
+//! `htrace` — capture, inspect and replay simulator traces
+//! (`htrace --help` lists the commands and their flags).
 //!
 //! `capture` assembles the kernel, runs it with instruction-event capture
 //! and writes the trace; the run's stats JSON goes to stdout (identical
@@ -16,36 +10,64 @@
 //! `hopper-prof` report — same schema, same `kernel_digest`, as a
 //! functional profile of the same kernel.
 //!
-//! `--param` values accept decimal or `0x` hex.  Device memory is not
-//! snapshotted: a replay needs no input buffers (addresses come from the
+//! Device memory is not snapshotted: a replay needs no input buffers (addresses come from the
 //! capture), which is exactly what makes traces portable.
 
+use hopper_obs::cli::{Arg, Args, Flag, FromArg, Spec};
 use hopper_prof::{json::obj, run_stats_to_json};
-use hopper_replay::{Trace, TraceError};
+use hopper_replay::Trace;
 use hopper_sim::{DeviceConfig, Gpu, Launch, Replay, Run};
 use serde_json::Value;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: htrace capture --device h800|a100|rtx4090 --grid N --block N \\\n\
-         \x20              [--cluster N] [--param V]... [--name NAME] [--binary] \\\n\
-         \x20              -o OUT.htrace KERNEL.asm\n\
-         \x20      htrace info TRACE\n\
-         \x20      htrace replay [--profile] TRACE"
-    );
-    std::process::exit(2);
-}
+const TRACE: &[Arg] = &[Arg::required("TRACE", "trace file (text or binary)")];
+
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "htrace",
+    about: "capture, inspect and replay simulator traces",
+    commands: &[
+        Spec {
+            name: "capture",
+            about: "run KERNEL with capture, write its trace, print the run's stats JSON",
+            args: &[Arg::required("KERNEL", "kernel assembly (.asm)")],
+            flags: &[
+                Flag::value("device", "NAME", "h800 | a100 | rtx4090 (required)"),
+                Flag::value("grid", "N", "blocks in the grid (required)"),
+                Flag::value("block", "N", "threads per block (required)"),
+                Flag::value("cluster", "N", "cluster size (default 1)"),
+                Flag::value("param", "V", "kernel parameter into %r0, %r1, …").repeated(),
+                Flag::value("name", "NAME", "kernel name (default: KERNEL's file stem)"),
+                Flag::switch("binary", "write the binary encoding instead of text"),
+                Flag::value("out", "OUT.htrace", "trace file to write (required)").short("o"),
+            ],
+            ..Spec::NONE
+        },
+        Spec { name: "info", about: "print TRACE's header as JSON", args: TRACE, ..Spec::NONE },
+        Spec {
+            name: "replay",
+            about: "replay TRACE through the timing model; print the stats JSON",
+            args: TRACE,
+            flags: &[Flag::switch("profile", "print the sectioned hopper-prof report instead")],
+            ..Spec::NONE
+        },
+    ],
+    ..Spec::NONE
+};
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("htrace: {msg}");
     std::process::exit(1);
 }
 
-fn parse_u64_auto(tok: &str) -> Option<u64> {
-    match tok.strip_prefix("0x") {
-        Some(h) => u64::from_str_radix(h, 16).ok(),
-        None => tok.parse().ok(),
-    }
+/// A flag `capture` cannot do without.
+fn required<T: FromArg>(args: &Args, long: &str) -> T {
+    args.value(long)
+        .unwrap_or_else(|| args.fail(format!("capture needs --{long}")))
+}
+
+fn stats_json(stats: &hopper_sim::RunStats) -> String {
+    let v = run_stats_to_json(stats);
+    serde_json::to_string_pretty(&v).expect("Value serialisation is infallible")
 }
 
 fn load_trace(path: &str) -> Trace {
@@ -53,71 +75,30 @@ fn load_trace(path: &str) -> Trace {
     Trace::parse(&bytes).unwrap_or_else(|e| fail(e))
 }
 
-fn cmd_capture(args: &[String]) {
-    let mut device = None;
-    let mut grid = None;
-    let mut block = None;
-    let mut cluster = 1u32;
-    let mut params = Vec::new();
-    let mut name = None;
-    let mut binary = false;
-    let mut out = None;
-    let mut input = None;
-    let mut i = 0;
-    let next = |args: &[String], i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
+fn cmd_capture(args: &Args) {
+    let device: String = required(args, "device");
+    let launch = Launch {
+        grid: required(args, "grid"),
+        block: required(args, "block"),
+        cluster: args.value("cluster").unwrap_or(1),
+        params: args.values("param"),
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--device" => device = Some(next(args, &mut i)),
-            "--grid" => grid = next(args, &mut i).parse::<u32>().ok(),
-            "--block" => block = next(args, &mut i).parse::<u32>().ok(),
-            "--cluster" => {
-                cluster = next(args, &mut i)
-                    .parse::<u32>()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--param" => {
-                params.push(parse_u64_auto(&next(args, &mut i)).unwrap_or_else(|| usage()))
-            }
-            "--name" => name = Some(next(args, &mut i)),
-            "--binary" => binary = true,
-            "-o" | "--out" => out = Some(next(args, &mut i)),
-            a if a.starts_with('-') => usage(),
-            a => {
-                if input.replace(a.to_string()).is_some() {
-                    usage();
-                }
-            }
-        }
-        i += 1;
-    }
-    let (Some(device), Some(grid), Some(block), Some(out), Some(input)) =
-        (device, grid, block, out, input)
-    else {
-        usage()
-    };
+    let out: String = required(args, "out");
+    let input = args.arg("KERNEL").unwrap_or_default();
     let dev = DeviceConfig::by_name(&device)
-        .unwrap_or_else(|| fail(format!("unknown device `{device}` (h800|a100|rtx4090)")));
+        .unwrap_or_else(|| args.fail(format!("unknown device `{device}`")));
     let asm_text =
-        std::fs::read_to_string(&input).unwrap_or_else(|e| fail(format!("read {input}: {e}")));
-    let name = name.unwrap_or_else(|| {
-        std::path::Path::new(&input)
+        std::fs::read_to_string(input).unwrap_or_else(|e| fail(format!("read {input}: {e}")));
+    let name = args.value("name").unwrap_or_else(|| {
+        std::path::Path::new(input)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "kernel".into())
     });
-    let launch = Launch {
-        grid,
-        block,
-        cluster,
-        params,
-    };
     let mut gpu = Gpu::new(dev);
     let (stats, trace) =
         Trace::capture(&mut gpu, &device, &asm_text, &name, &launch).unwrap_or_else(|e| fail(e));
-    let bytes = if binary {
+    let bytes = if args.switch("binary") {
         trace.to_binary()
     } else {
         trace.to_text().into_bytes()
@@ -129,22 +110,17 @@ fn cmd_capture(args: &[String]) {
         trace.total_records(),
         bytes.len()
     );
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&run_stats_to_json(&stats))
-            .expect("Value serialisation is infallible")
-    );
+    println!("{}", stats_json(&stats));
 }
 
-fn cmd_info(args: &[String]) {
-    let [path] = args else { usage() };
-    let trace = load_trace(path);
+fn cmd_info(args: &Args) {
+    let trace = load_trace(args.arg("TRACE").unwrap_or_default());
     let h = &trace.header;
     let v = obj(vec![
-        ("block", Value::UInt(h.block as u64)),
-        ("cluster", Value::UInt(h.cluster as u64)),
+        ("block", Value::UInt(h.block.into())),
+        ("cluster", Value::UInt(h.cluster.into())),
         ("device", Value::Str(h.device.clone())),
-        ("grid", Value::UInt(h.grid as u64)),
+        ("grid", Value::UInt(h.grid.into())),
         ("kernel", Value::Str(h.kernel_name.clone())),
         ("kernel_digest", Value::Str(h.digest_hex.clone())),
         (
@@ -152,7 +128,7 @@ fn cmd_info(args: &[String]) {
             Value::Array(h.params.iter().map(|&p| Value::UInt(p)).collect()),
         ),
         ("records", Value::UInt(trace.total_records())),
-        ("version", Value::UInt(h.version as u64)),
+        ("version", Value::UInt(h.version.into())),
         ("warps", Value::UInt(trace.warp_count() as u64)),
     ]);
     println!(
@@ -161,22 +137,8 @@ fn cmd_info(args: &[String]) {
     );
 }
 
-fn cmd_replay(args: &[String]) {
-    let mut profile = false;
-    let mut path = None;
-    for a in args {
-        match a.as_str() {
-            "--profile" => profile = true,
-            a if a.starts_with('-') => usage(),
-            a => {
-                if path.replace(a.to_string()).is_some() {
-                    usage();
-                }
-            }
-        }
-    }
-    let Some(path) = path else { usage() };
-    let trace = load_trace(&path);
+fn cmd_replay(args: &Args) {
+    let trace = load_trace(args.arg("TRACE").unwrap_or_default());
     let kernel = trace.validate().unwrap_or_else(|e| fail(e));
     let dev = DeviceConfig::by_name(&trace.header.device).unwrap_or_else(|| {
         fail(format!(
@@ -194,31 +156,21 @@ fn cmd_replay(args: &[String]) {
         }),
         ..Run::default()
     };
-    let rendered = if profile {
+    let rendered = if args.switch("profile") {
         hopper_prof::profile_run(&mut gpu, &kernel, &launch, run)
             .unwrap_or_else(|e| fail(e))
             .to_json_string()
     } else {
-        let stats = gpu.run(&kernel, &launch, run).unwrap_or_else(|e| fail(e));
-        serde_json::to_string_pretty(&run_stats_to_json(&stats))
-            .expect("Value serialisation is infallible")
+        stats_json(&gpu.run(&kernel, &launch, run).unwrap_or_else(|e| fail(e)))
     };
     println!("{rendered}");
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        usage()
-    };
-    match cmd.as_str() {
-        "capture" => cmd_capture(rest),
-        "info" => cmd_info(rest),
-        "replay" => cmd_replay(rest),
-        "--help" | "-h" => {
-            let _ = TraceError::NotTextual; // silence unused-import lint paths
-            usage()
-        }
-        _ => usage(),
+    let args = Args::from_env(&SPEC);
+    match args.command() {
+        Some("capture") => cmd_capture(&args),
+        Some("info") => cmd_info(&args),
+        _ => cmd_replay(&args),
     }
 }

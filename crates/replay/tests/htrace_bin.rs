@@ -7,6 +7,9 @@ use hopper_replay::Trace;
 use hopper_sim::{DeviceConfig, Gpu};
 use serde_json::json;
 
+#[path = "../../obs/tests/support/cli_contract.rs"]
+mod cli_contract;
+
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/histogram.htrace");
 
 fn htrace(args: &[&str]) -> String {
@@ -38,4 +41,45 @@ fn info_and_replay_print_what_the_library_computes() {
         .expect("golden trace replays");
     let want = serde_json::to_string_pretty(&hopper_prof::run_stats_to_json(&stats)).unwrap();
     assert_eq!(htrace(&["replay", GOLDEN]), format!("{want}\n"));
+}
+
+#[test]
+fn htrace_keeps_the_command_line_contract() {
+    let asm = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/kernels/saxpy.asm"
+    );
+    let flags = [
+        "capture",
+        "info",
+        "replay",
+        "--device",
+        "--grid",
+        "--block",
+        "--cluster",
+        "--param",
+        "--name",
+        "--binary",
+        "-o, --out",
+        "--profile",
+    ];
+    let capture = [
+        "capture",
+        "--device",
+        "h800",
+        "--grid",
+        "1",
+        "-o",
+        "/dev/null",
+        asm,
+    ];
+    let bad: [&[&str]; 6] = [
+        &[&capture[..], &["--block", "x"]].concat(),
+        &capture,
+        &[&capture[..], &["--block", "32", "--device", "h900"]].concat(),
+        &["--profile", "replay", GOLDEN],
+        &["info", GOLDEN, GOLDEN],
+        &["trace"],
+    ];
+    cli_contract::assert_contract(env!("CARGO_BIN_EXE_htrace"), &flags, &bad);
 }

@@ -3,279 +3,146 @@
 //! Exit codes: 0 = daemon answered `status:"ok"`, 1 = daemon answered
 //! `status:"error"`, 2 = usage or transport failure.
 
+use hopper_obs::cli::{self, Arg, Args, Flag, Spec};
 use hopper_obs::log::{self, Level};
 use hopper_serve::protocol::ReportKind;
-use hopper_serve::{Client, RunSpec};
+use hopper_serve::{Client, RunSpec, DEFAULT_ADDR};
+use serde_json::Value;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-hsim-client -- client for the hsimd simulation daemon
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "hsim-client",
+    about: "client for the hsimd simulation daemon",
+    flags: &[
+        Flag::value("addr", "HOST:PORT", "daemon address (default 127.0.0.1:7077)"),
+        Flag::switch("pretty", "pretty-print the response JSON"),
+    ],
+    commands: &[
+        Spec { name: "ping", about: "liveness probe", ..Spec::NONE },
+        Spec { name: "stats", about: "daemon statistics snapshot", ..Spec::NONE },
+        Spec { name: "metrics", about: "the daemon's Prometheus exposition, raw", ..Spec::NONE },
+        Spec { name: "shutdown", about: "graceful shutdown (drains queued jobs)", ..Spec::NONE },
+        Spec {
+            name: "run",
+            about: "simulate a kernel FILE, a captured --trace, or a --report infer scenario",
+            args: &[Arg::optional("FILE", "kernel assembly; `-` reads stdin")],
+            flags: &[
+                Flag::value("trace", "FILE", "replay a trace; device, geometry and params from its header"),
+                Flag::value("scenario", "FILE", "infer scenario JSON for --report infer (`-` reads stdin)"),
+                Flag::value("device", "NAME", "h800 | a100 | rtx4090 (default h800)"),
+                Flag::value("grid", "N", "blocks in the grid (default 1)"),
+                Flag::value("block", "N", "threads per block (default 128)"),
+                Flag::value("cluster", "N", "cluster size (default 1)"),
+                Flag::value("param", "N", "kernel parameter, loaded into %r0.. in order").repeated(),
+                Flag::value("report", "KIND", "stats | profile | infer (default stats)"),
+                Flag::value("name", "NAME", "kernel name stamped into reports"),
+                Flag::value("id", "ID", "correlation id echoed in the response"),
+                Flag::value("max-cycles", "N", "simulated-cycle budget (infer: scheduler iterations)"),
+                Flag::value("deadline-ms", "MS", "wall-clock deadline for this run"),
+                Flag::switch("no-cache", "bypass the daemon's result cache"),
+                Flag::switch("timings", "ask for the per-stage timeline in the response"),
+            ],
+            ..Spec::NONE
+        },
+    ],
+    ..Spec::NONE
+};
 
-USAGE:
-    hsim-client [--addr HOST:PORT] <COMMAND>
-
-COMMANDS:
-    ping                       liveness probe
-    stats                      daemon statistics snapshot
-    metrics                    Prometheus text exposition of the daemon's
-                               metric registry (raw text, no envelope)
-    shutdown                   graceful shutdown (drains queued jobs)
-    run FILE [RUN OPTIONS]     assemble FILE (or stdin when FILE is `-`)
-                               and simulate it on the daemon
-    run --trace FILE [..]      submit a captured trace (htrace text or
-                               binary); device, geometry and params are
-                               filled from the trace header, and the
-                               daemon replays it through the timing model
-    run --report infer [..]    simulate an LLM serving scenario instead of
-                               a kernel; no FILE needed. --scenario FILE
-                               supplies the scenario JSON (defaults apply
-                               when omitted), --max-cycles bounds
-                               scheduler iterations
-
-RUN OPTIONS:
-    --trace FILE       trace file to replay instead of a kernel
-    --scenario FILE    infer scenario JSON (only with --report infer;
-                       `-` reads stdin)
-    --device NAME      h800 | a100 | rtx4090 (default h800)
-    --grid N           blocks in the grid (default 1)
-    --block N          threads per block (default 128)
-    --cluster N        cluster size (default 1)
-    --param N          kernel parameter, repeatable (loaded into %r0..)
-    --report KIND      stats | profile | infer (default stats)
-    --name NAME        kernel name stamped into reports
-    --id ID            correlation id echoed in the response
-    --max-cycles N     simulated-cycle budget for this run
-    --deadline-ms MS   wall-clock deadline for this run
-    --no-cache         bypass the daemon's result cache
-    --timings          ask for the per-stage timeline in the response
-    --pretty           pretty-print the response JSON
-
-GLOBAL OPTIONS:
-    --addr HOST:PORT   daemon address (default 127.0.0.1:7077)
-    -h, --help         print this help
-";
-
-struct Cli {
-    addr: String,
-    pretty: bool,
-    command: Command,
-}
-
-enum Command {
-    Ping,
-    Stats,
-    Metrics,
-    Shutdown,
-    Run(Box<RunSpec>),
-}
-
-fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
-    let mut addr = "127.0.0.1:7077".to_string();
-    let mut pretty = false;
-    let mut command: Option<Command> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{a} needs a value"))
-        };
-        match a {
-            "-h" | "--help" => return Ok(None),
-            "--addr" => addr = value(&mut i)?,
-            "--pretty" => pretty = true,
-            "ping" | "stats" | "metrics" | "shutdown" if command.is_none() => {
-                command = Some(match a {
-                    "ping" => Command::Ping,
-                    "stats" => Command::Stats,
-                    "metrics" => Command::Metrics,
-                    _ => Command::Shutdown,
-                });
-            }
-            "run" if command.is_none() => {
-                // The kernel FILE is optional when `--trace` supplies the
-                // run: leave flag-looking tokens to the option loop.
-                let file = match args.get(i + 1) {
-                    Some(f) if f == "-" || !f.starts_with('-') => {
-                        i += 1;
-                        Some(f.clone())
-                    }
-                    _ => None,
-                };
-                let kernel = match file.as_deref() {
-                    Some("-") => {
-                        let mut text = String::new();
-                        std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
-                            .map_err(|e| format!("reading stdin: {e}"))?;
-                        text
-                    }
-                    Some(f) => {
-                        std::fs::read_to_string(f).map_err(|e| format!("reading {f}: {e}"))?
-                    }
-                    None => String::new(),
-                };
-                command = Some(Command::Run(Box::new(RunSpec::new(kernel, "h800", 1, 128))));
-            }
-            flag => {
-                let Some(Command::Run(spec)) = command.as_mut() else {
-                    return Err(format!("unknown argument `{flag}`"));
-                };
-                let parse_n = |val: &str| -> Result<u64, String> {
-                    val.parse::<u64>()
-                        .map_err(|_| format!("{flag}: `{val}` is not a non-negative integer"))
-                };
-                match flag {
-                    "--trace" => {
-                        let path = value(&mut i)?;
-                        let bytes =
-                            std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
-                        let trace = hopper_replay::Trace::parse(&bytes)
-                            .map_err(|e| format!("{path}: {e}"))?;
-                        // The wire carries the text encoding; a binary
-                        // file is converted, a text file rides verbatim
-                        // (so its cache digest matches the bytes on disk).
-                        spec.trace = Some(match String::from_utf8(bytes) {
-                            Ok(text) if !text.starts_with("HTRB") => text,
-                            _ => trace.to_text(),
-                        });
-                        spec.device = trace.header.device.clone();
-                        spec.grid = trace.header.grid;
-                        spec.block = trace.header.block;
-                        spec.cluster = trace.header.cluster;
-                        spec.params = trace.header.params.clone();
-                    }
-                    "--no-cache" => spec.no_cache = true,
-                    "--timings" => spec.timings = true,
-                    "--device" => spec.device = value(&mut i)?,
-                    "--name" => spec.name = Some(value(&mut i)?),
-                    "--id" => spec.id = Some(value(&mut i)?),
-                    "--grid" => spec.grid = parse_n(&value(&mut i)?)? as u32,
-                    "--block" => spec.block = parse_n(&value(&mut i)?)? as u32,
-                    "--cluster" => spec.cluster = parse_n(&value(&mut i)?)? as u32,
-                    "--param" => spec.params.push(parse_n(&value(&mut i)?)?),
-                    "--max-cycles" => spec.max_cycles = Some(parse_n(&value(&mut i)?)?),
-                    "--deadline-ms" => spec.deadline_ms = Some(parse_n(&value(&mut i)?)?),
-                    "--report" => {
-                        let v = value(&mut i)?;
-                        spec.report = ReportKind::parse(&v)
-                            .ok_or_else(|| format!("--report: `{v}` is not stats|profile|infer"))?;
-                    }
-                    "--scenario" => {
-                        let path = value(&mut i)?;
-                        let text = if path == "-" {
-                            let mut text = String::new();
-                            std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
-                                .map_err(|e| format!("reading stdin: {e}"))?;
-                            text
-                        } else {
-                            std::fs::read_to_string(&path)
-                                .map_err(|e| format!("reading {path}: {e}"))?
-                        };
-                        let v: serde_json::Value = serde_json::from_str(&text)
-                            .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-                        spec.infer = Some(v);
-                    }
-                    other => return Err(format!("unknown run option `{other}`")),
-                }
-            }
-        }
-        i += 1;
+/// The `run` request the command line describes: the trace header (when
+/// `--trace` is given) under the flags given explicitly.
+fn run_spec(args: &Args) -> Result<RunSpec, String> {
+    let mut spec = RunSpec::new(String::new(), "h800", 1, 128);
+    if let Some(path) = args.value::<String>("trace") {
+        let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
+        let trace = hopper_replay::Trace::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        // The wire carries the text encoding; a binary file is converted,
+        // a text file rides verbatim (so its cache digest matches the
+        // bytes on disk).
+        spec.trace = Some(match String::from_utf8(bytes) {
+            Ok(text) if !text.starts_with("HTRB") => text,
+            _ => trace.to_text(),
+        });
+        spec.device = trace.header.device;
+        spec.grid = trace.header.grid;
+        spec.block = trace.header.block;
+        spec.cluster = trace.header.cluster;
+        spec.params = trace.header.params;
     }
-    let command =
-        command.ok_or_else(|| "missing command (ping|stats|metrics|shutdown|run)".to_string())?;
-    if let Command::Run(spec) = &command {
-        if spec.report != ReportKind::Infer && spec.trace.is_none() && spec.kernel.is_empty() {
-            return Err("run needs a kernel FILE (or `-` for stdin) or --trace FILE".to_string());
-        }
-        if spec.report != ReportKind::Infer && spec.infer.is_some() {
-            return Err("--scenario requires --report infer".to_string());
-        }
+    if let Some(file) = args.arg("FILE") {
+        spec.kernel = cli::read_input(file)?;
     }
-    Ok(Some(Cli {
-        addr,
-        pretty,
-        command,
-    }))
+    spec.device = args.value("device").unwrap_or(spec.device);
+    spec.grid = args.value("grid").unwrap_or(spec.grid);
+    spec.block = args.value("block").unwrap_or(spec.block);
+    spec.cluster = args.value("cluster").unwrap_or(spec.cluster);
+    spec.params.extend(args.values::<u64>("param"));
+    spec.name = args.value("name");
+    spec.id = args.value("id");
+    spec.max_cycles = args.value("max-cycles");
+    spec.deadline_ms = args.value("deadline-ms");
+    spec.no_cache = args.switch("no-cache");
+    spec.timings = args.switch("timings");
+    if let Some(kind) = args.value::<String>("report") {
+        spec.report = ReportKind::parse(&kind)
+            .ok_or_else(|| format!("--report: `{kind}` is not stats|profile|infer"))?;
+    }
+    if let Some(path) = args.value::<String>("scenario") {
+        let text = cli::read_input(&path)?;
+        let v = serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+        spec.infer = Some(v);
+    }
+    if spec.report != ReportKind::Infer && spec.trace.is_none() && spec.kernel.is_empty() {
+        return Err("run needs a kernel FILE (or `-` for stdin) or --trace FILE".to_string());
+    }
+    if spec.report != ReportKind::Infer && spec.infer.is_some() {
+        return Err("--scenario requires --report infer".to_string());
+    }
+    Ok(spec)
 }
 
 fn main() -> ExitCode {
-    log::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Ok(Some(cli)) => cli,
-        Err(e) => {
-            log::event(Level::Error, "hsim_client", "invalid arguments")
-                .str("detail", &e)
-                .emit();
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let client = Client::new(cli.addr.clone());
-    if let Command::Metrics = cli.command {
-        // The exposition is plain text, not JSON: print it raw.
-        return match client.metrics() {
+    let args = Args::from_env(&SPEC);
+    let addr: String = args.value("addr").unwrap_or_else(|| DEFAULT_ADDR.into());
+    let client = Client::new(addr.clone());
+    let mut request_id = None;
+    let sent = match args.command() {
+        Some("ping") => client.ping(),
+        Some("stats") => client.send_line(r#"{"op":"stats"}"#),
+        Some("shutdown") => client.shutdown(),
+        Some("metrics") => match client.metrics() {
+            // The exposition is plain text, not JSON: print it raw.
             Ok(text) => {
                 print!("{text}");
-                ExitCode::SUCCESS
+                return ExitCode::SUCCESS;
             }
-            Err(e) => {
-                log::event(Level::Error, "hsim_client", "metrics request failed")
-                    .str("addr", &cli.addr)
-                    .str("detail", &e.to_string())
-                    .emit();
-                ExitCode::from(2)
-            }
-        };
-    }
-    let request_id = match &cli.command {
-        Command::Run(spec) => spec.id.clone(),
-        _ => None,
-    };
-    let sent = match &cli.command {
-        Command::Ping => client.ping(),
-        Command::Stats => client.send_line(r#"{"op":"stats"}"#),
-        Command::Metrics => unreachable!("handled above"),
-        Command::Shutdown => client.shutdown(),
-        Command::Run(spec) => client.run(spec),
+            Err(e) => Err(e),
+        },
+        _ => {
+            let spec = run_spec(&args).unwrap_or_else(|e| args.fail(e));
+            request_id.clone_from(&spec.id);
+            client.run(&spec)
+        }
     };
     let line = match sent {
         Ok(line) => line,
         Err(e) => {
             log::event(Level::Error, "hsim_client", "transport failure")
-                .str("addr", &cli.addr)
+                .str("addr", &addr)
                 .str("id", request_id.as_deref().unwrap_or(""))
                 .str("detail", &e.to_string())
                 .emit();
             return ExitCode::from(2);
         }
     };
-    let parsed = serde_json::from_str(&line);
-    if cli.pretty {
-        match parsed
-            .as_ref()
-            .ok()
-            .and_then(|v| serde_json::to_string_pretty(v).ok())
-        {
-            Some(s) => println!("{s}"),
-            None => println!("{line}"),
-        }
-    } else {
-        println!("{line}");
+    let parsed: Option<Value> = serde_json::from_str(&line).ok();
+    let pretty = parsed.as_ref().filter(|_| args.switch("pretty"));
+    match pretty.map(serde_json::to_string_pretty) {
+        Some(Ok(s)) => println!("{s}"),
+        _ => println!("{line}"),
     }
-    let ok = parsed
-        .ok()
-        .and_then(|v| v.get("status").and_then(|s| s.as_str().map(String::from)))
-        .is_some_and(|s| s == "ok");
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match parsed.as_ref().and_then(|v| v.get("status")) {
+        Some(Value::Str(status)) if status == "ok" => ExitCode::SUCCESS,
+        _ => ExitCode::FAILURE,
     }
 }

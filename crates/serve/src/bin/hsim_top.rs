@@ -4,83 +4,32 @@
 //! (QPS), per-stage p50/p99 latency, queue depth, cache hit rate,
 //! worker utilization and per-device run counts.
 
+use hopper_obs::cli::{Args, Flag, Spec};
 use hopper_obs::expo::{self, Exposition};
 use hopper_obs::log::{self, Level};
-use hopper_serve::Client;
+use hopper_serve::{Client, DEFAULT_ADDR};
 use serde_json::Value;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-hsim-top -- live dashboard for the hsimd simulation daemon
-
-USAGE:
-    hsim-top [OPTIONS]
-
-OPTIONS:
-    --addr HOST:PORT   daemon address (default 127.0.0.1:7077)
-    --interval-ms MS   refresh interval (default 1000)
-    --frames N         exit after N frames (default: run until ^C)
-    --once             print one frame and exit (no screen clearing);
-                       shorthand for --frames 1
-    -h, --help         print this help
-
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "hsim-top",
+    about: "live dashboard for the hsimd simulation daemon",
+    flags: &[
+        Flag::value("addr", "HOST:PORT", "daemon address (default 127.0.0.1:7077)"),
+        Flag::value("interval-ms", "MS", "refresh interval (default 1000)"),
+        Flag::value("frames", "N", "exit after N frames (default: run until ^C)"),
+        Flag::switch("once", "print one frame and exit, without clearing the screen"),
+    ],
+    notes: "\
 Each frame polls the `stats` op (request counters, queue, cache,
 workers) and the `metrics` op (the Prometheus registry, for per-stage
 latency quantiles and per-device run counts).  QPS is the request-count
 delta between frames, so the first frame shows 0.
-";
-
-struct Cli {
-    addr: String,
-    interval: Duration,
-    frames: Option<u64>,
-    once: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
-    let mut cli = Cli {
-        addr: "127.0.0.1:7077".into(),
-        interval: Duration::from_millis(1000),
-        frames: None,
-        once: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag {
-            "-h" | "--help" => return Ok(None),
-            "--addr" => cli.addr = value(&mut i)?,
-            "--interval-ms" => {
-                let v = value(&mut i)?;
-                let ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--interval-ms: `{v}` is not a non-negative integer"))?;
-                cli.interval = Duration::from_millis(ms);
-            }
-            "--frames" => {
-                let v = value(&mut i)?;
-                cli.frames = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--frames: `{v}` is not a non-negative integer"))?,
-                );
-            }
-            "--once" => {
-                cli.once = true;
-                cli.frames = Some(1);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(Some(cli))
-}
+",
+    ..Spec::NONE
+};
 
 /// A latency distribution as ascending `(inclusive_bound_us, count)`
 /// pairs with non-cumulative counts.
@@ -120,7 +69,7 @@ impl Dist {
                 Some((le.parse::<f64>().ok()?, s.value))
             })
             .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut prev = 0.0;
         Dist(
             pairs
@@ -257,23 +206,12 @@ fn render_frame(addr: &str, stats: &Value, doc: &Exposition, qps: f64) -> String
 }
 
 fn main() -> ExitCode {
-    log::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Ok(Some(cli)) => cli,
-        Err(e) => {
-            log::event(Level::Error, "hsim_top", "invalid arguments")
-                .str("detail", &e)
-                .emit();
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let client = Client::new(cli.addr.clone());
+    let args = Args::from_env(&SPEC);
+    let addr: String = args.value("addr").unwrap_or_else(|| DEFAULT_ADDR.into());
+    let interval = Duration::from_millis(args.value("interval-ms").unwrap_or(1000));
+    let once = args.switch("once");
+    let frames: Option<u64> = if once { Some(1) } else { args.value("frames") };
+    let client = Client::new(addr.clone());
     let mut prev: Option<(Instant, u64)> = None;
     let mut frame = 0u64;
     loop {
@@ -285,7 +223,7 @@ fn main() -> ExitCode {
             Ok(p) => p,
             Err(e) => {
                 log::event(Level::Error, "hsim_top", "poll failed")
-                    .str("addr", &cli.addr)
+                    .str("addr", &addr)
                     .str("detail", &e)
                     .emit();
                 return ExitCode::from(2);
@@ -299,14 +237,14 @@ fn main() -> ExitCode {
             _ => 0.0,
         };
         prev = Some((now, total));
-        if !cli.once {
+        if !once {
             print!("\x1b[2J\x1b[H"); // clear screen, home cursor
         }
-        print!("{}", render_frame(&cli.addr, &stats, &metrics_doc, qps));
+        print!("{}", render_frame(&addr, &stats, &metrics_doc, qps));
         frame += 1;
-        if cli.frames.is_some_and(|n| frame >= n) {
+        if frames.is_some_and(|n| frame >= n) {
             return ExitCode::SUCCESS;
         }
-        std::thread::sleep(cli.interval);
+        std::thread::sleep(interval);
     }
 }

@@ -42,3 +42,6 @@ pub mod stats;
 pub use client::Client;
 pub use protocol::{canonical_response, ReportKind, RunSpec};
 pub use server::{Server, ServerConfig};
+
+/// The address `hsimd` listens on, and its clients dial, when given none.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7077";

@@ -17,6 +17,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver};
 use std::time::Duration;
 
+#[path = "../../obs/tests/support/cli_contract.rs"]
+mod cli_contract;
+
 /// How long any one step of the daemon's life may take on a loaded host.
 const DEADLINE: Duration = Duration::from_secs(60);
 const CRATES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
@@ -278,6 +281,83 @@ fn hload_refuses_a_rate_below_the_floor() {
         assert!(detail.contains("qps must be finite and at least"), "{line}");
         assert!(!stderr.contains("panicked at"), "{stderr}");
     }
+}
+
+#[test]
+fn every_serve_bin_keeps_the_command_line_contract() {
+    let asm = format!("{CRATES}/../examples/kernels/saxpy.asm");
+    let asm = asm.as_str();
+    cli_contract::assert_contract(
+        env!("CARGO_BIN_EXE_hsimd"),
+        &[
+            "--addr",
+            "--workers",
+            "--queue-cap",
+            "--cache-cap",
+            "--deadline-ms",
+            "--max-cycles",
+        ],
+        &[&["--workers", "x"], &["--block", "x"]],
+    );
+    let run_flags = [
+        "--addr",
+        "--pretty",
+        "ping",
+        "stats",
+        "metrics",
+        "shutdown",
+        "run",
+        "--trace",
+        "--scenario",
+        "--device",
+        "--grid",
+        "--block",
+        "--cluster",
+        "--param",
+        "--report",
+        "--name",
+        "--id",
+        "--max-cycles",
+        "--deadline-ms",
+        "--no-cache",
+        "--timings",
+    ];
+    // A run option before `run`, and a grid that does not fit a u32 (it
+    // used to wrap to 1 and run): usage errors before any connection.
+    let grid = ["run", asm, "--grid", "4294967297"];
+    let bad: [&[&str]; 4] = [
+        &["run", asm, "--block", "x"],
+        &["--grid", "2", "run", asm],
+        &grid,
+        &[],
+    ];
+    cli_contract::assert_contract(env!("CARGO_BIN_EXE_hsim-client"), &run_flags, &bad);
+    cli_contract::assert_contract(
+        env!("CARGO_BIN_EXE_hsim-top"),
+        &["--addr", "--interval-ms", "--frames", "--once"],
+        &[&["--frames", "-1"], &["--block", "x"]],
+    );
+    let hload_flags = [
+        "--addr",
+        "--local",
+        "--device",
+        "--scenario",
+        "--model",
+        "--precision",
+        "--mode",
+        "--tp",
+        "--requests",
+        "--seed",
+        "--max-seqs",
+        "--qps",
+        "--pretty",
+    ];
+    let bad: [&[&str]; 3] = [
+        &["--local", "--device", "h900"],
+        &["--tp", "x"],
+        &["--block", "x"],
+    ];
+    cli_contract::assert_contract(env!("CARGO_BIN_EXE_hload"), &hload_flags, &bad);
 }
 
 #[test]

@@ -295,7 +295,7 @@ impl Gpu {
     /// Allocate device memory (checked against capacity, for the paper's
     /// OOM cells in Table XII).
     pub fn alloc(&mut self, bytes: u64) -> Result<u64, LaunchError> {
-        if self.mem.allocated() + bytes > self.dev.mem_bytes {
+        if self.mem.allocated().saturating_add(bytes) > self.dev.mem_bytes {
             return Err(LaunchError::OutOfMemory {
                 requested: bytes,
                 capacity: self.dev.mem_bytes,

@@ -6,192 +6,120 @@
 //!     --alloc 4096 --param @0 --dump 0:8
 //! ```
 //!
-//! * `--alloc BYTES` — allocate a device buffer (repeatable; buffers are
-//!   numbered 0, 1, … in order);
-//! * `--param V` — kernel parameter loaded into `%r0`, `%r1`, …; `@N`
-//!   passes buffer N's address, a plain integer passes the value;
-//! * `--fill N:V0,V1,…` — pre-fill buffer N with little-endian u32s;
-//! * `--dump N:COUNT` — print COUNT u32s of buffer N after the run;
-//! * `--cluster CS` — launch as thread-block clusters (Hopper only).
+//! `hopper-run --help` lists the flags.
 
 use hopper_isa::asm::assemble_named;
+use hopper_obs::cli::{Arg, Args, Flag, FromArg, Spec};
 use hopper_sim::{DeviceConfig, Gpu, Launch};
 
-struct Args {
-    file: String,
-    device: DeviceConfig,
-    grid: u32,
-    block: u32,
-    cluster: u32,
-    json: bool,
-    allocs: Vec<u64>,
-    params: Vec<String>,
-    fills: Vec<(usize, Vec<u32>)>,
-    dumps: Vec<(usize, usize)>,
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "hopper-run",
+    about: "run a PTX-flavoured assembly file on a simulated device",
+    args: &[Arg::required("FILE", "kernel assembly")],
+    flags: &[
+        Flag::value("device", "NAME", "h800 | a100 | rtx4090 (default h800)"),
+        Flag::value("grid", "N", "blocks in the grid (default 1)"),
+        Flag::value("block", "N", "threads per block (default 32)"),
+        Flag::value("cluster", "CS", "thread-block cluster size, Hopper only (default 1)"),
+        Flag::value("alloc", "BYTES", "allocate a buffer; buffers are numbered 0, 1, …").repeated(),
+        Flag::value("param", "V|@N", "parameter into %r0, %r1, …; @N: buffer N's address").repeated(),
+        Flag::value("fill", "N:V0,V1", "pre-fill buffer N with little-endian u32s").repeated(),
+        Flag::value("dump", "N:COUNT", "print COUNT u32s of buffer N after the run").repeated(),
+        Flag::switch("json", "print the run's stats and dumps as JSON"),
+    ],
+    ..Spec::NONE
+};
+
+/// A `--param`: a value, or `@N` for buffer N's address.
+enum Param {
+    Value(u64),
+    Buffer(usize),
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hopper-run FILE [--device h800|a100|rtx4090] [--grid N] [--block N]\n\
-         \x20                 [--cluster CS] [--alloc BYTES]… [--param V|@N]…\n\
-         \x20                 [--fill N:V0,V1,…]… [--dump N:COUNT]…"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        file: String::new(),
-        device: DeviceConfig::h800(),
-        grid: 1,
-        block: 32,
-        cluster: 1,
-        json: false,
-        allocs: Vec::new(),
-        params: Vec::new(),
-        fills: Vec::new(),
-        dumps: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--device" => {
-                args.device = match next("--device").to_lowercase().as_str() {
-                    "h800" | "hopper" => DeviceConfig::h800(),
-                    "a100" | "ampere" => DeviceConfig::a100(),
-                    "rtx4090" | "4090" | "ada" => DeviceConfig::rtx4090(),
-                    other => {
-                        eprintln!("unknown device `{other}`");
-                        usage()
-                    }
-                }
-            }
-            "--grid" => args.grid = next("--grid").parse().unwrap_or_else(|_| usage()),
-            "--block" => args.block = next("--block").parse().unwrap_or_else(|_| usage()),
-            "--cluster" => args.cluster = next("--cluster").parse().unwrap_or_else(|_| usage()),
-            "--alloc" => args
-                .allocs
-                .push(next("--alloc").parse().unwrap_or_else(|_| usage())),
-            "--param" => args.params.push(next("--param")),
-            "--fill" => {
-                let v = next("--fill");
-                let (idx, vals) = v.split_once(':').unwrap_or_else(|| usage());
-                let idx: usize = idx.parse().unwrap_or_else(|_| usage());
-                let vals: Vec<u32> = vals
-                    .split(',')
-                    .map(|x| x.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                args.fills.push((idx, vals));
-            }
-            "--dump" => {
-                let v = next("--dump");
-                let (idx, n) = v.split_once(':').unwrap_or_else(|| usage());
-                args.dumps.push((
-                    idx.parse().unwrap_or_else(|_| usage()),
-                    n.parse().unwrap_or_else(|_| usage()),
-                ));
-            }
-            "--json" => args.json = true,
-            "--help" | "-h" => usage(),
-            f if f.starts_with("--") => {
-                eprintln!("unknown flag `{f}`");
-                usage()
-            }
-            file => {
-                if !args.file.is_empty() {
-                    usage()
-                }
-                args.file = file.to_string();
-            }
+impl FromArg for Param {
+    fn from_arg(s: &str) -> Result<Param, String> {
+        match s.strip_prefix('@') {
+            Some(n) => usize::from_arg(n).map(Param::Buffer),
+            None => u64::from_arg(s).map(Param::Value),
         }
     }
-    if args.file.is_empty() {
-        usage()
-    }
-    args
+}
+
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
 fn main() {
-    let args = parse_args();
-    let source = std::fs::read_to_string(&args.file).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", args.file);
-        std::process::exit(1)
-    });
-    let kernel = assemble_named(&source, &args.file).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", args.file);
-        std::process::exit(1)
-    });
+    let args = Args::from_env(&SPEC);
+    let file = args.arg("FILE").unwrap_or_default();
+    let name: String = args.value("device").unwrap_or_else(|| "h800".into());
+    let device = DeviceConfig::by_name(&name)
+        .unwrap_or_else(|| args.fail(format!("unknown device `{name}`")));
+    let (grid, block) = (args.value("grid"), args.value("block"));
+    let launch = Launch::new(grid.unwrap_or(1), block.unwrap_or(32))
+        .with_cluster(args.value("cluster").unwrap_or(1));
+    let (allocs, params) = (args.values::<u64>("alloc"), args.values::<Param>("param"));
+    let fills: Vec<(usize, Vec<u32>)> = args.values("fill");
+    let dumps: Vec<(usize, usize)> = args.values("dump");
 
-    let mut gpu = Gpu::new(args.device);
-    let buffers: Vec<u64> = args
-        .allocs
+    let source =
+        std::fs::read_to_string(file).unwrap_or_else(|e| fail(format!("cannot read {file}: {e}")));
+    let kernel = assemble_named(&source, file).unwrap_or_else(|e| fail(format!("{file}: {e}")));
+    let mut gpu = Gpu::new(device);
+    let buffers: Vec<(u64, u64)> = allocs
         .iter()
-        .map(|&b| {
-            gpu.alloc(b).unwrap_or_else(|e| {
-                eprintln!("allocation failed: {e}");
-                std::process::exit(1)
-            })
+        .map(|&b| match gpu.alloc(b) {
+            Ok(addr) => (addr, b),
+            Err(e) => fail(format!("allocation failed: {e}")),
         })
         .collect();
-    for (idx, vals) in &args.fills {
-        let addr = *buffers.get(*idx).unwrap_or_else(|| {
-            eprintln!(
-                "--fill references buffer {idx}, but only {} allocated",
-                buffers.len()
-            );
-            std::process::exit(1)
-        });
-        gpu.write_u32s(addr, vals);
+    let buffer = |flag: &str, idx: usize| match buffers.get(idx) {
+        Some(&b) => b,
+        None => fail(format!("{flag}: buffer {idx} is not allocated")),
+    };
+    // Every dump must read inside its buffer; checked before the launch.
+    let mut reads = Vec::new();
+    for (idx, count) in dumps {
+        let (addr, bytes) = buffer("--dump", idx);
+        if u64::try_from(count).map_or(true, |c| c > bytes / 4) {
+            fail(format!(
+                "--dump {idx}:{count}: buffer {idx} holds {} u32s",
+                bytes / 4
+            ));
+        }
+        reads.push((idx, addr, count));
     }
-    let params: Vec<u64> = args
-        .params
-        .iter()
-        .map(|p| {
-            if let Some(n) = p.strip_prefix('@') {
-                let idx: usize = n.parse().unwrap_or_else(|_| usage());
-                *buffers.get(idx).unwrap_or_else(|| {
-                    eprintln!("--param @{idx} references an unallocated buffer");
-                    std::process::exit(1)
-                })
-            } else {
-                p.parse().unwrap_or_else(|_| usage())
-            }
-        })
-        .collect();
-
-    let launch = Launch::new(args.grid, args.block)
-        .with_cluster(args.cluster)
-        .with_params(params);
-    let stats = gpu.launch(&kernel, &launch).unwrap_or_else(|e| {
-        eprintln!("launch failed: {e}");
-        std::process::exit(1)
+    let params = params.into_iter().map(|p| match p {
+        Param::Value(v) => v,
+        Param::Buffer(idx) => buffer("--param", idx).0,
     });
+    let launch = launch.with_params(params.collect());
+    for (idx, vals) in &fills {
+        gpu.write_u32s(buffer("--fill", *idx).0, vals);
+    }
+    let stats = gpu
+        .launch(&kernel, &launch)
+        .unwrap_or_else(|e| fail(format!("launch failed: {e}")));
 
-    if args.json {
+    if args.switch("json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&stats).expect("stats serialise")
         );
-        for (idx, n) in &args.dumps {
-            let addr = buffers[*idx];
+        for &(idx, addr, n) in &reads {
             println!(
                 "{}",
-                serde_json::json!({ "buffer": idx, "values": gpu.read_u32s(addr, *n) })
+                serde_json::json!({ "buffer": idx, "values": gpu.read_u32s(addr, n) })
             );
         }
         return;
     }
     println!(
-        "{}: {} blocks × {} threads on {}",
-        args.file,
-        args.grid,
-        args.block,
+        "{file}: {} blocks × {} threads on {}",
+        launch.grid,
+        launch.block,
         gpu.device().name
     );
     let m = &stats.metrics;
@@ -224,8 +152,7 @@ fn main() {
         m.dsm_bytes
     );
     println!("  avg power {:.1} W", stats.avg_power_w);
-    for (idx, n) in &args.dumps {
-        let addr = buffers[*idx];
-        println!("  buffer {idx}[0..{n}] = {:?}", gpu.read_u32s(addr, *n));
+    for &(idx, addr, n) in &reads {
+        println!("  buffer {idx}[0..{n}] = {:?}", gpu.read_u32s(addr, n));
     }
 }

@@ -9,14 +9,25 @@
 //! For the full Nsight-style sectioned report (Speed-of-Light, occupancy,
 //! roofline, per-PC hotspots) use `hprof` from `hopper-bench` instead.
 //!
-//! ```text
-//! cargo run --release -p hopper-examples --bin profile_kernel -- \
-//!     [h800|a100|rtx4090|all] [pchase|stream|tensor|dpx] [--chrome-trace out.json]
-//! ```
+//! `cargo run --release -p hopper-examples --bin profile_kernel -- --help`
+//! lists the arguments.
 
+use hopper_obs::cli::{Arg, Args, Flag, Spec};
 use hopper_prof::workloads::Workload;
 use hopper_sim::trace::TeeSink;
 use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, StallProfile};
+
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "profile_kernel",
+    about: "stall attribution and unit occupancy of a built-in kernel",
+    args: &[
+        Arg::optional("DEVICE", "h800 | a100 | rtx4090 | all (default h800)"),
+        Arg::optional("KERNEL", "pchase | stream | tensor | dpx (default stream)"),
+    ],
+    flags: &[Flag::value("chrome-trace", "PATH", "also write a Chrome-trace timeline to PATH")],
+    ..Spec::NONE
+};
 
 fn profile_one(dev: DeviceConfig, workload: Workload, chrome_path: Option<&str>) {
     let mut gpu = Gpu::new(dev);
@@ -36,9 +47,10 @@ fn profile_one(dev: DeviceConfig, workload: Workload, chrome_path: Option<&str>)
         let mut tee = TeeSink::new(&mut prof, &mut chrome);
         let mut stats = gpu.launch_traced(&k, &launch, &mut tee).expect("launch");
         stats.stalls = Some(prof.summary());
-        chrome
-            .write_to(std::path::Path::new(path))
-            .expect("write chrome trace");
+        if let Err(e) = chrome.write_to(std::path::Path::new(path)) {
+            eprintln!("profile_kernel: {path}: {e}");
+            std::process::exit(1);
+        }
         println!("chrome trace: {path} ({} events)", chrome.len());
         (stats, prof)
     } else {
@@ -60,69 +72,25 @@ fn profile_one(dev: DeviceConfig, workload: Workload, chrome_path: Option<&str>)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut device = "h800".to_string();
-    let mut kernel = "stream".to_string();
-    let mut chrome: Option<String> = None;
-    let mut pos = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--chrome-trace" => {
-                i += 1;
-                chrome = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--chrome-trace needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: profile_kernel [h800|a100|rtx4090|all] \
-                     [pchase|stream|tensor|dpx] [--chrome-trace out.json]"
-                );
-                return;
-            }
-            a => {
-                match pos {
-                    0 => device = a.to_string(),
-                    1 => kernel = a.to_string(),
-                    _ => {
-                        eprintln!("unexpected argument `{a}`");
-                        std::process::exit(2);
-                    }
-                }
-                pos += 1;
-            }
-        }
-        i += 1;
-    }
-
-    let Some(workload) = Workload::parse(&kernel) else {
-        eprintln!("unknown kernel `{kernel}` (expected pchase|stream|tensor|dpx)");
-        std::process::exit(2);
+    let args = Args::from_env(&SPEC);
+    let kernel = args.arg("KERNEL").unwrap_or("stream");
+    let workload =
+        Workload::parse(kernel).unwrap_or_else(|| args.fail(format!("unknown kernel `{kernel}`")));
+    let chrome: Option<String> = args.value("chrome-trace");
+    let names = match args.arg("DEVICE").unwrap_or("h800") {
+        "all" => vec!["h800", "a100", "rtx4090"],
+        name => vec![name],
     };
-
-    if device == "all" {
-        for name in ["h800", "a100", "rtx4090"] {
-            // One trace file per device, so later runs don't overwrite
-            // earlier ones: out.json → out-h800.json, out-a100.json, …
-            let per_dev = chrome.as_deref().map(|p| match p.rsplit_once('.') {
-                Some((stem, ext)) => format!("{stem}-{name}.{ext}"),
-                None => format!("{p}-{name}"),
-            });
-            profile_one(
-                DeviceConfig::by_name(name).expect("listed above"),
-                workload,
-                per_dev.as_deref(),
-            );
-        }
-    } else {
-        match DeviceConfig::by_name(&device) {
-            Some(dev) => profile_one(dev, workload, chrome.as_deref()),
-            None => {
-                eprintln!("unknown device `{device}` (expected h800|a100|rtx4090|all)");
-                std::process::exit(2);
-            }
-        }
+    for &name in &names {
+        let dev = DeviceConfig::by_name(name)
+            .unwrap_or_else(|| args.fail(format!("unknown device `{name}`")));
+        // With `all`, one trace file per device so later runs don't
+        // overwrite earlier ones: out.json → out-h800.json, out-a100.json, …
+        let path = chrome.as_deref().map(|p| match p.rsplit_once('.') {
+            _ if names.len() == 1 => p.to_string(),
+            Some((stem, ext)) => format!("{stem}-{name}.{ext}"),
+            None => format!("{p}-{name}"),
+        });
+        profile_one(dev, workload, path.as_deref());
     }
 }

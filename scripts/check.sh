@@ -32,6 +32,11 @@ if [ "$(grep -cE '^\s*pub fn profile_' crates/prof/src/lib.rs)" -gt 2 ]; then
     echo "crates/prof/src/lib.rs: more than two public profile_* functions"; exit 1
 fi
 
+echo "== seam: one flag parser — argv is read only in crates/obs/src/cli.rs, no bin keeps a usage text"
+if grep -rn 'std::env::args' crates examples tests | grep -v '^crates/obs/src/cli.rs:'; then exit 1; fi
+bins=(examples/src/{hopper_run,profile_kernel}.rs crates/{bench,replay,audit,serve}/src/bin/*.rs)
+if grep -nE 'fn usage|USAGE' "${bins[@]}"; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
