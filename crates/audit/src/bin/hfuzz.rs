@@ -125,16 +125,15 @@ fn main() -> ExitCode {
         }
     );
 
-    let mut textual = 0u64;
+    let (mut textual, mut herds) = (0u64, 0u64);
     let (mut infer_checks, mut infer_preempting) = (0u64, 0u64);
     for i in 0..iters {
         let dev = &devices[(i % devices.len() as u64) as usize];
         let hopper = dev.arch == Arch::Hopper;
         let seed = kernel_seed(run_seed, i);
         let plan = KernelPlan::generate(seed, hopper);
-        if plan.is_textual() {
-            textual += 1;
-        }
+        textual += u64::from(plan.is_textual());
+        herds += u64::from(plan.is_herd());
         let use_serve = if serve_every > 0 && i % serve_every == 0 {
             serve.as_ref()
         } else {
@@ -201,10 +200,11 @@ fn main() -> ExitCode {
     }
     println!(
         "hfuzz: PASS — {} kernels ({} textual) clean across {} device(s); \
-         {} infer scenarios, {} preempting",
+         {} herd draws; {} infer scenarios, {} preempting",
         iters,
         textual,
         devices.len(),
+        herds,
         infer_checks,
         infer_preempting
     );

@@ -167,6 +167,14 @@ pub enum Seg {
         /// Shared offset in the peer block (pre-masked, aligned).
         offset: i64,
     },
+    /// Back-to-back independent ops on one unit, each into a scratch
+    /// register (herd plans only: 1024 threads contend for the unit).
+    Herd {
+        /// The saturated unit.
+        op: HerdOp,
+        /// Ops in the burst.
+        n: u8,
+    },
     /// Uniform counted loop around inner segments.
     Loop {
         /// Trip count.
@@ -174,6 +182,17 @@ pub enum Seg {
         /// Body segments (never nested loops).
         body: Vec<Seg>,
     },
+}
+
+/// The unit a [`Seg::Herd`] burst saturates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HerdOp {
+    /// DPX: the DPX unit on Hopper, an integer-pipe sequence elsewhere.
+    Dpx(DpxFunc),
+    /// FP64 adds.
+    Fp64,
+    /// `ld.global.ca` loads through the L1 port.
+    LdCa,
 }
 
 /// Launch geometry for a generated kernel.
@@ -252,6 +271,12 @@ impl KernelPlan {
     /// Generate a plan from `seed`. `hopper` enables wgmma and cluster
     /// segments (pass `dev.arch == Arch::Hopper`).
     pub fn generate(seed: u64, hopper: bool) -> KernelPlan {
+        // A tenth of the draws are herd plans, decided on a stream of
+        // their own so every other seed keeps its plan.
+        let mut h = SplitMix64::new(seed ^ 0x4e2d_4e2d_4e2d_4e2d);
+        if h.chance(1, 10) {
+            return KernelPlan::herd(seed, hopper, &mut h);
+        }
         let mut g = SplitMix64::new(seed);
         let block = *g.pick(&[32u32, 64, 128, 256]);
         let cluster = if hopper && g.chance(1, 4) { 2 } else { 1 };
@@ -275,6 +300,53 @@ impl KernelPlan {
             geom,
             segs,
         }
+    }
+
+    /// A contended-unit plan: one 1024-thread block per SM whose warps
+    /// loop on back-to-back ops of one unit, so most issue attempts are
+    /// refused in herds at that unit's gate.
+    fn herd(seed: u64, hopper: bool, h: &mut SplitMix64) -> KernelPlan {
+        let op = match h.below(3) {
+            0 => HerdOp::Dpx(*h.pick(&DPX_FUNCS)),
+            1 => HerdOp::Fp64,
+            _ => HerdOp::LdCa,
+        };
+        let burst = Seg::Herd {
+            op,
+            n: 4 + h.below(5) as u8,
+        };
+        KernelPlan {
+            seed,
+            hopper,
+            geom: Geometry {
+                grid: *h.pick(&[1u32, 2]),
+                block: 1024,
+                cluster: 1,
+            },
+            segs: vec![
+                Seg::Loop {
+                    trips: 2 + h.below(4) as u8,
+                    body: vec![burst],
+                },
+                Seg::GlobalSt {
+                    width: Width::B4,
+                    stride: 4,
+                    offset: 0,
+                },
+            ],
+        }
+    }
+
+    /// Whether this is a contended-unit plan (it holds a [`Seg::Herd`]).
+    pub fn is_herd(&self) -> bool {
+        fn herd(s: &Seg) -> bool {
+            match s {
+                Seg::Herd { .. } => true,
+                Seg::Loop { body, .. } => body.iter().any(herd),
+                _ => false,
+            }
+        }
+        self.segs.iter().any(herd)
     }
 
     /// Whether every instruction has an asm form (no tile segments), so
@@ -618,6 +690,29 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.mapa(R_ADDR, imm(*offset), imm(1));
             b.atom_add(MemSpace::SharedCluster, None, R_ADDR, 0, imm(1));
             b.cluster_sync();
+        }
+        Seg::Herd { op, n } => {
+            if *op == HerdOp::LdCa {
+                emit_gaddr(b, R_ADDR, 4, 0);
+            }
+            let dsts = [Reg(8), R_ADDR2, R_TMP];
+            for i in 0..*n as usize {
+                let d = dsts[i % 3];
+                match op {
+                    HerdOp::Dpx(f) => b.dpx(*f, d, reg(R_ACC), reg(R_TID), imm(i as i64)),
+                    HerdOp::Fp64 => b.falu64(FAluOp::Add, d, reg(R_FACC), reg(R_TID)),
+                    HerdOp::LdCa => {
+                        let off = i as i64 * 4096;
+                        b.ld(MemSpace::Global, CacheOp::Ca, Width::B4, d, R_ADDR, off)
+                    }
+                };
+            }
+            b.ialu(
+                IAluOp::Add,
+                R_ACC,
+                reg(R_ACC),
+                reg(dsts[(*n as usize - 1) % 3]),
+            );
         }
         Seg::Loop { trips, body } => {
             b.mov(R_LOOP, imm(0));

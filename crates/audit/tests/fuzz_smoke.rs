@@ -36,6 +36,30 @@ fn oracle_battery_other_devices() {
 }
 
 #[test]
+fn herd_draws() {
+    // A tenth of the plans are contended-unit herds; 200 draws must hold
+    // some, and the first must pass the battery on every device.
+    let plans: Vec<KernelPlan> = (0..200u64)
+        .map(|i| KernelPlan::generate(kernel_seed(BASE ^ 0x4E2D, i), i % 2 == 0))
+        .collect();
+    let herd = plans
+        .iter()
+        .find(|p| p.is_herd())
+        .expect("no herd draw in 200");
+    for dev in [
+        DeviceConfig::h800(),
+        DeviceConfig::a100(),
+        DeviceConfig::rtx4090(),
+    ] {
+        let seed = herd.seed;
+        let plan = KernelPlan::generate(seed, dev.arch == Arch::Hopper);
+        assert!(plan.is_herd(), "herd draws must not depend on the device");
+        check_plan(&plan, &dev, None)
+            .unwrap_or_else(|e| panic!("herd seed {seed:#018x} on {}: {e}", dev.name));
+    }
+}
+
+#[test]
 fn infer_oracle_battery() {
     // Scenario-level determinism through the daemon: a handful of
     // seed-derived serving scenarios on both architectures.  The full

@@ -92,6 +92,7 @@ impl DpxFunc {
     }
 
     /// `true` for the unsigned variants.
+    #[inline]
     pub fn is_unsigned(&self) -> bool {
         matches!(
             self,
@@ -104,6 +105,7 @@ impl DpxFunc {
     }
 
     /// `true` if the function clamps its result at zero.
+    #[inline]
     pub fn has_relu(&self) -> bool {
         matches!(
             self,
@@ -115,6 +117,7 @@ impl DpxFunc {
     }
 
     /// `true` for the packed 16-bit-pair variants.
+    #[inline]
     pub fn is_16x2(&self) -> bool {
         matches!(
             self,
@@ -129,6 +132,7 @@ impl DpxFunc {
 
     /// Functional semantics: evaluate on three 32-bit operands (16x2
     /// variants operate per 16-bit half).
+    #[inline]
     pub fn eval(&self, a: u32, b: u32, c: u32) -> u32 {
         if self.is_unsigned() {
             return if self.is_16x2() {
@@ -155,6 +159,7 @@ impl DpxFunc {
         }
     }
 
+    #[inline]
     fn eval_u32_part(&self, a: u32, b: u32, c: u32) -> u32 {
         match self {
             DpxFunc::ViAddMaxU32 | DpxFunc::ViAddMaxU16x2 => a.wrapping_add(b).max(c),
@@ -164,6 +169,7 @@ impl DpxFunc {
         }
     }
 
+    #[inline]
     fn eval_s32_part(&self, a: i32, b: i32, c: i32) -> i32 {
         let base = match self {
             DpxFunc::ViAddMaxS32

@@ -54,9 +54,10 @@ pub const DSM_TAG: u64 = 1 << 62;
 /// Predicate registers per warp (`Kernel::validate` bounds every index).
 const NUM_PREDS: usize = hopper_isa::kernel::NUM_PREDS as usize;
 
-/// Hard cap on simulated cycles — a runaway-kernel backstop far above any
-/// real microbenchmark in this repository.
-const MAX_CYCLES: u64 = 2_000_000_000;
+/// Hard cap on simulated cycles per wave — a runaway-kernel backstop far
+/// above any real microbenchmark in this repository.  Reaching it trips the
+/// run's limit like a cycle budget would.
+pub(crate) const MAX_CYCLES: u64 = 2_000_000_000;
 
 /// Barrier release overhead, cycles.
 const BAR_RELEASE: u64 = 22;
@@ -1054,13 +1055,27 @@ enum Gate {
     Global,
 }
 
+/// Gates: the [`Unit::ALL`] rows, then [`Gate::Global`].
+const N_GATES: usize = exec::N_UNITS + 2;
+
+impl Gate {
+    /// Dense index in `0..N_GATES` (a slot's per-gate masks, `sched.rs`).
+    fn index(self) -> usize {
+        match self {
+            Gate::Unit(row) => row as usize,
+            Gate::Global => N_GATES - 1,
+        }
+    }
+}
+
 /// Result of an issue attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueResult {
     Issued,
-    /// Could not issue; earliest cycle worth retrying at, plus the
-    /// micro-architectural reason (trace attribution).
-    Stalled(u64, StallReason),
+    /// Could not issue; earliest cycle worth retrying at, the
+    /// micro-architectural reason (trace attribution), and the gate when
+    /// one refused the attempt (what the warp's `refused_by` now holds).
+    Stalled(u64, StallReason, Option<Gate>),
     /// Parallel shard only: the instruction passed every SM-local gate
     /// but touches run-shared state, so it must issue under the shared
     /// gate.  Nothing was committed — the attempt is replayed verbatim

@@ -11,10 +11,11 @@ use crate::replay::ReplayRec;
 use crate::tc_timing;
 use crate::tiles::{execute_mma, Tile};
 use hopper_isa::{
-    AddrExpr, FAluOp, FloatPrec, IAluOp, Instr, Kernel, MmaDesc, MmaKind, Operand, Pred, Reg,
-    Special, TileId,
+    AddrExpr, DpxFunc, FAluOp, FloatPrec, IAluOp, Instr, Kernel, MmaDesc, MmaKind, Operand, Pred,
+    Reg, Special, TileId,
 };
 use hopper_trace::StallReason;
+use std::array::from_fn;
 use std::collections::HashMap;
 
 /// When a [`Unit`] admits a new reservation.
@@ -175,10 +176,10 @@ impl<'a> Engine<'a> {
     pub(super) fn try_issue(&mut self, w: usize, now: u64, local_only: bool) -> IssueResult {
         let ws = &self.warps[w];
         if ws.status != WarpStatus::Ready {
-            return IssueResult::Stalled(u64::MAX, StallReason::Barrier);
+            return IssueResult::Stalled(u64::MAX, StallReason::Barrier, None);
         }
         if ws.next_ready > now {
-            return IssueResult::Stalled(ws.next_ready, StallReason::Dispatch);
+            return IssueResult::Stalled(ws.next_ready, StallReason::Dispatch, None);
         }
         let (pc, sm) = (ws.pc, ws.sm);
 
@@ -191,7 +192,8 @@ impl<'a> Engine<'a> {
                 if let Err(refusal) = self.readmit(sm, gate, now as f64) {
                     #[cfg(debug_assertions)]
                     self.check_refusal(w, now, &refusal);
-                    return IssueResult::Stalled(refusal.0, refusal.1);
+                    let Stalled(until, reason, gate) = refusal;
+                    return IssueResult::Stalled(until, reason, gate);
                 }
             }
         }
@@ -199,7 +201,7 @@ impl<'a> Engine<'a> {
         // Data-dependency check.
         let ready_at = self.deps_ready_at(w, pc);
         if ready_at > now {
-            return IssueResult::Stalled(ready_at, StallReason::Scoreboard);
+            return IssueResult::Stalled(ready_at, StallReason::Scoreboard, None);
         }
 
         // Parallel shard: an instruction that passed every SM-local gate
@@ -215,7 +217,7 @@ impl<'a> Engine<'a> {
         let kernel: &Kernel = self.kernel;
         if let Err(Stalled(until, reason, gate)) = self.execute(w, &kernel.instrs[pc], now) {
             self.warps[w].refused_by = gate;
-            return IssueResult::Stalled(until, reason);
+            return IssueResult::Stalled(until, reason, gate);
         }
         self.sm_metrics[sm].instructions += 1;
         let ws = &mut self.warps[w];
@@ -296,19 +298,19 @@ impl<'a> Engine<'a> {
                 // The integer datapath is 64-bit (addresses need it); PTX
                 // .s32 ops run at full width, observationally equivalent
                 // for kernels that keep 32-bit quantities in range.
-                self.set_lanes(w, dst, move |e, l| {
-                    let (x, y) = (e.read_op(w, a, l), e.read_op(w, b, l));
+                self.write_row(w, dst, |e| {
+                    let (x, y) = (&e.lanes(w, a), &e.lanes(w, b));
                     match op {
-                        IAluOp::Add => x.wrapping_add(y),
-                        IAluOp::Sub => x.wrapping_sub(y),
-                        IAluOp::Mul => x.wrapping_mul(y),
-                        IAluOp::Min => (x as i64).min(y as i64) as u64,
-                        IAluOp::Max => (x as i64).max(y as i64) as u64,
-                        IAluOp::And => x & y,
-                        IAluOp::Or => x | y,
-                        IAluOp::Xor => x ^ y,
-                        IAluOp::Shl => x.wrapping_shl(y as u32),
-                        IAluOp::Shr => x.wrapping_shr(y as u32),
+                        IAluOp::Add => zip(x, y, u64::wrapping_add),
+                        IAluOp::Sub => zip(x, y, u64::wrapping_sub),
+                        IAluOp::Mul => zip(x, y, u64::wrapping_mul),
+                        IAluOp::Min => zip(x, y, |x, y| (x as i64).min(y as i64) as u64),
+                        IAluOp::Max => zip(x, y, |x, y| (x as i64).max(y as i64) as u64),
+                        IAluOp::And => zip(x, y, |x, y| x & y),
+                        IAluOp::Or => zip(x, y, |x, y| x | y),
+                        IAluOp::Xor => zip(x, y, |x, y| x ^ y),
+                        IAluOp::Shl => zip(x, y, |x, y| x.wrapping_shl(y as u32)),
+                        IAluOp::Shr => zip(x, y, |x, y| x.wrapping_shr(y as u32)),
                     }
                 });
                 self.finish_reg(w, dst, nowc + self.dev.alu_latency as u64);
@@ -316,9 +318,9 @@ impl<'a> Engine<'a> {
             }
             &Instr::IMad { dst, a, b, c } => {
                 self.reserve(sm, w, Unit::INT, now, 32.0 / self.dev.int_per_clk as f64)?;
-                self.set_lanes(w, dst, move |e, l| {
-                    let (x, y) = (e.read_op(w, a, l), e.read_op(w, b, l));
-                    x.wrapping_mul(y).wrapping_add(e.read_op(w, c, l))
+                self.write_row(w, dst, |e| {
+                    let [x, y, z] = [a, b, c].map(|o| e.lanes(w, o));
+                    from_fn(|l| x[l].wrapping_mul(y[l]).wrapping_add(z[l]))
                 });
                 self.finish_reg(w, dst, nowc + self.dev.alu_latency as u64 + 1);
                 self.sm_metrics[sm].energy_j += 32.0 * power::ALU_ENERGY_J;
@@ -329,18 +331,21 @@ impl<'a> Engine<'a> {
                 dst,
                 a,
                 b,
-            } => self.fp_op((w, sm), prec, dst, &[a, b], nowc, |v| match op {
-                FAluOp::Add => v[0] + v[1],
-                FAluOp::Mul => v[0] * v[1],
-                FAluOp::Min => v[0].min(v[1]),
-                FAluOp::Max => v[0].max(v[1]),
-            })?,
+            } => {
+                let ids = (w, sm);
+                match op {
+                    FAluOp::Add => self.fp_op(ids, prec, dst, [a, b], nowc, |[x, y]| x + y)?,
+                    FAluOp::Mul => self.fp_op(ids, prec, dst, [a, b], nowc, |[x, y]| x * y)?,
+                    FAluOp::Min => self.fp_op(ids, prec, dst, [a, b], nowc, |[x, y]| x.min(y))?,
+                    FAluOp::Max => self.fp_op(ids, prec, dst, [a, b], nowc, |[x, y]| x.max(y))?,
+                }
+            }
             &Instr::FFma { prec, dst, a, b, c } => {
-                self.fp_op((w, sm), prec, dst, &[a, b, c], nowc, |v| v[0] * v[1] + v[2])?
+                self.fp_op((w, sm), prec, dst, [a, b, c], nowc, |[x, y, z]| x * y + z)?
             }
             &Instr::Mov { dst, src } => {
                 self.occupy(sm, w, Unit::INT, now, 32.0 / self.dev.int_per_clk as f64);
-                self.set_lanes(w, dst, move |e, l| e.read_op(w, src, l));
+                self.write_row(w, dst, |e| e.lanes(w, src));
                 self.finish_reg(w, dst, nowc + 2);
             }
             &Instr::Dpx { func, dst, a, b, c } => {
@@ -355,9 +360,25 @@ impl<'a> Engine<'a> {
                     self.sm_metrics[sm].instructions += ops as u64 - 1;
                     self.finish_reg(w, dst, nowc + (ops * self.dev.alu_latency) as u64);
                 }
-                self.set_lanes(w, dst, move |e, l| {
-                    let rd = |o: Operand| e.read_op(w, o, l) as u32;
-                    func.eval(rd(a), rd(b), rd(c)) as u64
+                self.write_row(w, dst, |e| {
+                    let [x, y, z] = [a, b, c].map(|o| e.lanes(w, o));
+                    // One lane loop per function, each with `eval` folded
+                    // to that function's arithmetic.
+                    macro_rules! per_func {
+                        ($($f:ident)*) => {
+                            match func {
+                                $(DpxFunc::$f => from_fn(|l| {
+                                    let r = DpxFunc::$f.eval(x[l] as u32, y[l] as u32, z[l] as u32);
+                                    r as u64
+                                }),)*
+                            }
+                        };
+                    }
+                    per_func!(
+                        ViAddMaxS32 ViAddMinS32 ViMax3S32 ViMin3S32 ViBMaxS32 ViAddMaxS32Relu
+                        ViMax3S32Relu ViAddMaxS16x2 ViMax3S16x2 ViAddMaxS16x2Relu ViMax3S16x2Relu
+                        ViAddMaxU32 ViAddMinU32 ViMax3U32 ViAddMaxU16x2 ViMax3U16x2
+                    )
                 });
                 self.sm_metrics[sm].dpx_ops += 32;
                 self.sm_metrics[sm].energy_j += 32.0 * power::ALU_ENERGY_J * 1.5;
@@ -383,8 +404,9 @@ impl<'a> Engine<'a> {
             }
             &Instr::Sel { dst, pred, a, b } => {
                 let pmask = self.read_pred(w, pred);
-                self.set_lanes(w, dst, move |e, l| {
-                    e.read_op(w, if pmask & (1 << l) != 0 { a } else { b }, l)
+                self.write_row(w, dst, |e| {
+                    let (x, y) = (e.lanes(w, a), e.lanes(w, b));
+                    from_fn(|l| if pmask & (1 << l) != 0 { x[l] } else { y[l] })
                 });
                 self.finish_reg(w, dst, nowc + self.dev.alu_latency as u64);
             }
@@ -497,10 +519,9 @@ impl<'a> Engine<'a> {
                 self.put_tile(w, *tile, t);
             }
             &Instr::Mapa { dst, addr, rank } => {
-                self.set_lanes(w, dst, move |e, l| {
-                    let a = e.read_op(w, addr, l) & 0xffff_ffff;
-                    let r = e.read_op(w, rank, l) & 0xffff;
-                    DSM_TAG | (r << 32) | a
+                self.write_row(w, dst, |e| {
+                    let (a, r) = (e.lanes(w, addr), e.lanes(w, rank));
+                    from_fn(|l| DSM_TAG | ((r[l] & 0xffff) << 32) | (a[l] & 0xffff_ffff))
                 });
                 self.finish_reg(w, dst, nowc + self.dev.alu_latency as u64);
             }
@@ -520,17 +541,17 @@ impl<'a> Engine<'a> {
             &Instr::ReadSpecial { dst, sr } => {
                 let spec = self.blocks[self.warps[w].block].spec;
                 let wib = self.warps[w].warp_in_block;
-                self.set_lanes(w, dst, move |e, lane| match sr {
-                    Special::TidX => (wib * 32 + lane) as u64,
-                    Special::CtaIdX => spec.ctaid as u64,
-                    Special::NTidX => e.cfg.threads_per_block as u64,
-                    Special::NCtaIdX => e.cfg.grid_dim as u64,
-                    Special::LaneId => lane as u64,
-                    Special::WarpId => wib as u64,
-                    Special::SmId => spec.smid as u64,
-                    Special::ClusterCtaRank => spec.cluster_rank as u64,
-                    Special::ClusterNCtaRank => e.cfg.cluster_size as u64,
-                    Special::Clock => nowc,
+                self.write_row(w, dst, |e| match sr {
+                    Special::TidX => from_fn(|l| (wib * 32 + l) as u64),
+                    Special::CtaIdX => [spec.ctaid as u64; 32],
+                    Special::NTidX => [e.cfg.threads_per_block as u64; 32],
+                    Special::NCtaIdX => [e.cfg.grid_dim as u64; 32],
+                    Special::LaneId => from_fn(|l| l as u64),
+                    Special::WarpId => [wib as u64; 32],
+                    Special::SmId => [spec.smid as u64; 32],
+                    Special::ClusterCtaRank => [spec.cluster_rank as u64; 32],
+                    Special::ClusterNCtaRank => [e.cfg.cluster_size as u64; 32],
+                    Special::Clock => [nowc; 32],
                 });
                 self.finish_reg(w, dst, nowc + 2);
             }
@@ -591,29 +612,43 @@ impl<'a> Engine<'a> {
         ws.pred[p.0 as usize]
     }
 
-    /// The functional write of a destination register: lane `l` gets
-    /// `f(self, l)`.  Skipped in replay (values are never read there).
-    /// Callers bind operands by value (`&Instr::…`) and pass a `move`
-    /// closure, so the lane loop holds copies in registers instead of
-    /// re-reading the kernel through pointers (18 % on ALU-bound kernels).
-    fn set_lanes(&mut self, w: usize, dst: Reg, f: impl Fn(&Self, usize) -> u64) {
-        if self.replaying() {
-            return;
-        }
-        for lane in 0..32 {
-            let v = f(self, lane);
-            self.warps[w].regs[dst.0 as usize * 32 + lane] = v;
+    /// Warp `w`'s 32 lanes of operand `o`, read once per instruction.
+    #[inline]
+    fn lanes(&self, w: usize, o: Operand) -> [u64; 32] {
+        match o {
+            Operand::Imm(v) => [v as u64; 32],
+            Operand::Reg(r) => {
+                self.audit_reg(w, r);
+                let row = r.0 as usize * 32;
+                self.warps[w].regs[row..row + 32]
+                    .try_into()
+                    .expect("32 lanes")
+            }
         }
     }
 
-    fn fp_op(
+    /// The functional write of a destination register: the whole row
+    /// `f` computes, each lane from the same lane of its sources (so a
+    /// destination that is also a source reads as before).  Skipped in
+    /// replay, where values are never read.
+    #[inline]
+    fn write_row(&mut self, w: usize, dst: Reg, f: impl FnOnce(&Self) -> [u64; 32]) {
+        if self.replaying() {
+            return;
+        }
+        let v = f(self);
+        let row = dst.0 as usize * 32;
+        self.warps[w].regs[row..row + 32].copy_from_slice(&v);
+    }
+
+    fn fp_op<const N: usize>(
         &mut self,
         (w, sm): (usize, usize),
         prec: FloatPrec,
         dst: Reg,
-        srcs: &[Operand],
+        srcs: [Operand; N],
         nowc: u64,
-        f: impl Fn(&[f64]) -> f64,
+        f: impl Fn([f64; N]) -> f64,
     ) -> Result<(), Stalled> {
         let alu = self.dev.alu_latency as u64;
         let (unit, per_clk, lat) = match prec {
@@ -624,19 +659,14 @@ impl<'a> Engine<'a> {
             }
         };
         self.reserve(sm, w, unit, nowc as f64, 32.0 / per_clk as f64)?;
-        self.set_lanes(w, dst, move |e, lane| {
-            let mut vals = [0.0f64; 3];
-            for (k, &o) in srcs.iter().enumerate() {
-                let bits = e.read_op(w, o, lane);
-                vals[k] = match prec {
-                    FloatPrec::F32 => f32::from_bits(bits as u32) as f64,
-                    FloatPrec::F64 => f64::from_bits(bits),
-                };
-            }
-            let r = f(&vals[..srcs.len()]);
+        self.write_row(w, dst, |e| {
+            let v = srcs.map(|o| e.lanes(w, o));
             match prec {
-                FloatPrec::F32 => (r as f32).to_bits() as u64,
-                FloatPrec::F64 => r.to_bits(),
+                FloatPrec::F32 => from_fn(|l| {
+                    let r = f(from_fn(|k| f32::from_bits(v[k][l] as u32) as f64));
+                    (r as f32).to_bits() as u64
+                }),
+                FloatPrec::F64 => from_fn(|l| f(from_fn(|k| f64::from_bits(v[k][l]))).to_bits()),
             }
         });
         self.finish_reg(w, dst, nowc + lat);
@@ -860,6 +890,12 @@ fn mma_functional(
     };
     let out = execute_mma(desc, ta, tb, tc).map_err(|_| SimFaultKind::TileMismatch)?;
     Ok((out, (act_a + tb.activity()) / 2.0))
+}
+
+/// Lane-wise `f` over two operand rows.
+#[inline(always)]
+fn zip(x: &[u64; 32], y: &[u64; 32], f: impl Fn(u64, u64) -> u64) -> [u64; 32] {
+    from_fn(|l| f(x[l], y[l]))
 }
 
 /// `*.wait_group N` over a FIFO of commit-group completion times: retire

@@ -9,7 +9,7 @@
 //! co-simulate whole clusters so SM-to-SM traffic is real.
 
 use crate::device::{DeviceConfig, SimOptions};
-use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit, SimFault};
+use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit, SimFault, MAX_CYCLES};
 use crate::mem::GlobalMem;
 use crate::metrics::{Metrics, RunStats};
 use crate::power::resolve_dvfs;
@@ -128,7 +128,7 @@ impl RunBudget {
             }
         }
         LaunchError::DeadlineExceeded {
-            budget_cycles: self.max_cycles.unwrap_or(u64::MAX),
+            budget_cycles: self.max_cycles.unwrap_or(MAX_CYCLES),
             cycles_run,
         }
     }
@@ -151,9 +151,10 @@ pub enum LaunchError {
     /// Feature not available on this architecture (e.g. clusters off
     /// Hopper).
     Unsupported(String),
-    /// A [`RunBudget`] cycle budget tripped before the grid finished.
+    /// A [`RunBudget`] cycle budget, or without one the engine's cap of
+    /// two billion cycles per wave, tripped before the grid finished.
     DeadlineExceeded {
-        /// The budget that was exceeded, simulated cycles.
+        /// The budget (or cap) that was exceeded, simulated cycles.
         budget_cycles: u64,
         /// Cycles actually simulated before the abort.
         cycles_run: u64,

@@ -62,7 +62,7 @@ impl Engine<'_> {
                                 }
                                 break;
                             }
-                            IssueResult::Stalled(until, reason) => {
+                            IssueResult::Stalled(until, reason, _) => {
                                 if until != u64::MAX {
                                     self.warps[w].retry_at = until.max(self.cycle + 1);
                                 }
@@ -96,12 +96,17 @@ impl Engine<'_> {
             }
             self.release_cluster_barriers(self.cycle, |_| {});
             let prev_cycle = self.cycle;
-            if issued_any || earliest_wakeup == u64::MAX {
-                self.cycle += 1;
+            self.cycle = if issued_any {
+                self.cycle + 1
+            } else if earliest_wakeup == u64::MAX {
+                // Every live warp waits on a barrier nobody can complete
+                // (a barrier completes only on an issue cycle): nothing
+                // changes before the cap.
+                self.cycle_cap()
             } else {
                 // Fast-forward across a global stall.
-                self.cycle = earliest_wakeup.max(self.cycle + 1);
-            }
+                earliest_wakeup.max(self.cycle + 1)
+            };
             // Each fast-forwarded cycle repeats this iteration's outcome,
             // so weight the buckets by the advance.
             for (slot, &outcome) in outcomes.iter().enumerate() {

@@ -19,10 +19,10 @@
 //! Every SM publishes a monotonic clock (its current cycle; `u64::MAX`
 //! once all its warps retire).  When an SM's slot scan reaches a
 //! shared-class instruction that passes all warp-local checks, the scan
-//! aborts *before* `execute` touches anything (the only writes so far —
-//! `retry_at` on stalled warps and completed-group drains — replay
-//! identically when the scan re-runs at the same cycle), and the SM
-//! suspends at `(cycle, slot)`.  A suspended SM is granted the gate once
+//! aborts *before* `execute` touches anything (the stalls committed so
+//! far are SM-local verdicts no other SM can change, so the re-run at the
+//! same cycle starts from them), and the SM suspends at `(cycle, slot)`.
+//! A suspended SM is granted the gate once
 //! it is the earliest suspended event *and* every other live SM's clock
 //! proves it can no longer produce an earlier-ordered shared access:
 //! `clock > cycle`, or `clock == cycle` with a larger SM index (the
@@ -61,7 +61,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use super::sched::{SmRun, Step};
-use super::{Engine, CANCEL_CHECK_PERIOD};
+use super::{Engine, CANCEL_CHECK_PERIOD, MAX_CYCLES};
 
 /// Clock value published once an SM has retired all its warps.
 const DONE: u64 = u64::MAX;
@@ -99,7 +99,7 @@ struct Gate {
     /// Cycle of the earliest suspended event (`u64::MAX` when none);
     /// runners crossing it notify the condvar.
     min_wanted: AtomicU64,
-    /// Abort everything (cancel, panic, or MAX_CYCLES assert).
+    /// Abort everything (cancel, fault or panic).
     stop: AtomicBool,
     /// `stop` was due to the run's cancel flag (sets `hit_limit`).
     cancelled: AtomicBool,
@@ -244,8 +244,14 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(self.cycle)
             .max(self.cycle);
+        // SMs stuck at the cap: the serial driver trips at the first of
+        // their clocks, once every other SM has retired.
+        let stuck = runs.iter().filter(|p| p.run.live > 0).map(|p| p.run.cycle);
         if gate.cancelled.load(Ordering::SeqCst) {
             self.hit_limit = true;
+        } else if let Some(c) = stuck.min() {
+            self.hit_limit = true;
+            self.cycle = c;
         }
     }
 }
@@ -317,12 +323,15 @@ fn drive(
 ) {
     let run = &mut p.run;
     loop {
-        if run.live == 0 {
+        // Retired, or stuck at the cycle cap: either way this SM is done,
+        // and `run_parallel` reads which from its live count.
+        if run.live == 0 || run.cycle >= MAX_CYCLES {
             p.phase = Phase::Done;
             gate.advance_clock(sm, run.cycle, DONE);
             return;
         }
-        // No cycle budget on this path (`par_workers`): a trip is a cancel.
+        // No cycle budget on this path (`par_workers`): a trip is a cancel
+        // or a fault.
         if eng.limit_tripped(run.cycle, cancel_countdown) {
             gate.cancelled.store(true, Ordering::SeqCst);
             gate.request_stop();
@@ -332,10 +341,16 @@ fn drive(
             return;
         }
         let from = run.cycle;
-        if eng.step_sm::<false>(roster, run, sm, !gate_held) == Step::NeedsShared {
-            p.phase = Phase::Suspended;
-            gate.suspend(run.cycle, sm);
-            return;
+        match eng.step_sm::<false>(roster, run, sm, !gate_held) {
+            Step::NeedsShared => {
+                p.phase = Phase::Suspended;
+                gate.suspend(run.cycle, sm);
+                return;
+            }
+            // Single-block clusters: no other SM can complete this SM's
+            // barriers, so it jumps to the cap as the serial driver does.
+            Step::Parked => run.cycle = MAX_CYCLES,
+            Step::Advanced => {}
         }
         gate_held = false;
         gate.advance_clock(sm, from, run.cycle);

@@ -10,8 +10,8 @@
 //! legacy scan's order.
 
 use super::{
-    Engine, IssueResult, WarpStatus, CANCEL_CHECK_PERIOD, MAX_CYCLES, MAX_SLOT_WARPS, OUT_IDLE,
-    OUT_ISSUED,
+    Engine, Gate, IssueResult, WarpStatus, CANCEL_CHECK_PERIOD, MAX_CYCLES, MAX_SLOT_WARPS,
+    N_GATES, OUT_IDLE, OUT_ISSUED,
 };
 use hopper_trace::StallReason;
 use std::sync::atomic::Ordering;
@@ -21,18 +21,59 @@ use std::sync::atomic::Ordering;
 /// `Engine::new` rejects wider) and together cover exactly the slot's non-`Done`
 /// warps: `ready` holds every warp with `retry_at <= cycle` (including
 /// barrier waiters, whose wakeup is not a known time), `sleep` holds warps
-/// parked until a known wakeup.  Parked warps' wakeup cycles and stall
-/// reasons live on the warps themselves (`retry_at` / `stall_reason`);
-/// only the minimum is cached here so a wholly-asleep slot is skippable
-/// without touching any warp.
+/// parked until a known wakeup.  Warps parked together form a bucket, led
+/// by its lowest position; every member's `retry_at` equals the leader's,
+/// so a drain reads one `retry_at` per bucket and ORs the due buckets back
+/// into `ready`.
 struct SlotState {
     /// Bitmask of roster positions eligible for an issue attempt.
     ready: u64,
     /// Bitmask of parked roster positions.
     sleep: u64,
-    /// Minimum `retry_at` over `sleep` (`u64::MAX` when empty).
+    /// The positions that lead a bucket.
+    leads: u64,
+    /// Per leading position: its bucket's members (disjoint, covering
+    /// `sleep`).
+    bucket: Vec<u64>,
+    /// Minimum wakeup over the buckets (`u64::MAX` when nothing sleeps).
     sleep_min: u64,
+    /// Per [`Gate::index`]: the positions whose `refused_by` names that
+    /// gate (DESIGN.md §4d point 8).
+    memo: [u64; N_GATES],
 }
+
+impl SlotState {
+    /// Park `mask` (ready positions, possibly none) as one bucket waking
+    /// at `at`, every member's `retry_at`.
+    #[inline]
+    fn park(&mut self, at: u64, mask: u64) {
+        if mask == 0 {
+            return;
+        }
+        let lead = mask.trailing_zeros() as usize;
+        self.bucket[lead] = mask;
+        self.leads |= 1 << lead;
+        self.ready &= !mask;
+        self.sleep |= mask;
+        self.sleep_min = self.sleep_min.min(at);
+    }
+
+    /// Track a warp's `refused_by` moving from `was` to `now`.
+    fn remember(&mut self, bit: u64, was: Option<Gate>, now: Option<Gate>) {
+        if was != now {
+            if let Some(g) = was {
+                self.memo[g.index()] &= !bit;
+            }
+            if let Some(g) = now {
+                self.memo[g.index()] |= bit;
+            }
+        }
+    }
+}
+
+/// Warps one refusal stands for in a scan: rotated roster positions, and
+/// the `(until, reason, gate)` each would have been refused with.
+type Herd = (u64, u64, StallReason, Gate);
 
 /// One SM's scheduling state, persisted across steps (and, in the
 /// parallel driver, across shared-access suspensions mid-cycle).
@@ -43,6 +84,8 @@ pub(super) struct SmRun {
     /// Resident warps not yet `Done`.
     pub(super) live: usize,
     slots: [SlotState; 4],
+    /// Scratch for the current scan's herds (at most one per gate).
+    herds: Vec<Herd>,
     /// Slot to (re-)enter on the next step (non-zero only after a
     /// [`Step::NeedsShared`] abort).
     resume_slot: usize,
@@ -70,13 +113,17 @@ impl SmRun {
                 // The low `len` bits, without overflowing the shift at 64.
                 ready: u64::MAX.checked_shr(64 - len as u32).unwrap_or(0),
                 sleep: 0,
+                leads: 0,
+                bucket: vec![0; len],
                 sleep_min: u64::MAX,
+                memo: [0; N_GATES],
             }
         });
         SmRun {
             cycle: 0,
             live,
             slots,
+            herds: Vec::with_capacity(N_GATES),
             resume_slot: 0,
             issued_any: false,
             earliest: u64::MAX,
@@ -100,16 +147,17 @@ pub(super) enum Step {
 }
 
 impl Engine<'_> {
+    /// The cycle at which the run's limit trips: its budget, capped at
+    /// [`MAX_CYCLES`].
+    pub(super) fn cycle_cap(&self) -> u64 {
+        self.cfg.limit.max_cycles.min(MAX_CYCLES)
+    }
+
     /// The run's [`super::RunLimit`] poll, once per visited cycle: `true`
-    /// when the cycle budget is spent, a warp has faulted or (checked every
+    /// when the cycle cap is reached, a warp has faulted or (checked every
     /// [`CANCEL_CHECK_PERIOD`] calls) the cancel flag is set.
     pub(super) fn limit_tripped(&self, cycle: u64, cancel_countdown: &mut u32) -> bool {
-        assert!(
-            cycle < MAX_CYCLES,
-            "kernel `{}` exceeded {MAX_CYCLES} cycles — runaway loop?",
-            self.kernel.name
-        );
-        if cycle >= self.cfg.limit.max_cycles || self.faulted.load(Ordering::Relaxed) {
+        if cycle >= self.cycle_cap() || self.faulted.load(Ordering::Relaxed) {
             return true;
         }
         if let Some(c) = &self.cfg.limit.cancel {
@@ -124,11 +172,13 @@ impl Engine<'_> {
 
     /// One slot's issue scan at `run.cycle`: re-admit due sleepers, then
     /// try ready warps in circular roster order from the last issuer until
-    /// one issues.  Returns `true` when a `local_only` scan reached a
-    /// shared-class candidate; everything written up to that point (parked
-    /// warps' `retry_at`, drained async-group queues, the wake drain) is
-    /// idempotent at a fixed cycle and replays identically on the granted
-    /// re-run, so nothing is rolled back.
+    /// one issues.  An untraced scan with shared access answers a gate's
+    /// refusal for every ready warp that gate already refused: they are
+    /// skipped, and parked at scan end if the scan would have reached
+    /// them (DESIGN.md §4d point 8).  Returns `true` when a `local_only`
+    /// scan reached a shared-class candidate; every stall committed up to
+    /// that point is an SM-local verdict no other SM can change, so the
+    /// granted re-run starts from it.
     fn scan_slot<const TRACED: bool>(
         &mut self,
         run: &mut SmRun,
@@ -140,18 +190,18 @@ impl Engine<'_> {
         let cycle = run.cycle;
         let st = &mut run.slots[sched];
         if st.sleep_min <= cycle {
-            let mut min = u64::MAX;
-            let mut m = st.sleep;
+            let (mut min, mut m) = (u64::MAX, st.leads);
             while m != 0 {
                 let pos = m.trailing_zeros() as usize;
-                let bit = 1u64 << pos;
                 m &= m - 1;
-                let wk = self.warps[candidates[pos]].retry_at;
-                if wk <= cycle {
-                    st.sleep &= !bit;
-                    st.ready |= bit;
+                let at = self.warps[candidates[pos]].retry_at;
+                if at <= cycle {
+                    let mask = st.bucket[pos];
+                    st.leads &= !(1 << pos);
+                    st.sleep &= !mask;
+                    st.ready |= mask;
                 } else {
-                    min = min.min(wk);
+                    min = min.min(at);
                 }
             }
             st.sleep_min = min;
@@ -165,78 +215,127 @@ impl Engine<'_> {
         // Only ever set to a roster position of this slot.
         let start = self.sms[sm].last_sched[sched];
         debug_assert!(start < candidates.len());
-        let low_mask = (1u64 << start) - 1;
-        let (mut ready, mut sleep, mut sleep_min) = (st.ready, st.sleep, st.sleep_min);
-        let mut issued = false;
+        // Rotated right by `start`, positions in circular scan order are
+        // ascending bits.
+        let rot = |m: u64| m.rotate_right(start as u32);
+        let herding = !TRACED && !local_only;
+        run.herds.clear();
+        let mut skipped = 0u64;
+        let mut issuer = None;
+        // Stalls parked at one wakeup since the last different one: most
+        // refusals of a scan share it, so they park as one bucket.
+        let mut parking = (0u64, 0u64);
         // Binding stall (traced): reason and PC of the minimum-wakeup warp,
         // first in scan order on ties.
         let mut slot_stall: Option<(u64, StallReason, u32)> = None;
-        // Two mask halves walk the roster in circular order from `start`:
-        // positions ≥ start ascending, then the wrap.  Stall transitions
-        // move a bit from `ready` to `sleep` without changing their union,
-        // so the second half's snapshot still sees every not-yet-visited
-        // warp exactly once.
-        'scan: for half in [!low_mask, low_mask] {
-            // Traced scans merge parked warps in at their roster positions:
-            // they cannot issue, but the legacy scan examined them for the
-            // binding-stall minimum and its tie-break.
-            let mut m = (if TRACED { ready | sleep } else { ready }) & half;
-            while m != 0 {
-                let pos = m.trailing_zeros() as usize;
-                let bit = 1u64 << pos;
-                m &= m - 1;
-                let w = candidates[pos];
-                if TRACED && sleep & bit != 0 {
-                    let ws = &self.warps[w];
-                    if slot_stall.is_none_or(|(b, ..)| ws.retry_at < b) {
-                        slot_stall = Some((ws.retry_at, ws.stall_reason, ws.pc as u32));
-                    }
-                    continue;
+        // Traced scans merge parked warps in at their roster positions:
+        // they cannot issue, but the legacy scan examined them for the
+        // binding-stall minimum and its tie-break.
+        let mut todo = rot(if TRACED {
+            st.ready | st.sleep
+        } else {
+            st.ready
+        });
+        while todo != 0 {
+            let r = todo.trailing_zeros();
+            todo &= todo - 1;
+            let pos = (r as usize + start) % 64;
+            let bit = 1u64 << pos;
+            let w = candidates[pos];
+            if TRACED && st.sleep & bit != 0 {
+                let ws = &self.warps[w];
+                if slot_stall.is_none_or(|(b, ..)| ws.retry_at < b) {
+                    slot_stall = Some((ws.retry_at, ws.stall_reason, ws.pc as u32));
                 }
-                let pc_before = self.warps[w].pc;
-                match self.try_issue(w, cycle, local_only) {
-                    IssueResult::Issued => {
-                        self.sms[sm].last_sched[sched] = pos;
-                        issued = true;
-                        if self.warps[w].status == WarpStatus::Done {
-                            run.live -= 1;
-                            ready &= !bit;
-                        }
-                        if TRACED {
-                            self.note_issue(sm, sched, w, pc_before);
-                        }
-                        break 'scan;
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            if skipped & 1 << r != 0 {
+                // Debug builds still examine each skipped warp, and demand
+                // its herd's verdict.
+                let &(_, until, reason, gate) =
+                    run.herds.iter().find(|h| h.0 & 1 << r != 0).unwrap();
+                assert_eq!(
+                    self.try_issue(w, cycle, false),
+                    IssueResult::Stalled(until, reason, Some(gate)),
+                    "warp {w} cycle {cycle}: a skipped herd member's verdict differs"
+                );
+                continue;
+            }
+            let (pc_before, was) = (self.warps[w].pc, self.warps[w].refused_by);
+            match self.try_issue(w, cycle, local_only) {
+                IssueResult::Issued => {
+                    st.remember(bit, was, None);
+                    self.sms[sm].last_sched[sched] = pos;
+                    run.issued_any = true;
+                    issuer = Some(r);
+                    if self.warps[w].status == WarpStatus::Done {
+                        run.live -= 1;
+                        st.ready &= !bit;
                     }
-                    IssueResult::Stalled(until, reason) => {
-                        let wk = until.max(cycle + 1);
-                        if until != u64::MAX {
-                            self.warps[w].retry_at = wk;
-                            ready &= !bit;
-                            sleep |= bit;
-                            sleep_min = sleep_min.min(wk);
+                    if TRACED {
+                        self.note_issue(sm, sched, w, pc_before);
+                    }
+                    break;
+                }
+                IssueResult::Stalled(until, reason, gate) => {
+                    st.remember(bit, was, gate);
+                    let wk = until.max(cycle + 1);
+                    if until != u64::MAX {
+                        self.warps[w].retry_at = wk;
+                        if parking.0 != wk {
+                            st.park(parking.0, parking.1);
+                            parking = (wk, 0);
                         }
-                        if TRACED {
-                            self.note_stall(sm, sched, w, reason);
-                            if slot_stall.is_none_or(|(b, ..)| wk < b) {
-                                slot_stall = Some((wk, reason, pc_before as u32));
+                        parking.1 |= bit;
+                        // Nothing commits before the scan's first issue, so
+                        // the gate refuses every warp it refused before,
+                        // with the same verdict.
+                        if let (true, Some(g)) = (herding, gate) {
+                            let herd = todo & !skipped & rot(st.memo[g.index()]);
+                            if herd != 0 {
+                                skipped |= herd;
+                                if !cfg!(debug_assertions) {
+                                    todo &= !herd;
+                                }
+                                run.herds.push((herd, until, reason, g));
                             }
                         }
                     }
-                    // Scan-local mask edits are discarded; the granted
-                    // re-run recomputes them from the committed state.
-                    IssueResult::NeedsShared => return true,
+                    if TRACED {
+                        self.note_stall(sm, sched, w, reason);
+                        if slot_stall.is_none_or(|(b, ..)| wk < b) {
+                            slot_stall = Some((wk, reason, pc_before as u32));
+                        }
+                    }
+                }
+                IssueResult::NeedsShared => {
+                    st.park(parking.0, parking.1);
+                    return true;
                 }
             }
         }
-        let st = &mut run.slots[sched];
-        (st.ready, st.sleep, st.sleep_min) = (ready, sleep, sleep_min);
+        st.park(parking.0, parking.1);
+        // Park the herd members the scan would have reached: those before
+        // the issuer, or all of them when nothing issued.  The rest were
+        // never examined and stay ready.
+        let reached = issuer.map_or(u64::MAX, |r| u64::MAX >> (63 - r));
+        for &(herd, until, ..) in &run.herds {
+            let park = (herd & reached).rotate_left(start as u32);
+            let wk = until.max(cycle + 1);
+            let mut m = park;
+            while m != 0 {
+                self.warps[candidates[m.trailing_zeros() as usize]].retry_at = wk;
+                m &= m - 1;
+            }
+            st.park(wk, park);
+        }
         // Parked wakeups (old and fresh) are the slot's share of the SM's
         // fast-forward target; the target is only consumed when no slot
         // issues, and then the legacy scan examined every parked warp too.
-        run.earliest = run.earliest.min(sleep_min);
-        run.issued_any |= issued;
+        run.earliest = run.earliest.min(st.sleep_min);
         if TRACED {
-            run.outcomes[sched] = if issued {
+            run.outcomes[sched] = if issuer.is_some() {
                 (OUT_ISSUED, 0)
             } else if let Some((_, r, pc)) = slot_stall {
                 (1 + r.bucket() as u8, pc)
@@ -316,15 +415,16 @@ impl Engine<'_> {
         let mut next = 0u64;
         while live_sms > 0 {
             let c = if next == u64::MAX {
-                // Every live SM waits on a barrier nobody can complete.
-                // The legacy scan ticks such a kernel cycle by cycle until
-                // the limit trips; do the same.
+                // Every live SM waits on a barrier nobody can complete: no
+                // SM can act before the cap, and lazy booking charges the
+                // wait as the same barrier stall, so jump there.
+                let cap = self.cycle_cap();
                 for (at, run) in clock.iter_mut().zip(&runs) {
                     if run.live > 0 {
-                        *at = self.cycle + 1;
+                        *at = cap;
                     }
                 }
-                self.cycle + 1
+                cap
             } else {
                 next
             };
@@ -373,15 +473,55 @@ impl Engine<'_> {
     }
 
     /// Debug-only consistency check of one SM between steps: `ready` and
-    /// `sleep` exactly partition each slot's non-`Done` warps, cached
-    /// wakeup minima are true minima, `live` matches the roster, and a
-    /// parked SM holds nothing but barrier waiters.
+    /// `sleep` exactly partition each slot's non-`Done` warps, the buckets
+    /// are disjoint, cover `sleep`, share their leader's `retry_at` and set
+    /// `sleep_min`, a gate's memo mask holds exactly the warps
+    /// whose `refused_by` names it, `live` matches the roster, and a parked
+    /// SM holds nothing but barrier waiters.
     #[cfg(debug_assertions)]
     fn check_sm(&self, roster: &[Vec<Vec<usize>>], run: &SmRun, sm: usize, parked: bool) {
         let mut alive = 0usize;
         for (sched, (candidates, st)) in roster[sm].iter().zip(&run.slots).enumerate() {
             assert_eq!(st.ready & st.sleep, 0, "slot ({sm},{sched}): masks overlap");
-            let mut min = u64::MAX;
+            let (mut covered, mut min, mut leads) = (0u64, u64::MAX, st.leads);
+            while leads != 0 {
+                let lead = leads.trailing_zeros() as usize;
+                leads &= leads - 1;
+                let mask = st.bucket[lead];
+                assert_eq!(
+                    mask.trailing_zeros() as usize,
+                    lead,
+                    "slot ({sm},{sched}): bad lead"
+                );
+                assert_eq!(covered & mask, 0, "slot ({sm},{sched}): buckets overlap");
+                covered |= mask;
+                let at = self.warps[candidates[lead]].retry_at;
+                min = min.min(at);
+                let mut m = mask;
+                while m != 0 {
+                    let ws = &self.warps[candidates[m.trailing_zeros() as usize]];
+                    assert_eq!(
+                        ws.retry_at, at,
+                        "slot ({sm},{sched}): sleeper off its bucket"
+                    );
+                    m &= m - 1;
+                }
+            }
+            assert_eq!(
+                covered, st.sleep,
+                "slot ({sm},{sched}): buckets must cover sleep"
+            );
+            assert_eq!(st.sleep_min, min, "slot ({sm},{sched}): stale sleep_min");
+            for (pos, &w) in candidates.iter().enumerate() {
+                let memo = self.warps[w].refused_by.map(Gate::index);
+                for (g, mask) in st.memo.iter().enumerate() {
+                    assert_eq!(
+                        mask >> pos & 1 == 1,
+                        memo == Some(g),
+                        "slot ({sm},{sched}) warp {w}: memo mask {g} out of sync"
+                    );
+                }
+            }
             let mut m = st.ready | st.sleep;
             while m != 0 {
                 let pos = m.trailing_zeros() as usize;
@@ -394,14 +534,12 @@ impl Engine<'_> {
                 assert_ne!(ws.status, WarpStatus::Done);
                 if st.sleep & (1 << pos) != 0 {
                     assert_eq!(ws.status, WarpStatus::Ready);
-                    min = min.min(ws.retry_at);
                 }
                 assert!(
                     !parked || ws.status != WarpStatus::Ready,
                     "slot ({sm},{sched}): parked SM holds a warp that is not at a barrier"
                 );
             }
-            assert_eq!(min, st.sleep_min, "slot ({sm},{sched}): stale sleep_min");
             let not_done = |&&w: &&usize| self.warps[w].status != WarpStatus::Done;
             assert_eq!(
                 (st.ready | st.sleep).count_ones() as usize,

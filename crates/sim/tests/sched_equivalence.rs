@@ -164,6 +164,17 @@ fn assert_bounded_equivalent(
         }
     }
     assert!(inside && exact, "{name}: no fast-forward/visited cut found");
+    assert_cuts_equivalent(name, dev, setup, cuts);
+}
+
+/// Both schedulers cut at each of `cuts` into every sink: same outcome,
+/// same partial metrics, stall accounting, per-PC samples and timeline.
+fn assert_cuts_equivalent(
+    name: &str,
+    dev: DeviceConfig,
+    setup: impl Fn(&mut Gpu) -> (Kernel, Launch),
+    cuts: Vec<u64>,
+) {
     fn same<S: TraceSink + Default + PartialEq + std::fmt::Debug>(
         name: &str,
         dev: &DeviceConfig,
@@ -514,6 +525,53 @@ fn equivalent_deadlock_under_budget() {
     assert!(b.1.conservation_ok());
 }
 
+/// The same barrier without a budget: every driver jumps to the engine's
+/// cycle cap in one round and reports it as a tripped deadline, on every
+/// device, in well under a second.
+#[test]
+fn unbudgeted_deadlock_trips_the_cap_at_once() {
+    let k = assemble_named(
+        r#"
+        mov %r1, %tid.x;
+        setp.lt.s32 %p0, %r1, 32;
+        @%p0 bra OUT;
+        bar.sync;
+    OUT:
+        exit;
+    "#,
+        "half_barrier",
+    )
+    .expect("assembles");
+    for dev in [
+        DeviceConfig::h800(),
+        DeviceConfig::a100(),
+        DeviceConfig::rtx4090(),
+    ] {
+        let drivers = [
+            (Scheduler::LegacyScan, 1),
+            (Scheduler::ReadySet, 1),
+            (Scheduler::ReadySet, 2),
+        ];
+        for (sched, threads) in drivers {
+            let mut gpu = gpu_with_threads(dev.clone(), sched, threads);
+            let t = std::time::Instant::now();
+            let err = gpu.launch(&k, &Launch::new(2, 64)).unwrap_err();
+            let took = t.elapsed();
+            let what = format!("{} {sched:?} sim_threads={threads}", dev.name);
+            let LaunchError::DeadlineExceeded {
+                budget_cycles,
+                cycles_run,
+            } = err
+            else {
+                panic!("{what}: {err:?}");
+            };
+            assert_eq!(budget_cycles, cycles_run, "{what}");
+            assert_eq!(cycles_run, 2_000_000_000, "{what}: not the engine's cap");
+            assert!(took.as_secs_f64() < 1.0, "{what}: took {took:?}");
+        }
+    }
+}
+
 #[test]
 fn equivalent_uneven_retirement() {
     assert_equivalent("uneven_retire", DeviceConfig::h800(), uneven_setup);
@@ -720,6 +778,104 @@ fn cp_async_8x8_setup(gpu: &mut Gpu) -> (Kernel, Launch) {
     .expect("assembles");
     let sms = gpu.device().num_sms;
     (k, Launch::new(sms * 16, 64).with_params(vec![buf]))
+}
+
+/// `l1_throughput`'s kernel (Table V's L1 rows): 1024 threads of `.ca`
+/// loads, four per iteration, so whole herds are refused at the L1 port's
+/// `Queue` gate, whose `until` depends on the cycle it is asked at.
+fn l1_herd_setup(gpu: &mut Gpu, width: &str, bytes: u64) -> (Kernel, Launch) {
+    let buf = gpu.alloc(1024 * 4 * bytes).expect("alloc");
+    let ld = |i: u64| {
+        format!(
+            "ld.global.ca.{width} %r{}, [%r6+{}];",
+            10 + 2 * i,
+            i * 1024 * bytes
+        )
+    };
+    let k = assemble_named(
+        &format!(
+            r#"
+        mov %r2, %tid.x;
+        mad.s32 %r5, %r2, {bytes}, 0;
+        add.s32 %r6, %r5, %r0;
+        mov.s32 %r7, 0;
+    LOOP:
+        {}
+        {}
+        {}
+        {}
+        add.s32 %r7, %r7, 1;
+        setp.lt.s32 %p0, %r7, 24;
+        @%p0 bra LOOP;
+        exit;
+    "#,
+            ld(0),
+            ld(1),
+            ld(2),
+            ld(3)
+        ),
+        "l1_throughput",
+    )
+    .expect("assembles");
+    (k, Launch::new(1, 1024).with_params(vec![buf, 0]))
+}
+
+/// Fig. 7's DPX stream: 1024 threads of independent DPX ops, refused in
+/// herds at the `Backlog(4)` gate of H800's DPX unit, and at `INT_SEQ`
+/// where the 16x2 function is a ten-op emulation.  A backlog gate's
+/// `until` is its admission bound, so unlike the L1 port's it does not
+/// depend on when it is asked: this shape checks herd bookkeeping, not the
+/// reach rule.
+fn dpx_herd_setup(_gpu: &mut Gpu) -> (Kernel, Launch) {
+    let k = assemble_named(
+        r#"
+        mov.s32 %r1, 5;
+        mov.s32 %r2, -3;
+        mov.s32 %r3, 1000;
+        mov.s32 %r4, 0;
+    LOOP:
+        dpx.vimax3_s16x2 %r10, %r1, %r2, %r3;
+        dpx.vimax3_s16x2 %r11, %r1, %r2, %r3;
+        dpx.vimax3_s16x2 %r12, %r1, %r2, %r3;
+        dpx.vimax3_s16x2 %r13, %r1, %r2, %r3;
+        dpx.vimax3_s16x2 %r14, %r1, %r2, %r3;
+        dpx.vimax3_s16x2 %r15, %r1, %r2, %r3;
+        add.s32 %r4, %r4, 1;
+        setp.lt.s32 %p0, %r4, 12;
+        @%p0 bra LOOP;
+        exit;
+    "#,
+        "dpx_herd",
+    )
+    .expect("assembles");
+    (k, Launch::new(1, 1024))
+}
+
+/// Herds — many warps refused at one gate in one scan (DESIGN.md §4d
+/// point 8): on every device, untraced and traced, and cut at budgets
+/// inside a herd's sleep, every driver must agree bit for bit.
+#[test]
+fn equivalent_herds() {
+    type Setup = fn(&mut Gpu) -> (Kernel, Launch);
+    let cases: [(&str, Setup); 3] = [
+        ("l1_fp32", |gpu| l1_herd_setup(gpu, "b32", 4)),
+        ("l1_fp32_v4", |gpu| l1_herd_setup(gpu, "v4", 16)),
+        ("dpx", dpx_herd_setup),
+    ];
+    for dev in [
+        DeviceConfig::h800(),
+        DeviceConfig::a100(),
+        DeviceConfig::rtx4090(),
+    ] {
+        for (name, setup) in cases {
+            let name = format!("{name}_herd on {}", dev.name);
+            assert_equivalent(&name, dev.clone(), setup);
+            let full = cut_run::<NullSink>(&dev, &setup, Scheduler::LegacyScan, u64::MAX);
+            let full = full.0.expect("unbounded run").cycles;
+            let cuts = vec![full / 3, full / 2 + 1, 2 * full / 3 + 7];
+            assert_cuts_equivalent(&name, dev.clone(), setup, cuts);
+        }
+    }
 }
 
 /// Oversubscribed units, where most issue attempts are refusals that a
