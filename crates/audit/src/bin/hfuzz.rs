@@ -1,10 +1,11 @@
 //! hfuzz — seeded differential fuzzer for the Hopper simulator.
 //!
 //! Generates valid random kernels and cross-checks every redundant
-//! implementation pair (legacy vs ready-set scheduler, traced vs
-//! untraced, asm round-trip, serve cold vs cached). Every failure prints
-//! the seed that reproduces it and dumps a repro `.kernel` file runnable
-//! with `hsim-client`. `hfuzz --help` lists the flags.
+//! implementation pair (legacy vs ready-set scheduler down to the final
+//! memory image, traced vs untraced, capture vs replay, asm round-trip,
+//! serve cold vs cached). Every failure prints the seed that reproduces
+//! it and dumps a repro `.kernel` file runnable with `hsim-client`.
+//! `hfuzz --help` lists the flags.
 
 use hopper_audit::gen::KernelPlan;
 use hopper_audit::oracle::{check_plan, ServeOracle};

@@ -2,8 +2,7 @@
 //!
 //! Run with `cargo run --release -p hopper-bench --bin gen-experiments`
 //! (`-- --help` lists the flags).  `--jobs` fans the independent harnesses
-//! over worker threads and `--sim-threads` each launch's SM loop over
-//! engine workers; the output is byte-identical at any combination.
+//! over worker threads; the output is byte-identical at any count.
 
 use hopper_obs::cli::{Args, Flag, Spec};
 use rayon::prelude::*;
@@ -15,7 +14,6 @@ const SPEC: Spec = Spec {
     about: "regenerate EXPERIMENTS.md and experiments.json from every harness",
     flags: &[
         Flag::value("jobs", "N", "worker threads for the harnesses (default 0 = auto)").short("j"),
-        Flag::value("sim-threads", "N", "engine workers per launch, 0 = auto (clamped to the host)"),
     ],
     ..Spec::NONE
 };
@@ -23,19 +21,11 @@ const SPEC: Spec = Spec {
 fn main() {
     let args = Args::from_env(&SPEC);
     let jobs: usize = args.value("jobs").unwrap_or(0);
-    let sim_threads: Option<u32> = args.value("sim-threads");
     if jobs > 0 {
         rayon::ThreadPoolBuilder::new()
             .num_threads(jobs)
             .build_global()
             .expect("configure thread pool");
-    }
-    // Resolve the intra-kernel worker request against the process-wide
-    // budget: jobs × sim_threads never oversubscribes the host.  `--jobs
-    // 0` (auto) counts at the pool's actual width, not as one job.
-    hopper_sim::threads::set_sweep_jobs(rayon::current_num_threads());
-    if let Some(t) = sim_threads {
-        hopper_sim::threads::set_default_sim_threads(t);
     }
     let mut md = String::from(
         "# EXPERIMENTS — paper vs. reproduction\n\n\

@@ -221,30 +221,6 @@ pub fn fig09() -> Report {
     hopper_micro::dsmbench::fig9()
 }
 
-/// Every report in paper order (used by `gen-experiments`).
-pub fn all_reports() -> Vec<Report> {
-    vec![
-        table03(),
-        table04(),
-        table05(),
-        table07(),
-        table08(),
-        table09(),
-        table10(),
-        table11(),
-        table12(),
-        table13(),
-        table14(),
-        fig03(),
-        fig04(),
-        fig05(),
-        fig06(),
-        fig07(),
-        fig08(),
-        fig09(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,10 +90,17 @@ fn hprof_and_gen_experiments_keep_the_command_line_contract() {
     let bad: [&[&str]; 3] = [&["h900"], &["h800", "nope"], &["h800", "pchase", "x"]];
     let hprof = env!("CARGO_BIN_EXE_hprof");
     cli_contract::assert_contract(hprof, &["DEVICE", "WORKLOAD", "--json", "--out"], &bad);
-    // A u32 flag given 2^32 + 2 used to wrap to 2 and run the whole sweep.
-    let bad: [&[&str]; 2] = [&["--sim-threads", "4294967298"], &["-j", "x"]];
+    // An integer flag given 2^64 + 2 must not wrap to 2 and run the whole
+    // sweep; the engine-worker flag is gone, so it is an unknown flag.
+    let bad: [&[&str]; 3] = [
+        &["-j", "18446744073709551618"],
+        &["-j", "x"],
+        &["--sim-threads", "2"],
+    ];
     let gen = env!("CARGO_BIN_EXE_gen-experiments");
-    cli_contract::assert_contract(gen, &["-j, --jobs", "--sim-threads"], &bad);
+    cli_contract::assert_contract(gen, &["-j, --jobs"], &bad);
+    let (_, help, _) = cli_contract::run(gen, &["--help"]);
+    assert!(!help.contains("--sim-threads"), "{help}");
 }
 
 #[test]

@@ -40,11 +40,6 @@ impl Arch {
         matches!(self, Arch::Hopper)
     }
 
-    /// `cp.async` (Ampere onwards) — all three architectures here.
-    pub fn has_cp_async(&self) -> bool {
-        true
-    }
-
     /// Tensor Memory Accelerator bulk-copy engine.
     pub fn has_tma(&self) -> bool {
         matches!(self, Arch::Hopper)

@@ -680,43 +680,6 @@ impl Instr {
         }
     }
 
-    /// The widest state space whose contents or ordering the instruction
-    /// touches: the operand space of memory instructions, `Global` for the
-    /// asynchronous global→shared copies, `SharedCluster` for `mapa` (it
-    /// manufactures a cluster address) and `barrier.cluster`.  `None` =
-    /// registers and tiles only.
-    pub fn mem_space(&self) -> Option<MemSpace> {
-        match self {
-            Instr::Ld { space, .. }
-            | Instr::St { space, .. }
-            | Instr::AtomAdd { space, .. }
-            | Instr::LdTile { space, .. }
-            | Instr::StTile { space, .. } => Some(*space),
-            Instr::CpAsync { .. } | Instr::TmaCopy { .. } => Some(MemSpace::Global),
-            Instr::Mapa { .. } | Instr::ClusterSync => Some(MemSpace::SharedCluster),
-            Instr::BarSync => Some(MemSpace::Shared),
-            Instr::IAlu { .. }
-            | Instr::IMad { .. }
-            | Instr::FAlu { .. }
-            | Instr::FFma { .. }
-            | Instr::Mov { .. }
-            | Instr::Dpx { .. }
-            | Instr::SetP { .. }
-            | Instr::Sel { .. }
-            | Instr::Bra { .. }
-            | Instr::CpAsyncCommit
-            | Instr::CpAsyncWait { .. }
-            | Instr::Mma { .. }
-            | Instr::WgmmaFence
-            | Instr::Wgmma { .. }
-            | Instr::WgmmaCommit
-            | Instr::WgmmaWait { .. }
-            | Instr::FillTile { .. }
-            | Instr::ReadSpecial { .. }
-            | Instr::Exit => None,
-        }
-    }
-
     /// Mnemonic, replay-trace payload class and textual-surface membership
     /// of this variant.
     pub fn info(&self) -> InstrInfo {
@@ -823,7 +786,6 @@ mod tests {
             gmem: at(9),
         };
         assert_eq!(regs(&tma), [3, 9]);
-        assert_eq!(tma.mem_space(), Some(MemSpace::Global));
         assert!(!tma.info().textual);
         let atom = Instr::AtomAdd {
             space: MemSpace::SharedCluster,
@@ -832,7 +794,6 @@ mod tests {
             src: Operand::Imm(1),
         };
         assert_eq!(regs(&atom), [1]);
-        assert_eq!(atom.mem_space(), Some(MemSpace::SharedCluster));
         let setp = Instr::SetP {
             pred: Pred(3),
             cmp: CmpOp::Lt,

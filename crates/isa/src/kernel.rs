@@ -111,11 +111,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Number of dynamic tensor-core instructions (for sanity checks).
-    pub fn count_matching(&self, pred: impl Fn(&Instr) -> bool) -> usize {
-        self.instrs.iter().filter(|i| pred(i)).count()
-    }
-
     /// Stable content digest: order-sensitive FNV-1a 64 over the
     /// instruction stream (with resolved branch targets), the
     /// launch-relevant resource fields and the kernel name.

@@ -99,11 +99,6 @@ impl FloatSpec {
         let frac = 1.0 + man as f64 * libm_exp2(-(self.man_bits as i32));
         s * frac * libm_exp2(exp as i32 - self.bias())
     }
-
-    /// `true` if `bits` encodes NaN in this format.
-    pub fn is_nan_bits(&self, bits: u64) -> bool {
-        self.decode(bits).is_nan()
-    }
 }
 
 /// `2^n` computed exactly via `f64` bit manipulation (no libm dependency).
@@ -255,13 +250,6 @@ fn round_rtne(kept: u64, residue: u64, half: u64) -> u64 {
     } else {
         kept
     }
-}
-
-/// Encode with the implicit-one bit included in `kept` during the normal
-/// path — helper re-exported for tests.
-#[doc(hidden)]
-pub fn normal_kept_with_hidden(frac52: u64, man_bits: u32) -> u64 {
-    (frac52 | (1u64 << 52)) >> (52 - man_bits)
 }
 
 #[cfg(test)]

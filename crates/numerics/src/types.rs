@@ -145,13 +145,6 @@ impl core::ops::Mul for F16 {
     }
 }
 
-impl Tf32 {
-    /// TF32 is produced from FP32 by rounding the mantissa to 10 bits.
-    pub fn from_f32_rn(x: f32) -> Self {
-        <Self as SoftFloat>::from_f32(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

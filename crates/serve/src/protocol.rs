@@ -116,11 +116,6 @@ pub struct RunSpec {
     pub max_cycles: Option<u64>,
     /// Wall-clock deadline for the simulation, milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Intra-kernel worker count for the launch (`0` = auto).  The
-    /// daemon resolves the request against its thread budget; results
-    /// are bitwise identical at any count, so the field is *not* part
-    /// of the result-cache key.
-    pub sim_threads: Option<u32>,
     /// Bypass the result cache (read *and* write) for this request.
     pub no_cache: bool,
     /// Attach the per-request span timeline to the response envelope.
@@ -150,7 +145,6 @@ impl RunSpec {
             infer: None,
             max_cycles: None,
             deadline_ms: None,
-            sim_threads: None,
             no_cache: false,
             timings: false,
         }
@@ -188,9 +182,6 @@ impl RunSpec {
         }
         if let Some(dl) = self.deadline_ms {
             fields.push(("deadline_ms", Value::UInt(dl)));
-        }
-        if let Some(t) = self.sim_threads {
-            fields.push(("sim_threads", Value::UInt(t as u64)));
         }
         if self.no_cache {
             fields.push(("no_cache", Value::Bool(true)));
@@ -389,7 +380,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 infer,
                 max_cycles: get_u64(&v, "max_cycles")?,
                 deadline_ms: get_u64(&v, "deadline_ms")?,
-                sim_threads: get_u32(&v, "sim_threads")?,
                 no_cache,
                 timings,
             })))
@@ -516,7 +506,6 @@ mod tests {
         spec.report = ReportKind::Profile;
         spec.max_cycles = Some(500_000);
         spec.deadline_ms = Some(2_000);
-        spec.sim_threads = Some(4);
         spec.no_cache = true;
         spec.timings = true;
         let line = spec.to_request_line();
@@ -530,7 +519,6 @@ mod tests {
                 assert_eq!(back.report, ReportKind::Profile);
                 assert_eq!(back.max_cycles, Some(500_000));
                 assert_eq!(back.deadline_ms, Some(2_000));
-                assert_eq!(back.sim_threads, Some(4));
                 assert!(back.no_cache);
                 assert!(back.timings);
             }

@@ -314,10 +314,6 @@ impl Server {
             workers: cfg.workers.max(1),
             ..cfg
         };
-        // The worker pool is this process's job fan-out: per-request
-        // `sim_threads` asks are budgeted against it so concurrent runs
-        // never oversubscribe the host.
-        hopper_sim::threads::set_sweep_jobs(cfg.workers);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let stats = ServeStats::registered(registry_of(&cfg));
@@ -925,20 +921,7 @@ fn run_job(shared: &Arc<Shared>, job: Job, tl: &mut Timeline) -> Result<Value, P
         cluster: spec.cluster,
         params: spec.params.clone(),
     };
-    // Per-request `sim_threads` overrides the daemon default; both go
-    // through the process thread budget (the daemon counts its worker
-    // pool as the job fan-out), and neither touches the cache key —
-    // results are bitwise identical at any worker count.
-    let mut gpu = match spec.sim_threads {
-        Some(t) => Gpu::with_options(
-            job.device.clone(),
-            hopper_sim::SimOptions {
-                sim_threads: hopper_sim::threads::resolve_sim_threads(t),
-                ..hopper_sim::SimOptions::default()
-            },
-        ),
-        None => Gpu::new(job.device.clone()),
-    };
+    let mut gpu = Gpu::new(job.device.clone());
     let reg = shared.registry();
     reg.counter(
         "hsimd_runs_total",

@@ -126,6 +126,29 @@ fn no_cache_requests_bypass_but_match_bytes() {
     server.join();
 }
 
+/// `sim_threads` once chose a per-request engine worker count; it never
+/// changed a result, and the daemon now ignores it like any unknown key.
+#[test]
+fn stale_sim_threads_key_is_ignored() {
+    let (server, client) = start(ServerConfig::default());
+    let mut spec = RunSpec::new(SMALL_KERNEL, "h800", 4, 128);
+    spec.no_cache = true;
+    let line = spec.to_request_line();
+    let plain = client.send_line(&line).unwrap();
+    assert_eq!(status(&parse(&plain)), "ok", "{plain}");
+    for value in ["4", "\"x\""] {
+        let stale = format!("{{\"sim_threads\":{value},{}", &line[1..]);
+        let answer = client.send_line(&stale).unwrap();
+        assert_eq!(
+            canonical_response(&answer),
+            canonical_response(&plain),
+            "sim_threads {value}"
+        );
+    }
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn profile_report_carries_matching_digest() {
     let (server, client) = start(ServerConfig::default());

@@ -86,15 +86,10 @@ pub struct SimOptions {
     /// Warp-scheduler implementation (equivalent results; see
     /// [`Scheduler`]).
     pub scheduler: Scheduler,
-    /// Intra-kernel worker threads: SMs of one engine run are sharded
-    /// across this many workers (`0` or `1` = serial). Results are
-    /// bitwise-identical to the serial path at any count (enforced by
-    /// `sched_equivalence` and the `parallel_equivalence` audit oracle);
-    /// runs that the parallel engine cannot shard (traces attached,
-    /// replay, multi-block clusters, finite cycle budgets, single-SM
-    /// waves) fall back to the serial path silently. See
-    /// [`crate::threads::resolve_sim_threads`] for the process-wide
-    /// jobs × threads budget the CLI layers apply before setting this.
+    /// Ignored.  Kept only because `benchmark/` (`engine_serial.rs`,
+    /// `par2.rs`, `paper_sweep.rs`) names it; ROADMAP item 4(a) deletes it
+    /// with those readers.
+    #[doc(hidden)]
     pub sim_threads: u32,
 }
 

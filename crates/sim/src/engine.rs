@@ -21,13 +21,13 @@ use crate::mem::{GlobalMem, Limiter, TagArray};
 use crate::metrics::Metrics;
 use crate::replay::{ReplayRec, ReplaySource};
 use crate::tiles::Tile;
-use hopper_isa::{Kernel, MemSpace, Operands};
+use hopper_isa::{Kernel, Operands};
 use hopper_trace::{
     wait_bucket, CacheTotals, InstrEvent, IssueEvent, PcTotals, SlotTotals, StallReason, StallSpan,
     TraceSink, UnitBusy, UnitSpan, Wants, N_SLOT_REASONS, N_WAIT_BUCKETS,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 #[path = "exec.rs"]
@@ -38,8 +38,6 @@ mod legacy;
 mod lsu;
 #[path = "memside.rs"]
 mod memside;
-#[path = "par.rs"]
-mod par;
 #[path = "sched.rs"]
 mod sched;
 
@@ -234,9 +232,6 @@ struct SmState {
     /// Functional units and ports, in [`Unit::ALL`] order.
     units: [Limiter; exec::N_UNITS],
     last_sched: [usize; 4],
-    /// This SM's current step may touch the memory side (set on entry to
-    /// every step; checked by [`Engine::shared`]).
-    shared_access: bool,
     /// Coalescer output of the global access in flight.
     coalesced: lsu::Coalesced,
     /// First fault raised by a warp on this SM.
@@ -337,8 +332,10 @@ impl CacheState {
 pub struct Engine<'a> {
     dev: &'a DeviceConfig,
     kernel: &'a Kernel,
-    /// Scoreboard view of `kernel.instrs`, index-aligned (see [`Decoded`]).
-    decoded: Vec<Decoded>,
+    /// Registers and predicates of each of `kernel.instrs`, decoded once
+    /// per wave so an issue attempt is a slice walk, not a per-variant
+    /// `match` (all in range: `Kernel::validate` ran at launch).
+    ops: Vec<Operands>,
     cfg: EngineConfig,
     /// Everything the SMs share; SM code goes through [`Self::shared`].
     mem: MemSide<'a>,
@@ -358,9 +355,8 @@ pub struct Engine<'a> {
     /// Blocks resident on each SM (barrier-release working set).
     sm_blocks: Vec<Vec<usize>>,
     metrics: Metrics,
-    /// Per-SM accumulators, folded into `metrics` SM-major after the run.
-    /// Serial and parallel paths both accumulate here so the f64 energy
-    /// sums see one addition order and stay bitwise identical.
+    /// Per-SM accumulators, folded into `metrics` SM-major after the run,
+    /// so the f64 energy sums see one fixed addition order.
     sm_metrics: Vec<Metrics>,
     l1_stats0: (u64, u64),
     /// The attached trace sink and what it wants.
@@ -378,9 +374,8 @@ pub struct Engine<'a> {
     /// than on warp completion.
     hit_limit: bool,
     /// Some SM recorded a [`SimFault`]; polled by `limit_tripped`.  The
-    /// faults themselves sit in per-SM slots and are read after the run,
-    /// so the flag publishes nothing and `Relaxed` suffices.
-    faulted: AtomicBool,
+    /// faults themselves sit in per-SM slots and are read after the run.
+    faulted: bool,
     /// Replay mode: per-warp captured streams and issue cursors.  When
     /// set, operands and branch directions come from the streams and the
     /// functional datapath is skipped; every timing decision is
@@ -446,14 +441,7 @@ impl<'a> Engine<'a> {
         debug_assert_eq!(kernel.validate(), Ok(()), "Gpu::occupancy validates");
         let num_sms = cfg.blocks.iter().map(|b| b.sm).max().unwrap() + 1;
         let nregs = (kernel.regs_per_thread as usize).max(cfg.params.len() + 1);
-        let decoded = kernel
-            .instrs
-            .iter()
-            .map(|i| Decoded {
-                ops: i.operands(),
-                shared: i.mem_space() == Some(MemSpace::Global),
-            })
-            .collect();
+        let ops = kernel.instrs.iter().map(|i| i.operands()).collect();
         let warps_per_block = cfg.threads_per_block.div_ceil(32) as usize;
 
         let mut warps = Vec::new();
@@ -534,7 +522,6 @@ impl<'a> Engine<'a> {
             .map(|_| SmState {
                 units: std::array::from_fn(|_| Limiter::new()),
                 last_sched: [0; 4],
-                shared_access: true,
                 coalesced: lsu::Coalesced::default(),
                 fault: None,
             })
@@ -563,7 +550,7 @@ impl<'a> Engine<'a> {
         Engine {
             dev,
             kernel,
-            decoded,
+            ops,
             cfg,
             mem,
             l1,
@@ -583,7 +570,7 @@ impl<'a> Engine<'a> {
             slot_acc: Vec::new(),
             pc_acc: Vec::new(),
             hit_limit: false,
-            faulted: AtomicBool::new(false),
+            faulted: false,
             replay: None,
             cap_payload: Vec::new(),
             #[cfg(debug_assertions)]
@@ -659,16 +646,14 @@ impl<'a> Engine<'a> {
                 self.pc_acc = vec![PcAcc::default(); self.kernel.instrs.len()];
             }
         }
-        let workers = self.par_workers(tracing);
         match self.cfg.opts.scheduler {
-            Scheduler::ReadySet if workers > 1 => self.run_parallel(&roster, workers),
             Scheduler::ReadySet if tracing => self.run_serial::<true>(&roster),
             Scheduler::ReadySet => self.run_serial::<false>(&roster),
             Scheduler::LegacyScan => self.run_legacy(&roster, tracing),
         }
-        // Fold the per-SM accumulators in SM-major order — one fixed f64
-        // addition order for energy regardless of execution path, which is
-        // what makes serial and parallel runs bitwise-identical.
+        // Fold the per-SM accumulators in SM-major order: one fixed f64
+        // addition order for energy, which EXPERIMENTS.md and the goldens
+        // pin.
         let sm_metrics = std::mem::take(&mut self.sm_metrics);
         for m in &sm_metrics {
             self.metrics.merge_parallel(m);
@@ -685,35 +670,6 @@ impl<'a> Engine<'a> {
         }
         let fault = self.sms.iter_mut().find_map(|sm| sm.fault.take());
         (self.metrics, fault.map_or(Ok(self.hit_limit), Err))
-    }
-
-    /// Worker count for this run: the configured `sim_threads`, unless a
-    /// feature outside the parallel path's soundness argument is active —
-    /// then 1 (silent serial fallback; results are identical either way,
-    /// which is what the `parallel_equivalence` oracle enforces).
-    ///
-    /// The exclusions: tracing (capture included) and replay observe a
-    /// global issue order; a finite cycle budget stops all SMs at one
-    /// global cycle; clustered launches and cluster-feature kernels (`cluster.sync`,
-    /// `mapa`, `shared::cluster` DSM accesses) reach across SMs outside
-    /// the shared-class gate.
-    fn par_workers(&self, tracing: bool) -> usize {
-        let t = self.cfg.opts.sim_threads as usize;
-        if t <= 1
-            || self.sms.len() <= 1
-            || tracing
-            || self.replay.is_some()
-            || self.cfg.limit.max_cycles != u64::MAX
-            || self.cfg.cluster_size > 1
-            || self
-                .kernel
-                .instrs
-                .iter()
-                .any(|i| i.mem_space() == Some(MemSpace::SharedCluster))
-        {
-            return 1;
-        }
-        t.min(self.sms.len())
     }
 
     /// Debug-build engine invariants, checked at end of every wave (so
@@ -985,16 +941,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The one door from SM code to run-shared state: the memory side,
-    /// plus the tracer and the SM's metrics it reports into.  Only a step
-    /// entered with shared access may open it — under the parallel driver
-    /// that is the gate holder, so an instruction that gets here without
-    /// being shared-class (`mem_space() == Global`) fails this assert
-    /// instead of racing.
+    /// plus the tracer and the SM's metrics it reports into.
     fn shared(&mut self, sm: usize) -> (&mut MemSide<'a>, &mut Tracer<'a>, &mut Metrics) {
-        debug_assert!(
-            self.sms[sm].shared_access,
-            "sm {sm} reached the memory side from a local-only step"
-        );
         (&mut self.mem, &mut self.tr, &mut self.sm_metrics[sm])
     }
 
@@ -1009,7 +957,7 @@ impl<'a> Engine<'a> {
             warp: ws.warp_in_block as u32,
             kind,
         });
-        self.faulted.store(true, Ordering::Relaxed);
+        self.faulted = true;
     }
 }
 
@@ -1076,23 +1024,4 @@ enum IssueResult {
     /// micro-architectural reason (trace attribution), and the gate when
     /// one refused the attempt (what the warp's `refused_by` now holds).
     Stalled(u64, StallReason, Option<Gate>),
-    /// Parallel shard only: the instruction passed every SM-local gate
-    /// but touches run-shared state, so it must issue under the shared
-    /// gate.  Nothing was committed — the attempt is replayed verbatim
-    /// once the gate grants this SM exclusive access.
-    NeedsShared,
-}
-
-/// One instruction as the issue path sees it, decoded once per wave from
-/// `hopper-isa`'s metadata so an issue attempt is a slice walk, not a
-/// per-variant `match`.
-struct Decoded {
-    /// Registers and predicates for the scoreboard (all in range:
-    /// `Kernel::validate` ran at launch).
-    ops: Operands,
-    /// Reaches the memory side (`mem_space()` is `Global`), so a parallel
-    /// shard must issue it under the shared gate.  Everything else is
-    /// SM-local under the parallel path's eligibility rules (single-block
-    /// clusters keep DSM traffic on the issuing SM's own port and smem).
-    shared: bool,
 }

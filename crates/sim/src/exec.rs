@@ -173,7 +173,7 @@ impl<'a> Engine<'a> {
 
     // ------------------------------------------------------------ issue
 
-    pub(super) fn try_issue(&mut self, w: usize, now: u64, local_only: bool) -> IssueResult {
+    pub(super) fn try_issue(&mut self, w: usize, now: u64) -> IssueResult {
         let ws = &self.warps[w];
         if ws.status != WarpStatus::Ready {
             return IssueResult::Stalled(u64::MAX, StallReason::Barrier, None);
@@ -185,16 +185,13 @@ impl<'a> Engine<'a> {
 
         // A warp refused at a gate has not issued since, so every check in
         // front of that gate still passes: ask the gate alone (DESIGN.md
-        // §4d point 7).  A local-only step leaves shared-class
-        // instructions to the `NeedsShared` hand-back below.
+        // §4d point 7).
         if let Some(gate) = ws.refused_by {
-            if !(local_only && self.decoded[pc].shared) {
-                if let Err(refusal) = self.readmit(sm, gate, now as f64) {
-                    #[cfg(debug_assertions)]
-                    self.check_refusal(w, now, &refusal);
-                    let Stalled(until, reason, gate) = refusal;
-                    return IssueResult::Stalled(until, reason, gate);
-                }
+            if let Err(refusal) = self.readmit(sm, gate, now as f64) {
+                #[cfg(debug_assertions)]
+                self.check_refusal(w, now, &refusal);
+                let Stalled(until, reason, gate) = refusal;
+                return IssueResult::Stalled(until, reason, gate);
             }
         }
 
@@ -202,13 +199,6 @@ impl<'a> Engine<'a> {
         let ready_at = self.deps_ready_at(w, pc);
         if ready_at > now {
             return IssueResult::Stalled(ready_at, StallReason::Scoreboard, None);
-        }
-
-        // Parallel shard: an instruction that passed every SM-local gate
-        // but touches run-shared state must issue under the shared gate —
-        // hand control back before anything commits.
-        if local_only && self.decoded[pc].shared {
-            return IssueResult::NeedsShared;
         }
 
         // Structural + execute.  Copy the shared kernel reference out of
@@ -240,7 +230,7 @@ impl<'a> Engine<'a> {
     /// it reads.
     fn deps_ready_at(&self, w: usize, pc: usize) -> u64 {
         let ws = &self.warps[w];
-        let ops = &self.decoded[pc].ops;
+        let ops = &self.ops[pc];
         let pred = ops.pred_read.map_or(0, |p| ws.pred_ready[p.0 as usize]);
         let regs = ops.regs().iter().map(|r| ws.reg_ready[r.0 as usize]);
         regs.fold(pred, u64::max)
@@ -271,7 +261,7 @@ impl<'a> Engine<'a> {
     /// the scoreboard and the validator are blind to it.
     pub(super) fn audit_reg(&self, w: usize, r: Reg) {
         debug_assert!(
-            self.decoded[self.warps[w].pc].ops.regs().contains(&r),
+            self.ops[self.warps[w].pc].regs().contains(&r),
             "{r} touched by `{}` at pc {} but missing from Instr::operands()",
             self.kernel.instrs[self.warps[w].pc].mnemonic(),
             self.warps[w].pc
@@ -395,7 +385,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 let ws = &mut self.warps[w];
-                debug_assert_eq!(self.decoded[ws.pc].ops.pred_write, Some(*pred));
+                debug_assert_eq!(self.ops[ws.pc].pred_write, Some(*pred));
                 ws.pred[pred.0 as usize] = mask;
                 ws.pred_ready[pred.0 as usize] = nowc + self.dev.alu_latency as u64;
                 // Half a cycle of the integer pipe, and the one occupancy
@@ -608,7 +598,7 @@ impl<'a> Engine<'a> {
     /// Lane mask of the predicate the issuing instruction reads.
     fn read_pred(&self, w: usize, p: Pred) -> u32 {
         let ws = &self.warps[w];
-        debug_assert_eq!(self.decoded[ws.pc].ops.pred_read, Some(p));
+        debug_assert_eq!(self.ops[ws.pc].pred_read, Some(p));
         ws.pred[p.0 as usize]
     }
 

@@ -260,11 +260,7 @@ pub struct Gpu {
 impl Gpu {
     /// Bring up a device.
     pub fn new(dev: DeviceConfig) -> Self {
-        let opts = SimOptions {
-            sim_threads: crate::threads::default_sim_threads(),
-            ..SimOptions::default()
-        };
-        Self::with_options(dev, opts)
+        Self::with_options(dev, SimOptions::default())
     }
 
     /// Bring up a device with mechanism toggles (ablation studies).

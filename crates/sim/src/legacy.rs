@@ -49,7 +49,7 @@ impl Engine<'_> {
                             continue;
                         }
                         let pc_before = self.warps[w].pc;
-                        match self.try_issue(w, self.cycle, false) {
+                        match self.try_issue(w, self.cycle) {
                             IssueResult::Issued => {
                                 self.sms[sm].last_sched[sched] = (start + i) % candidates.len();
                                 issued_any = true;
@@ -74,9 +74,6 @@ impl Engine<'_> {
                                         slot_stall = Some((wk, reason, pc_before as u32));
                                     }
                                 }
-                            }
-                            IssueResult::NeedsShared => {
-                                unreachable!("serial scans never issue local-only")
                             }
                         }
                     }

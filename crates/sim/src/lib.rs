@@ -40,6 +40,7 @@
 //! assert_eq!(gpu.read_u32s(buf, 4), vec![0, 1, 2, 3]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device;
@@ -50,6 +51,7 @@ pub mod metrics;
 pub mod power;
 pub mod replay;
 pub mod tc_timing;
+#[doc(hidden)]
 pub mod threads;
 pub mod tiles;
 

@@ -4,11 +4,7 @@
 //! the DSM port) and what all SMs contend for (L2, DRAM, TLB).  This module
 //! is the second level: global memory's bytes, the L2 and TLB tag arrays,
 //! and the L2/DRAM bandwidth queues.  Its fields are private and SM code
-//! reaches it only through [`Engine::shared`], which debug-asserts that the
-//! calling SM's step holds shared access — so "an instruction whose
-//! `mem_space()` is `Global` is every instruction that touches run-shared
-//! state" (the parallel gate's soundness argument, DESIGN.md §4g) is a
-//! checked invariant, not a convention.
+//! reaches it only through [`Engine::shared`] (DESIGN.md §4g).
 //!
 //! The SM side (`lsu.rs`) coalesces an access and looks it up in its own
 //! L1; what it hands over is "these sectors, of which these lines missed

@@ -127,11 +127,6 @@ impl RunStats {
         self.metrics.tc_ops as f64 / self.seconds() / 1e12
     }
 
-    /// Achieved DRAM bandwidth, GB/s.
-    pub fn dram_gbps(&self) -> f64 {
-        self.metrics.dram_bytes as f64 / self.seconds() / 1e9
-    }
-
     /// Throttle ratio (1.0 = no throttling).
     pub fn throttle(&self) -> f64 {
         self.achieved_clock_hz / self.nominal_clock_hz

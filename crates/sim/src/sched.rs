@@ -1,13 +1,12 @@
 //! The issue loop: one scheduler-slot scan, one per-SM cycle step, and the
-//! serial driver that orders steps by SM clock.
+//! driver that orders steps by SM clock.
 //!
 //! An SM is the unit of scheduling state ([`SmRun`]): its own cycle, four
 //! slot masks and live-warp count.  [`Engine::step_sm`] advances one SM by
-//! one visited cycle and fast-forwards it across its own stalls; the serial
-//! driver ([`Engine::run_serial`]) and the parallel one (`par.rs`) differ
-//! only in who may step which SM when.  DESIGN.md §4d has the argument that
-//! this visits every side-effecting `(cycle, sm, slot, position)` in the
-//! legacy scan's order.
+//! one visited cycle and fast-forwards it across its own stalls;
+//! [`Engine::run_serial`] steps the SMs in `(cycle, sm)` order.  DESIGN.md
+//! §4d has the argument that this visits every side-effecting
+//! `(cycle, sm, slot, position)` in the legacy scan's order.
 
 use super::{
     Engine, Gate, IssueResult, WarpStatus, CANCEL_CHECK_PERIOD, MAX_CYCLES, MAX_SLOT_WARPS,
@@ -75,22 +74,17 @@ impl SlotState {
 /// the `(until, reason, gate)` each would have been refused with.
 type Herd = (u64, u64, StallReason, Gate);
 
-/// One SM's scheduling state, persisted across steps (and, in the
-/// parallel driver, across shared-access suspensions mid-cycle).
-pub(super) struct SmRun {
+/// One SM's scheduling state, persisted across steps.
+struct SmRun {
     /// The cycle being stepped; after a completed step, the SM's next
     /// event cycle.
-    pub(super) cycle: u64,
+    cycle: u64,
     /// Resident warps not yet `Done`.
-    pub(super) live: usize,
+    live: usize,
     slots: [SlotState; 4],
     /// Scratch for the current scan's herds (at most one per gate).
     herds: Vec<Herd>,
-    /// Slot to (re-)enter on the next step (non-zero only after a
-    /// [`Step::NeedsShared`] abort).
-    resume_slot: usize,
-    /// `issued_any` / earliest wakeup accumulated over the current
-    /// (possibly partial) cycle.
+    /// `issued_any` / earliest wakeup accumulated over the current cycle.
     issued_any: bool,
     earliest: u64,
     /// Traced runs: each slot's outcome code and binding PC from the last
@@ -103,7 +97,7 @@ pub(super) struct SmRun {
 }
 
 impl SmRun {
-    pub(super) fn new(sm_roster: &[Vec<usize>]) -> SmRun {
+    fn new(sm_roster: &[Vec<usize>]) -> SmRun {
         let mut live = 0usize;
         let slots = std::array::from_fn(|sched| {
             let len = sm_roster[sched].len();
@@ -124,7 +118,6 @@ impl SmRun {
             live,
             slots,
             herds: Vec::with_capacity(N_GATES),
-            resume_slot: 0,
             issued_any: false,
             earliest: u64::MAX,
             outcomes: [(OUT_IDLE, 0); 4],
@@ -135,15 +128,12 @@ impl SmRun {
 
 /// How one [`Engine::step_sm`] call left its SM.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum Step {
+enum Step {
     /// Cycle complete; `run.cycle` is the SM's next event.
     Advanced,
     /// Cycle complete, nothing issued and no warp has a known wakeup:
     /// every live warp waits on a barrier only another SM can complete.
     Parked,
-    /// Local-only scan reached a shared-class candidate; re-enter at the
-    /// same cycle once shared access is granted.
-    NeedsShared,
 }
 
 impl Engine<'_> {
@@ -157,7 +147,7 @@ impl Engine<'_> {
     /// when the cycle cap is reached, a warp has faulted or (checked every
     /// [`CANCEL_CHECK_PERIOD`] calls) the cancel flag is set.
     pub(super) fn limit_tripped(&self, cycle: u64, cancel_countdown: &mut u32) -> bool {
-        if cycle >= self.cycle_cap() || self.faulted.load(Ordering::Relaxed) {
+        if cycle >= self.cycle_cap() || self.faulted {
             return true;
         }
         if let Some(c) = &self.cfg.limit.cancel {
@@ -172,21 +162,17 @@ impl Engine<'_> {
 
     /// One slot's issue scan at `run.cycle`: re-admit due sleepers, then
     /// try ready warps in circular roster order from the last issuer until
-    /// one issues.  An untraced scan with shared access answers a gate's
-    /// refusal for every ready warp that gate already refused: they are
-    /// skipped, and parked at scan end if the scan would have reached
-    /// them (DESIGN.md §4d point 8).  Returns `true` when a `local_only`
-    /// scan reached a shared-class candidate; every stall committed up to
-    /// that point is an SM-local verdict no other SM can change, so the
-    /// granted re-run starts from it.
+    /// one issues.  An untraced scan answers a gate's refusal for every
+    /// ready warp that gate already refused: they are skipped, and parked
+    /// at scan end if the scan would have reached them (DESIGN.md §4d
+    /// point 8).
     fn scan_slot<const TRACED: bool>(
         &mut self,
         run: &mut SmRun,
         sm: usize,
         sched: usize,
         candidates: &[usize],
-        local_only: bool,
-    ) -> bool {
+    ) {
         let cycle = run.cycle;
         let st = &mut run.slots[sched];
         if st.sleep_min <= cycle {
@@ -210,7 +196,7 @@ impl Engine<'_> {
         // minimum-wakeup sleeper) is last step's unless that was an issue.
         if st.ready == 0 && !(TRACED && run.outcomes[sched].0 == OUT_ISSUED) {
             run.earliest = run.earliest.min(st.sleep_min);
-            return false;
+            return;
         }
         // Only ever set to a roster position of this slot.
         let start = self.sms[sm].last_sched[sched];
@@ -218,7 +204,7 @@ impl Engine<'_> {
         // Rotated right by `start`, positions in circular scan order are
         // ascending bits.
         let rot = |m: u64| m.rotate_right(start as u32);
-        let herding = !TRACED && !local_only;
+        let herding = !TRACED;
         run.herds.clear();
         let mut skipped = 0u64;
         let mut issuer = None;
@@ -256,14 +242,14 @@ impl Engine<'_> {
                 let &(_, until, reason, gate) =
                     run.herds.iter().find(|h| h.0 & 1 << r != 0).unwrap();
                 assert_eq!(
-                    self.try_issue(w, cycle, false),
+                    self.try_issue(w, cycle),
                     IssueResult::Stalled(until, reason, Some(gate)),
                     "warp {w} cycle {cycle}: a skipped herd member's verdict differs"
                 );
                 continue;
             }
             let (pc_before, was) = (self.warps[w].pc, self.warps[w].refused_by);
-            match self.try_issue(w, cycle, local_only) {
+            match self.try_issue(w, cycle) {
                 IssueResult::Issued => {
                     st.remember(bit, was, None);
                     self.sms[sm].last_sched[sched] = pos;
@@ -309,10 +295,6 @@ impl Engine<'_> {
                         }
                     }
                 }
-                IssueResult::NeedsShared => {
-                    st.park(parking.0, parking.1);
-                    return true;
-                }
             }
         }
         st.park(parking.0, parking.1);
@@ -343,7 +325,6 @@ impl Engine<'_> {
                 (OUT_IDLE, 0)
             };
         }
-        false
     }
 
     /// Charge `run`'s slot outcomes for the cycles `run.booked..upto`.
@@ -354,33 +335,25 @@ impl Engine<'_> {
         run.booked = upto;
     }
 
-    /// One SM, one cycle: scan the four slots from `run.resume_slot`,
-    /// release the SM's full block barriers, then fast-forward the SM's
-    /// clock across its own stall — no event on this SM can occur before
-    /// its earliest wakeup (cluster releases, the one cross-SM wakeup, are
-    /// the serial driver's job).  `local_only` scans abort before any
-    /// shared-class instruction executes (`Engine::shared` checks it).
-    pub(super) fn step_sm<const TRACED: bool>(
+    /// One SM, one cycle: scan the four slots, release the SM's full block
+    /// barriers, then fast-forward the SM's clock across its own stall —
+    /// no event on this SM can occur before its earliest wakeup (cluster
+    /// releases, the one cross-SM wakeup, are the driver's job).
+    fn step_sm<const TRACED: bool>(
         &mut self,
         roster: &[Vec<Vec<usize>>],
         run: &mut SmRun,
         sm: usize,
-        local_only: bool,
     ) -> Step {
         let cycle = run.cycle;
-        self.sms[sm].shared_access = !local_only;
         if TRACED {
             self.book(run, sm, cycle);
         }
-        for (sched, candidates) in roster[sm].iter().enumerate().skip(run.resume_slot) {
-            if !candidates.is_empty()
-                && self.scan_slot::<TRACED>(run, sm, sched, candidates, local_only)
-            {
-                run.resume_slot = sched;
-                return Step::NeedsShared;
+        for (sched, candidates) in roster[sm].iter().enumerate() {
+            if !candidates.is_empty() {
+                self.scan_slot::<TRACED>(run, sm, sched, candidates);
             }
         }
-        run.resume_slot = 0;
         self.release_sm_barriers(sm, cycle);
         if TRACED && run.live == 0 {
             // Retired: this step's outcomes cover exactly its own cycle;
@@ -401,8 +374,8 @@ impl Engine<'_> {
         step
     }
 
-    /// Serial driver: step the SMs in `(cycle, sm)` order of their own
-    /// clocks, each with full shared access, then run cycle `c`'s
+    /// The driver: step the SMs in `(cycle, sm)` order of their own
+    /// clocks, then run cycle `c`'s
     /// cluster-barrier release — the legacy scan's order restricted to the
     /// visits that can have side effects (DESIGN.md §4d).
     pub(super) fn run_serial<const TRACED: bool>(&mut self, roster: &[Vec<Vec<usize>>]) {
@@ -437,7 +410,7 @@ impl Engine<'_> {
             for (sm, (at, run)) in clock.iter_mut().zip(&mut runs).enumerate() {
                 if *at == c {
                     run.cycle = c;
-                    let step = self.step_sm::<TRACED>(roster, run, sm, false);
+                    let step = self.step_sm::<TRACED>(roster, run, sm);
                     live_sms -= usize::from(run.live == 0);
                     *at = if run.live == 0 || step == Step::Parked {
                         u64::MAX

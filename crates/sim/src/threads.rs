@@ -1,118 +1,7 @@
-//! Process-wide thread budget for intra-kernel parallelism.
-//!
-//! Two layers of the stack spawn threads: sweep drivers fan independent
-//! launches across `--jobs` workers (the vendored rayon pool), and each
-//! engine run can shard its SMs across `SimOptions::sim_threads` workers.
-//! Left unchecked, `jobs × sim_threads` oversubscribes the host — every
-//! job would spin up its own intra-kernel pool. The CLI layers therefore
-//! resolve the user's `--sim-threads` request through this module, which
-//! clamps the *product* to the machine's available parallelism:
-//!
-//! ```text
-//! effective = min(requested, max(1, available_parallelism / jobs))
-//! ```
-//!
-//! with `requested == 0` meaning "auto" (take the whole per-job share).
-//! The engine itself honours `SimOptions::sim_threads` literally — tests
-//! and oracles set explicit counts to exercise the parallel path even on
-//! small hosts — so the budget is applied exactly once, where user input
-//! enters the system.
+//! Inert shim left from the removed intra-kernel parallel driver.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-/// Number of concurrent sweep jobs the process runs (`--jobs`).  Set by
-/// the sweep drivers before resolving per-run thread counts; defaults to
-/// 1 (a single foreground run).
-static SWEEP_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Budget-resolved `--sim-threads` default applied by [`crate::Gpu::new`]
-/// (the constructor every harness uses).  Defaults to 1 — serial — so
-/// nothing changes unless a CLI opts in.  Callers of
-/// `Gpu::with_options` pass explicit `SimOptions` and bypass this.
-static DEFAULT_SIM_THREADS: AtomicU32 = AtomicU32::new(1);
-
-/// Install the process-default intra-kernel worker count.  `requested`
-/// is the raw CLI value (`0` = auto); it is resolved against the thread
-/// budget here, so `jobs × sim_threads` never exceeds the host — call
-/// [`set_sweep_jobs`] first.  Returns the resolved count.
-pub fn set_default_sim_threads(requested: u32) -> u32 {
-    let resolved = resolve_sim_threads(requested);
-    DEFAULT_SIM_THREADS.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// The process-default intra-kernel worker count (≥ 1).
-pub fn default_sim_threads() -> u32 {
-    DEFAULT_SIM_THREADS.load(Ordering::Relaxed).max(1)
-}
-
-/// Record the sweep-level job count (`--jobs N`).  `0` keeps the
-/// current value (matching the drivers' "0 = auto" convention, where
-/// the rayon pool picks the width and each job stays single-threaded
-/// unless `--sim-threads` is given explicitly).
-pub fn set_sweep_jobs(jobs: usize) {
-    if jobs > 0 {
-        SWEEP_JOBS.store(jobs, Ordering::Relaxed);
-    }
-}
-
-/// The recorded sweep-level job count (≥ 1).
-pub fn sweep_jobs() -> usize {
-    SWEEP_JOBS.load(Ordering::Relaxed).max(1)
-}
-
-/// Resolve a `--sim-threads` request against the process-wide budget:
-/// the per-job share of the host's available parallelism, given the
-/// recorded [`sweep_jobs`] count.  `requested == 0` = auto (use the
-/// whole share); explicit requests are clamped to the share.
-pub fn resolve_sim_threads(requested: u32) -> u32 {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    resolve_with(requested, sweep_jobs(), avail)
-}
-
-/// Pure budget arithmetic behind [`resolve_sim_threads`] (unit-tested
-/// without touching process state).
-fn resolve_with(requested: u32, jobs: usize, avail: usize) -> u32 {
-    let share = (avail / jobs.max(1)).max(1) as u32;
-    match requested {
-        0 => share,
-        r => r.min(share),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn budget_clamps_jobs_times_threads_to_available() {
-        // 8-way host, 4 sweep jobs: each job gets at most 2 workers, so
-        // jobs × threads never exceeds the machine.
-        assert_eq!(resolve_with(0, 4, 8), 2);
-        assert_eq!(resolve_with(8, 4, 8), 2);
-        assert_eq!(resolve_with(1, 4, 8), 1);
-        // Single job: the request passes through up to the host width.
-        assert_eq!(resolve_with(4, 1, 8), 4);
-        assert_eq!(resolve_with(0, 1, 8), 8);
-        assert_eq!(resolve_with(16, 1, 8), 8);
-        // Oversubscribed jobs (more jobs than cores) still grant 1.
-        assert_eq!(resolve_with(0, 16, 8), 1);
-        assert_eq!(resolve_with(4, 16, 8), 1);
-        // Degenerate hosts.
-        assert_eq!(resolve_with(0, 1, 1), 1);
-        assert_eq!(resolve_with(4, 1, 1), 1);
-        assert_eq!(resolve_with(4, 0, 8), 4);
-    }
-
-    #[test]
-    fn process_state_roundtrip() {
-        set_sweep_jobs(3);
-        assert_eq!(sweep_jobs(), 3);
-        set_sweep_jobs(0); // no-op
-        assert_eq!(sweep_jobs(), 3);
-        set_sweep_jobs(1);
-        assert_eq!(sweep_jobs(), 1);
-    }
-}
+/// Does nothing.  Kept only because `benchmark/` (`engine_serial.rs`,
+/// `par2.rs`, `paper_sweep.rs`) names it; ROADMAP item 4(a) deletes it
+/// with those readers.
+#[doc(hidden)]
+pub fn set_sweep_jobs(_jobs: usize) {}

@@ -832,12 +832,11 @@ fn tlb_cold_misses_inflate_global_latency() {
 /// instruction that reads or writes shared memory, a divergent branch, a
 /// tensor-core instruction on missing or ill-fitting tiles or one the
 /// device cannot execute — are typed launch errors naming the faulting PC,
-/// under the serial and the parallel driver alike, and leave the `Gpu`
-/// usable.
+/// and leave the `Gpu` usable.
 #[test]
 fn shared_memory_faults_are_launch_errors() {
     use hopper_isa::{CacheOp, KernelBuilder as KB, Operand, Special, Width};
-    use hopper_sim::{LaunchError, SimFaultKind, SimOptions};
+    use hopper_sim::{LaunchError, SimFaultKind};
 
     const SMEM: u32 = 1024;
     const OOB: Option<SimFaultKind> = None; // any `SharedOutOfBounds` of `SMEM`
@@ -921,44 +920,38 @@ fn shared_memory_faults_are_launch_errors() {
             },
         ),
     ];
-    for sim_threads in [0, 2] {
-        let opts = SimOptions {
-            sim_threads,
-            ..Default::default()
-        };
-        let mut gpu = Gpu::with_options(DeviceConfig::h800(), opts);
-        let buf = gpu.alloc(4096).unwrap();
-        for (what, addr, want, emit) in cases {
-            let mut b = KB::new(what);
-            b.shared_mem(SMEM);
-            b.mov(Reg(2), Imm(addr));
-            b.mov(Reg(3), Imm(7));
-            emit(&mut b);
-            b.cp_async_commit();
-            b.cp_async_wait(0);
-            b.exit();
-            let k = b.build();
-            let want_pc = k.instrs.len() as u32 - 4;
-            let launch = Launch::new(2, 32).with_params(vec![buf]);
-            match gpu.launch(&k, &launch) {
-                Err(LaunchError::Fault(f)) => {
-                    assert_eq!(f.pc, want_pc, "{what} @ sim_threads {sim_threads}: {f}");
-                    let oob = matches!(f.kind, SimFaultKind::SharedOutOfBounds { size, .. } if size == SMEM as u64);
-                    assert!(want.map_or(oob, |k| k == f.kind), "{what}: {f}");
-                }
-                other => {
-                    panic!("{what} @ sim_threads {sim_threads}: expected a fault, got {other:?}")
-                }
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let buf = gpu.alloc(4096).unwrap();
+    for (what, addr, want, emit) in cases {
+        let mut b = KB::new(what);
+        b.shared_mem(SMEM);
+        b.mov(Reg(2), Imm(addr));
+        b.mov(Reg(3), Imm(7));
+        emit(&mut b);
+        b.cp_async_commit();
+        b.cp_async_wait(0);
+        b.exit();
+        let k = b.build();
+        let want_pc = k.instrs.len() as u32 - 4;
+        let launch = Launch::new(2, 32).with_params(vec![buf]);
+        match gpu.launch(&k, &launch) {
+            Err(LaunchError::Fault(f)) => {
+                assert_eq!(f.pc, want_pc, "{what}: {f}");
+                let oob = matches!(f.kind, SimFaultKind::SharedOutOfBounds { size, .. } if size == SMEM as u64);
+                assert!(want.map_or(oob, |k| k == f.kind), "{what}: {f}");
             }
-            // The device survives: an in-range kernel runs to completion.
-            let mut ok = KB::new("ok");
-            ok.shared_mem(SMEM);
-            ok.special(Reg(1), Special::TidX);
-            ok.ialu(IAluOp::Shl, Reg(2), Operand::Reg(Reg(1)), Imm(2));
-            ok.st(MemSpace::Shared, Width::B4, Reg(1), Reg(2), 0);
-            ok.exit();
-            gpu.launch(&ok.build(), &Launch::new(2, 32)).unwrap();
+            other => {
+                panic!("{what}: expected a fault, got {other:?}")
+            }
         }
+        // The device survives: an in-range kernel runs to completion.
+        let mut ok = KB::new("ok");
+        ok.shared_mem(SMEM);
+        ok.special(Reg(1), Special::TidX);
+        ok.ialu(IAluOp::Shl, Reg(2), Operand::Reg(Reg(1)), Imm(2));
+        ok.st(MemSpace::Shared, Width::B4, Reg(1), Reg(2), 0);
+        ok.exit();
+        gpu.launch(&ok.build(), &Launch::new(2, 32)).unwrap();
     }
 
     // So is an instruction the device has no hardware for.

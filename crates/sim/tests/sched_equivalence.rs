@@ -18,13 +18,8 @@ use hopper_sim::{
 };
 
 fn gpu_with(dev: DeviceConfig, sched: Scheduler) -> Gpu {
-    gpu_with_threads(dev, sched, 1)
-}
-
-fn gpu_with_threads(dev: DeviceConfig, sched: Scheduler, sim_threads: u32) -> Gpu {
     let opts = SimOptions {
         scheduler: sched,
-        sim_threads,
         ..Default::default()
     };
     Gpu::with_options(dev, opts)
@@ -32,9 +27,6 @@ fn gpu_with_threads(dev: DeviceConfig, sched: Scheduler, sim_threads: u32) -> Gp
 
 /// Run `setup` under both schedulers three ways (untraced, profiled,
 /// Chrome-traced) and assert every observable output matches exactly.
-/// The untraced ready-set run additionally re-executes with the SM loop
-/// sharded across 2 and 4 workers; the parallel engine must stay
-/// bitwise-identical to the serial one.
 fn assert_equivalent(name: &str, dev: DeviceConfig, setup: impl Fn(&mut Gpu) -> (Kernel, Launch)) {
     // Untraced: Metrics must be bitwise identical (including the f64
     // energy accumulator — same issue order implies same summation order).
@@ -50,21 +42,6 @@ fn assert_equivalent(name: &str, dev: DeviceConfig, setup: impl Fn(&mut Gpu) -> 
         a.achieved_clock_hz, b.achieved_clock_hz,
         "{name}: DVFS outcome differs"
     );
-
-    // Parallel engine: same untraced run sharded over a worker pool.
-    for threads in [2u32, 4] {
-        let mut gpu = gpu_with_threads(dev.clone(), Scheduler::ReadySet, threads);
-        let (k, l) = setup(&mut gpu);
-        let p = gpu.launch(&k, &l).expect("launch");
-        assert_eq!(
-            b.metrics, p.metrics,
-            "{name}: sim_threads={threads} Metrics differ from serial"
-        );
-        assert_eq!(
-            b.achieved_clock_hz, p.achieved_clock_hz,
-            "{name}: sim_threads={threads} DVFS outcome differs"
-        );
-    }
 
     // Profiled: stall attribution and per-slot aggregates must match.
     let prof = |sched| {
@@ -525,7 +502,7 @@ fn equivalent_deadlock_under_budget() {
     assert!(b.1.conservation_ok());
 }
 
-/// The same barrier without a budget: every driver jumps to the engine's
+/// The same barrier without a budget: both schedulers jump to the engine's
 /// cycle cap in one round and reports it as a tripped deadline, on every
 /// device, in well under a second.
 #[test]
@@ -547,17 +524,12 @@ fn unbudgeted_deadlock_trips_the_cap_at_once() {
         DeviceConfig::a100(),
         DeviceConfig::rtx4090(),
     ] {
-        let drivers = [
-            (Scheduler::LegacyScan, 1),
-            (Scheduler::ReadySet, 1),
-            (Scheduler::ReadySet, 2),
-        ];
-        for (sched, threads) in drivers {
-            let mut gpu = gpu_with_threads(dev.clone(), sched, threads);
+        for sched in [Scheduler::LegacyScan, Scheduler::ReadySet] {
+            let mut gpu = gpu_with(dev.clone(), sched);
             let t = std::time::Instant::now();
             let err = gpu.launch(&k, &Launch::new(2, 64)).unwrap_err();
             let took = t.elapsed();
-            let what = format!("{} {sched:?} sim_threads={threads}", dev.name);
+            let what = format!("{} {sched:?}", dev.name);
             let LaunchError::DeadlineExceeded {
                 budget_cycles,
                 cycles_run,
@@ -853,7 +825,7 @@ fn dpx_herd_setup(_gpu: &mut Gpu) -> (Kernel, Launch) {
 
 /// Herds — many warps refused at one gate in one scan (DESIGN.md §4d
 /// point 8): on every device, untraced and traced, and cut at budgets
-/// inside a herd's sleep, every driver must agree bit for bit.
+/// inside a herd's sleep, both schedulers must agree bit for bit.
 #[test]
 fn equivalent_herds() {
     type Setup = fn(&mut Gpu) -> (Kernel, Launch);
@@ -879,7 +851,7 @@ fn equivalent_herds() {
 }
 
 /// Oversubscribed units, where most issue attempts are refusals that a
-/// warp's remembered gate answers (DESIGN.md §4d point 7): every driver,
+/// warp's remembered gate answers (DESIGN.md §4d point 7): both schedulers,
 /// sink and budget cut must agree bit for bit.
 #[test]
 fn equivalent_contended_units() {
