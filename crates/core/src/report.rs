@@ -4,11 +4,11 @@
 //! number plus the ratio, and `EXPERIMENTS.md` is generated from the same
 //! data — so the reproduction status is always inspectable.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 
 /// One experiment cell: the paper's number vs ours.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Row/series label.
     pub label: String,
@@ -47,7 +47,7 @@ impl Cell {
 }
 
 /// A comparison table for one paper table/figure.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// e.g. `Table IV`.
     pub id: String,
@@ -57,6 +57,34 @@ pub struct Report {
     pub cells: Vec<Cell>,
     /// Free-form notes (substitutions, caveats).
     pub notes: Vec<String>,
+}
+
+/// `experiments.json` keeps each struct's field order, unlike the
+/// sorted-key documents built with `hopper_obs::json::obj`.
+fn ordered_object(fields: [(&str, Value); 4]) -> Value {
+    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+impl Serialize for Cell {
+    fn to_value(&self) -> Value {
+        ordered_object([
+            ("label", self.label.to_value()),
+            ("paper", self.paper.to_value()),
+            ("measured", self.measured.to_value()),
+            ("unit", self.unit.to_value()),
+        ])
+    }
+}
+
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        ordered_object([
+            ("id", self.id.to_value()),
+            ("title", self.title.to_value()),
+            ("cells", self.cells.to_value()),
+            ("notes", self.notes.to_value()),
+        ])
+    }
 }
 
 impl Report {
@@ -146,11 +174,6 @@ impl Report {
         out
     }
 
-    /// Serialise to JSON (machine-readable experiment record).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("reports serialise")
-    }
-
     /// Render as a Markdown section for EXPERIMENTS.md.
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
@@ -216,7 +239,12 @@ mod tests {
         assert!(text.contains("note: calibrated"));
         let md = r.render_markdown();
         assert!(md.contains("| L1 | 40.7 | 41.0 |"));
-        let json = r.to_json();
-        assert!(json.contains("\"paper\": 40.7"));
+        // Fields in declaration order, as experiments.json has them.
+        let json = r.to_value().to_string();
+        let cell = r#"{"label":"L1","paper":40.7,"measured":41.0,"unit":"clk"}"#;
+        let want = format!(
+            r#"{{"id":"Table IV","title":"latency","cells":[{cell}],"notes":["calibrated"]}}"#
+        );
+        assert_eq!(json, want);
     }
 }

@@ -44,17 +44,3 @@ pub use scenario::{check_qps, InferScenario, Mode, MIN_QPS};
 pub use hopper_te::Precision;
 pub use sched::{run, InferBudget, InferError};
 pub use tp::TpModel;
-
-use serde_json::Value;
-
-/// Build an object with sorted keys — the same determinism contract as
-/// `hopper_serve::protocol::obj` and `hopper-prof`'s JSON renderer.
-pub(crate) fn obj(mut fields: Vec<(&str, Value)>) -> Value {
-    fields.sort_by(|a, b| a.0.cmp(b.0));
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}

@@ -5,7 +5,7 @@
 //! so a fixed scenario produces byte-identical JSON on every run — the
 //! property the daemon's cache digest and the audit oracle verify.
 
-use crate::obj;
+use hopper_obs::json::obj;
 use serde_json::Value;
 
 /// Round to six decimals for stable, compact JSON.

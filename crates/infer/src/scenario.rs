@@ -12,7 +12,7 @@
 //! its result cache, so two spellings of the same experiment share a
 //! cache entry.
 
-use crate::obj;
+use hopper_obs::json::obj;
 use hopper_te::{LlmModel, Precision};
 use serde_json::Value;
 

@@ -6,7 +6,7 @@
 //! service behaviour — the serving tier (`hsimd`), the profiler's render
 //! paths and the engine's host-side run phases all report here.
 //!
-//! Five pieces, all plain `std` (no new dependencies):
+//! Six pieces, plain `std` plus vendored `serde`'s `Value` tree:
 //!
 //! * [`Histogram`] — a lock-free log2-bucket histogram with a
 //!   *single-pass* [`HistogramSnapshot`] (bucket counts, their sum and
@@ -24,6 +24,8 @@
 //! * [`cli`] — the one command-line parser: each bin declares its flags
 //!   in a `const` table that yields both the parse and the `--help`, and
 //!   reports usage errors as a [`log`] event.
+//! * [`json::obj`] — the one sorted-key object builder behind every
+//!   report, response and log line.
 //!
 //! ```
 //! use hopper_obs::Registry;
@@ -44,6 +46,7 @@ pub mod cli;
 pub mod corr;
 pub mod expo;
 pub mod hist;
+pub mod json;
 pub mod log;
 pub mod registry;
 pub mod span;

@@ -4,7 +4,8 @@
 //! `target` and `ts_us` (wall-clock microseconds since the Unix epoch),
 //! plus any event-specific fields — request-scoped lines carry
 //! `corr_id`, the correlation id echoed in the matching response
-//! envelope.
+//! envelope.  The line is a [`obj`] rendered by `Value`'s compact
+//! `Display`, the same writer as every other JSON document.
 //!
 //! Filtering follows the `HOPPER_LOG` environment variable (read once by
 //! [`init_from_env`], typically from `main`): a default level and
@@ -23,6 +24,8 @@
 //! assert!(lines.iter().any(|l| l.contains(r#""depth":16"#)));
 //! ```
 
+use crate::json::obj;
+use serde::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -156,22 +159,6 @@ impl Drop for Capture {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// A structured event under construction.  Build with [`event`], attach
 /// fields, then [`Event::emit`].  Disabled events skip all work.
 #[derive(Debug)]
@@ -180,7 +167,7 @@ pub struct Event {
     level: Level,
     target: String,
     msg: String,
-    fields: Vec<(String, String)>, // key -> pre-rendered JSON value
+    fields: Vec<(String, Value)>,
 }
 
 /// Start building an event.
@@ -200,47 +187,37 @@ pub fn event(level: Level, target: &str, msg: &str) -> Event {
 }
 
 impl Event {
-    fn push(mut self, key: &str, rendered: String) -> Event {
+    fn push(mut self, key: &str, value: impl FnOnce() -> Value) -> Event {
         if self.on {
-            self.fields.push((key.to_string(), rendered));
+            self.fields.push((key.to_string(), value()));
         }
         self
     }
 
     /// Attach a string field.
     pub fn str(self, key: &str, value: &str) -> Event {
-        if !self.on {
-            return self;
-        }
-        let mut v = String::from("\"");
-        json_escape(&mut v, value);
-        v.push('"');
-        self.push(key, v)
+        self.push(key, || Value::Str(value.to_string()))
     }
 
     /// Attach an unsigned integer field.
     pub fn u64(self, key: &str, value: u64) -> Event {
-        self.push(key, value.to_string())
+        self.push(key, || Value::UInt(value))
     }
 
     /// Attach a signed integer field.
     pub fn i64(self, key: &str, value: i64) -> Event {
-        self.push(key, value.to_string())
+        self.push(key, || Value::Int(value))
     }
 
-    /// Attach a float field (non-finite renders as `null`).
+    /// Attach a float field (non-finite renders as `null`, integral as
+    /// `1.0`).
     pub fn f64(self, key: &str, value: f64) -> Event {
-        let v = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.push(key, v)
+        self.push(key, || Value::Float(value))
     }
 
     /// Attach a boolean field.
     pub fn bool(self, key: &str, value: bool) -> Event {
-        self.push(key, value.to_string())
+        self.push(key, || Value::Bool(value))
     }
 
     /// Render and write the line (stderr, or live capture buffers).
@@ -252,29 +229,13 @@ impl Event {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        let mut msg = String::from("\"");
-        json_escape(&mut msg, &self.msg);
-        msg.push('"');
-        let mut target = String::from("\"");
-        json_escape(&mut target, &self.target);
-        target.push('"');
-        self.fields
-            .push(("level".into(), format!("\"{}\"", self.level.name())));
-        self.fields.push(("msg".into(), msg));
-        self.fields.push(("target".into(), target));
-        self.fields.push(("ts_us".into(), ts_us.to_string()));
-        self.fields.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut line = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push('"');
-            json_escape(&mut line, k);
-            line.push_str("\":");
-            line.push_str(v);
-        }
-        line.push('}');
+        self.fields.extend([
+            ("level".into(), Value::Str(self.level.name().into())),
+            ("msg".into(), Value::Str(self.msg)),
+            ("target".into(), Value::Str(self.target)),
+            ("ts_us".into(), Value::UInt(ts_us)),
+        ]);
+        let line = obj(self.fields).to_string();
         let sinks = captures().lock().unwrap();
         let mut live = false;
         for w in sinks.iter() {

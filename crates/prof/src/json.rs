@@ -3,22 +3,10 @@
 //! of the same workload produce byte-identical output.
 
 use crate::KernelReport;
+use hopper_obs::json::obj;
 use hopper_sim::RunStats;
 use hopper_trace::{wait_bucket_label, StallReason, N_WAIT_BUCKETS};
 use serde_json::Value;
-
-/// Build an object with its keys sorted (the determinism contract of
-/// every report, response and CLI summary in the workspace:
-/// byte-identical output for identical runs).
-pub fn obj(mut fields: Vec<(&str, Value)>) -> Value {
-    fields.sort_by(|a, b| a.0.cmp(b.0));
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
 
 fn f(v: f64) -> Value {
     Value::Float(v)
@@ -223,21 +211,4 @@ pub fn run_stats_to_json(stats: &RunStats) -> Value {
         ("time_us", Value::Float(stats.seconds() * 1e6)),
         ("tlb_misses", Value::UInt(m.tlb_misses)),
     ])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn obj_sorts_keys() {
-        let v = obj(vec![("zeta", u(1)), ("alpha", u(2)), ("mid", u(3))]);
-        match v {
-            Value::Object(fields) => {
-                let keys: Vec<_> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, ["alpha", "mid", "zeta"]);
-            }
-            _ => panic!("expected object"),
-        }
-    }
 }

@@ -14,7 +14,8 @@
 //! capture), which is exactly what makes traces portable.
 
 use hopper_obs::cli::{Arg, Args, Flag, FromArg, Spec};
-use hopper_prof::{json::obj, run_stats_to_json};
+use hopper_obs::json::obj;
+use hopper_prof::run_stats_to_json;
 use hopper_replay::Trace;
 use hopper_sim::{DeviceConfig, Gpu, Launch, Replay, Run};
 use serde_json::Value;

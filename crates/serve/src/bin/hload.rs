@@ -16,6 +16,7 @@
 
 use hopper_infer::{check_qps, InferBudget, InferScenario};
 use hopper_obs::cli::{self, Args, Flag, Spec};
+use hopper_obs::json::obj;
 use hopper_obs::log::{self, Level};
 use hopper_serve::protocol::ReportKind;
 use hopper_serve::server::device_config;
@@ -137,16 +138,13 @@ fn main() -> ExitCode {
                 Value::Str(e)
             }
         };
-        points.push(Value::Object(vec![
-            ("qps".to_string(), Value::Float(*q)),
-            ("report".to_string(), report),
-        ]));
+        points.push(obj(vec![("qps", Value::Float(*q)), ("report", report)]));
     }
-    let doc = Value::Object(vec![
-        ("device".to_string(), Value::Str(device)),
-        ("points".to_string(), Value::Array(points)),
+    let doc = obj(vec![
+        ("device", Value::Str(device)),
+        ("points", Value::Array(points)),
         // The resolved base scenario (qps varies per point).
-        ("scenario".to_string(), base.to_value()),
+        ("scenario", base.to_value()),
     ]);
     match args
         .switch("pretty")

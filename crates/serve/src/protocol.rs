@@ -31,7 +31,7 @@
 //!  "id":null,"status":"error"}
 //! ```
 
-use hopper_sim::RunStats;
+use hopper_obs::json::obj;
 use serde_json::Value;
 
 /// Known error kinds returned in `error.kind` (stable API surface,
@@ -51,7 +51,7 @@ pub const ERROR_KINDS: &[&str] = &[
 /// Which result payload a `run` request wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportKind {
-    /// Aggregate [`RunStats`] counters (fast path, untraced launch).
+    /// Aggregate [`hopper_sim::RunStats`] counters (fast path, untraced launch).
     Stats,
     /// Full sectioned `hopper-prof` report (traced launch).
     Profile,
@@ -390,9 +390,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// The workspace's one sorted-key object builder.
-pub use hopper_prof::json::obj;
-
 fn id_value(id: &Option<String>) -> Value {
     match id {
         Some(s) => Value::Str(s.clone()),
@@ -486,17 +483,14 @@ pub fn canonical_response(line: &str) -> String {
     }
 }
 
-/// Deterministic JSON for a [`RunStats`] payload.  Delegates to
-/// [`hopper_prof::run_stats_to_json`] — the one shared rendering, so the
-/// daemon's `report=stats` payloads and `htrace`'s summaries agree
-/// byte-for-byte.
-pub fn run_stats_to_json(stats: &RunStats) -> Value {
-    hopper_prof::run_stats_to_json(stats)
-}
+/// The `report=stats` payload: the one rendering of a run's stats, shared
+/// with `htrace` and `hopper-run --json`.
+pub use hopper_prof::run_stats_to_json;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopper_sim::RunStats;
 
     #[test]
     fn run_request_roundtrips() {
@@ -542,6 +536,25 @@ mod tests {
             other => panic!("expected Run, got {other:?}"),
         }
         assert!(took.as_millis() < 1000, "1 MB request took {took:?}");
+    }
+
+    #[test]
+    fn python_escaped_emoji_parses() {
+        // Python's default `json.dumps` writes a non-BMP character as a
+        // UTF-16 surrogate pair; the wire used to refuse each half.
+        let line = r#"{"op":"run","name":"\ud83d\ude80 saxpy","kernel":"// \ud83d\ude80\nexit;","device":"h800","grid":1,"block":32}"#;
+        match parse_request(line).unwrap() {
+            Request::Run(back) => {
+                assert_eq!(back.name.as_deref(), Some("\u{1f680} saxpy"));
+                assert_eq!(back.kernel, "// \u{1f680}\nexit;");
+                assert!(hopper_isa::asm::assemble(&back.kernel).is_ok());
+            }
+            other => panic!("expected Run, got {other:?}"),
+        }
+        let lone =
+            r#"{"op":"run","kernel":"// \ud83d\nexit;","device":"h800","grid":1,"block":32}"#;
+        let err = parse_request(lone).unwrap_err();
+        assert!(err.message.contains("invalid JSON"), "{}", err.message);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! recording.)
 
 use crate::cache::CacheCounters;
-use crate::protocol::obj;
+use hopper_obs::json::obj;
 use hopper_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use serde_json::Value;
 use std::sync::Arc;

@@ -4,7 +4,6 @@ use hopper_trace::StallSummary;
 
 /// Counters and derived quantities from a simulated launch.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Metrics {
     /// Total simulated cycles (critical path over all SMs/waves).
     pub cycles: u64,
@@ -96,7 +95,6 @@ impl Metrics {
 
 /// Result of a full launch, including the power/DVFS outcome.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct RunStats {
     /// Aggregated counters.
     pub metrics: Metrics,

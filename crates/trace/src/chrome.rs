@@ -1,6 +1,8 @@
 //! Chrome-trace (`chrome://tracing` / Perfetto) JSON exporter.
 
 use crate::{IssueEvent, StallSpan, TraceSink, UnitSpan, Wants};
+use serde::escape_into;
+use std::fmt::Write as _;
 
 /// `pid` used for device-wide units (L2/DRAM ports) in the exported trace.
 const DEVICE_PID: u32 = 1_000_000;
@@ -134,15 +136,15 @@ impl ChromeTrace {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                esc(e.name),
-                esc(e.cat),
-                e.ts,
-                e.dur,
-                e.pid,
-                e.tid
-            ));
+            out.push_str("{\"name\":\"");
+            escape_into(&mut out, e.name);
+            out.push_str("\",\"cat\":\"");
+            escape_into(&mut out, e.cat);
+            let _ = write!(
+                out,
+                "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
+                e.ts, e.dur, e.pid, e.tid
+            );
         }
         out.push_str("],\"displayTimeUnit\":\"ns\"}");
         out
@@ -174,24 +176,13 @@ fn push_meta(
         out.push(',');
     }
     *first = false;
-    out.push_str(&format!("{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid}"));
+    let _ = write!(out, "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid}");
     if let Some(tid) = tid {
-        out.push_str(&format!(",\"tid\":{tid}"));
+        let _ = write!(out, ",\"tid\":{tid}");
     }
-    out.push_str(&format!(",\"args\":{{\"name\":\"{}\"}}}}", esc(name)));
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    out.push_str(",\"args\":{\"name\":\"");
+    escape_into(out, name);
+    out.push_str("\"}}");
 }
 
 fn span_pid(sm: u32) -> u32 {

@@ -18,8 +18,7 @@
 //! * [`NullSink`] — wants nothing; a run with it attached is an untraced
 //!   run.
 //!
-//! The crate is dependency-free; the optional `serde` feature derives
-//! `Serialize` for the report types.
+//! The only dependency is vendored `serde`, for its JSON string escaper.
 
 #![warn(missing_docs)]
 
@@ -44,7 +43,6 @@ pub use profile::{SlotProfile, StallProfile, StallSummary, UnitOccupancy};
 /// reported separately and never appears in per-slot histograms so that
 /// the per-slot conservation invariant stays exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub enum StallReason {
     /// Register or predicate operand not yet written back (data dependency).
     Scoreboard,
@@ -263,7 +261,6 @@ pub struct UnitBusy {
 
 /// End-of-wave cache hit/miss totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct CacheTotals {
     /// L1 line hits.
     pub l1_hits: u64,

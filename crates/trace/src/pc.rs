@@ -55,7 +55,6 @@ pub struct PcTotals {
 /// Accumulated per-PC statistics for one kernel instruction, merged over
 /// all waves of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PcStat {
     /// Kernel instruction index.
     pub pc: u32,
@@ -105,7 +104,6 @@ impl PcStat {
 /// Wants only the aggregate [`TraceSink::pc_totals`] callback (emitted once
 /// per PC per wave), so a sampled run builds no per-event records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PcSampleSink {
     /// Per-instruction statistics, sorted by `pc`.
     pub pcs: Vec<PcStat>,

@@ -5,7 +5,6 @@ use crate::{CacheTotals, SlotTotals, StallReason, TraceSink, UnitBusy, Wants, N_
 /// Accumulated cycle accounting for one warp-scheduler slot, summed over
 /// all waves of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct SlotProfile {
     /// SM index.
     pub sm: u32,
@@ -30,7 +29,6 @@ impl SlotProfile {
 
 /// Accumulated busy time for one functional unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct UnitOccupancy {
     /// SM index (`u32::MAX` for device-wide units such as L2/DRAM ports).
     pub sm: u32,
@@ -59,7 +57,6 @@ impl UnitOccupancy {
 /// Wants only the end-of-wave summary ([`Wants::summary`]), so a profiled
 /// run builds no per-event records.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct StallProfile {
     /// Per-(SM, scheduler) cycle accounting.
     pub slots: Vec<SlotProfile>,
@@ -331,7 +328,6 @@ impl TraceSink for StallProfile {
 /// Launch-wide collapsed stall accounting, suitable for embedding in
 /// `RunStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct StallSummary {
     /// Total scheduler-slot cycles accounted (`cycles * slots`).
     pub slot_cycles: u64,

@@ -10,6 +10,7 @@
 
 use hopper_isa::asm::assemble_named;
 use hopper_obs::cli::{Arg, Args, Flag, FromArg, Spec};
+use hopper_prof::run_stats_to_json;
 use hopper_sim::{DeviceConfig, Gpu, Launch};
 
 #[rustfmt::skip]
@@ -26,7 +27,7 @@ const SPEC: Spec = Spec {
         Flag::value("param", "V|@N", "parameter into %r0, %r1, …; @N: buffer N's address").repeated(),
         Flag::value("fill", "N:V0,V1", "pre-fill buffer N with little-endian u32s").repeated(),
         Flag::value("dump", "N:COUNT", "print COUNT u32s of buffer N after the run").repeated(),
-        Flag::switch("json", "print the run's stats and dumps as JSON"),
+        Flag::switch("json", "print the run's stats (hsimd's stats payload) and dumps as JSON"),
     ],
     ..Spec::NONE
 };
@@ -106,7 +107,7 @@ fn main() {
     if args.switch("json") {
         println!(
             "{}",
-            serde_json::to_string_pretty(&stats).expect("stats serialise")
+            serde_json::to_string_pretty(&run_stats_to_json(&stats)).expect("stats serialise")
         );
         for &(idx, addr, n) in &reads {
             println!(

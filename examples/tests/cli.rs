@@ -5,8 +5,10 @@
 mod cli_contract;
 
 use cli_contract::{assert_contract, run};
+use hopper_sim::{DeviceConfig, Gpu, Launch};
 
 const SAXPY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/saxpy.asm");
+const HISTOGRAM: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/histogram.asm");
 
 #[test]
 fn hopper_run_keeps_the_command_line_contract() {
@@ -53,6 +55,24 @@ fn hopper_run_checks_every_dump_against_its_buffer() {
     let (code, out, err) = run(env!("CARGO_BIN_EXE_hopper-run"), &args);
     assert_eq!(code, 0, "{err}");
     assert!(out.ends_with("{\"buffer\":0,\"values\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n"));
+}
+
+#[test]
+fn hopper_run_json_prints_the_hsimd_stats_payload() {
+    let args = [
+        HISTOGRAM, "--grid", "2", "--block", "256", "--alloc", "1024", "--param", "@0", "--json",
+    ];
+    let (code, out, err) = run(env!("CARGO_BIN_EXE_hopper-run"), &args);
+    assert_eq!(code, 0, "{err}");
+
+    let source = std::fs::read_to_string(HISTOGRAM).expect("read the kernel");
+    let kernel = hopper_isa::asm::assemble_named(&source, HISTOGRAM).expect("assembles");
+    let mut gpu = Gpu::new(DeviceConfig::h800());
+    let bins = gpu.alloc(1024).expect("alloc");
+    let launch = Launch::new(2, 256).with_params(vec![bins]);
+    let stats = gpu.launch(&kernel, &launch).expect("launch");
+    let want = serde_json::to_string_pretty(&hopper_prof::run_stats_to_json(&stats)).unwrap();
+    assert_eq!(out, format!("{want}\n"));
 }
 
 #[test]

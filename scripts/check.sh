@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, lints, the tier-1 build/test pair (which
 # drives the real binaries: crates/*/tests/*_bin.rs, bins_smoke.rs), the
-# threaded-shim and feature-gate extras, a fuzz pass, and the benchmark
+# threaded-shim and vendored-crate extras, a fuzz pass, and the benchmark
 # workspace's own gate.
 #
 # The engine's operand touch-audit (every register the datapath touches must
@@ -43,6 +43,14 @@ if grep -rn 'std::env::args' crates examples tests | grep -v '^crates/obs/src/cl
 bins=(examples/src/{hopper_run,profile_kernel}.rs crates/{bench,replay,audit,serve}/src/bin/*.rs)
 if grep -nE 'fn usage|USAGE' "${bins[@]}"; then exit 1; fi
 
+echo "== seam: one JSON writer — no derived Serialize, one object builder, one escaper"
+json_src=(--include='*.rs' crates examples tests vendor)
+if grep -rnE 'derive\(.*Serialize' "${json_src[@]}"; then exit 1; fi
+if [ "$(grep -rn 'fn obj(' "${json_src[@]}" | wc -l)" -ne 1 ]; then
+    grep -rn 'fn obj(' "${json_src[@]}"; echo "want exactly one fn obj("; exit 1
+fi
+if grep -rnE 'fn (json_escape|esc)\(' "${json_src[@]}"; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
@@ -53,11 +61,9 @@ echo "== hopper-replay under the threaded rayon shim (4-wide)"
 # The workspace run above covers the host's width.
 RAYON_NUM_THREADS=4 cargo test -q -p hopper-replay
 
-echo "== vendored rayon shim unit tests"
+echo "== vendored rayon shim and serde_json unit tests"
 cargo test -q --manifest-path vendor/rayon/Cargo.toml
-
-echo "== feature gate: hopper-sim without serde"
-cargo build -p hopper-sim --no-default-features
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml
 
 echo "== hfuzz: 200 random kernels through the differential oracles"
 target/release/hfuzz --seed 0xh0pper --iters 200 --out target/hfuzz
