@@ -4,6 +4,7 @@
 //! (`-- --help` lists the flags).  `--jobs` fans the independent harnesses
 //! over worker threads; the output is byte-identical at any count.
 
+use hopper_bench::{table06_text, HARNESSES};
 use hopper_obs::cli::{Args, Flag, Spec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -39,39 +40,19 @@ fn main() {
     let _ = writeln!(
         md,
         "## Table VI — SASS lowering\n\n```text\n{}```\n",
-        hopper_bench::table06_text()
+        table06_text()
     );
-    type Harness = (&'static str, fn() -> hopper_micro::report::Report);
-    let harnesses: [Harness; 18] = [
-        ("Table III", hopper_bench::table03),
-        ("Table IV", hopper_bench::table04),
-        ("Table V", hopper_bench::table05),
-        ("Table VII", hopper_bench::table07),
-        ("Table VIII", hopper_bench::table08),
-        ("Table IX", hopper_bench::table09),
-        ("Table X", hopper_bench::table10),
-        ("Table XI", hopper_bench::table11),
-        ("Table XII", hopper_bench::table12),
-        ("Table XIII", hopper_bench::table13),
-        ("Table XIV", hopper_bench::table14),
-        ("Fig 3", hopper_bench::fig03),
-        ("Fig 4", hopper_bench::fig04),
-        ("Fig 5", hopper_bench::fig05),
-        ("Fig 6", hopper_bench::fig06),
-        ("Fig 7", hopper_bench::fig07),
-        ("Fig 8", hopper_bench::fig08),
-        ("Fig 9", hopper_bench::fig09),
-    ];
     // Each harness builds its own GPUs, so they are independent; the
     // par_iter shim collects in declaration order, keeping the generated
     // markdown byte-identical at any --jobs count.
-    let json_reports: Vec<hopper_micro::report::Report> = harnesses
+    let json_reports: Vec<hopper_micro::report::Report> = HARNESSES
         .par_iter()
-        .map(|&(name, f)| {
+        .map(|&(_, f)| {
             let t0 = std::time::Instant::now();
             let rep = f();
             eprintln!(
-                "[gen-experiments] {name} done ({} rows, {:.1}s)",
+                "[gen-experiments] {} done ({} rows, {:.1}s)",
+                rep.id,
                 rep.cells.len(),
                 t0.elapsed().as_secs_f64()
             );

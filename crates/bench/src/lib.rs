@@ -1,8 +1,9 @@
 //! Harness functions regenerating every table and figure of the paper.
 //!
-//! Each `cargo bench` target under `benches/` calls exactly one of these
-//! and prints the paper-vs-measured comparison; `gen-experiments` (a bin in
-//! this crate) runs them all and rewrites `EXPERIMENTS.md`.
+//! [`HARNESSES`] lists them by id; `gen-experiments` (a bin in this crate)
+//! runs them all and rewrites `EXPERIMENTS.md`, and
+//! `cargo bench --bench paper -- ID...` prints the paper-vs-measured
+//! comparison of the ones named.
 
 #![warn(missing_docs)]
 
@@ -221,9 +222,70 @@ pub fn fig09() -> Report {
     hopper_micro::dsmbench::fig9()
 }
 
+/// A harness and the id the `paper` bench knows it by.
+pub type Harness = (&'static str, fn() -> Report);
+
+/// Every harness with a numeric report, in the order `EXPERIMENTS.md`
+/// lists them.  Table VI is text, not a report: [`table06_text`].
+pub const HARNESSES: [Harness; 18] = [
+    ("table03", table03),
+    ("table04", table04),
+    ("table05", table05),
+    ("table07", table07),
+    ("table08", table08),
+    ("table09", table09),
+    ("table10", table10),
+    ("table11", table11),
+    ("table12", table12),
+    ("table13", table13),
+    ("table14", table14),
+    ("fig03", fig03),
+    ("fig04", fig04),
+    ("fig05", fig05),
+    ("fig06", fig06),
+    ("fig07", fig07),
+    ("fig08", fig08),
+    ("fig09", fig09),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report id a harness id stands for: `table07` is `Table VII`.
+    fn report_id(id: &str) -> String {
+        const ROMAN: [&str; 15] = [
+            "", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII", "XIII",
+            "XIV",
+        ];
+        match (id.strip_prefix("table"), id.strip_prefix("fig")) {
+            (Some(n), _) => format!("Table {}", ROMAN[n.parse::<usize>().unwrap()]),
+            (_, Some(n)) => format!("Fig {}", n.parse::<u32>().unwrap()),
+            _ => panic!("`{id}` is neither a table nor a figure"),
+        }
+    }
+
+    #[test]
+    fn harnesses_are_unique_and_in_experiments_md_order() {
+        let ids: Vec<&str> = HARNESSES.iter().map(|h| h.0).collect();
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len(), "{ids:?}");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let md = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+        let headings = md.lines().filter_map(|l| l.strip_prefix("### "));
+        let sections: Vec<&str> = headings.map(|h| h.split(" — ").next().unwrap()).collect();
+        let want: Vec<String> = ids.iter().map(|id| report_id(id)).collect();
+        assert_eq!(sections, want);
+        // The harnesses that simulate nothing run here; each returns the
+        // report its id names.
+        for (id, harness) in HARNESSES {
+            if ["table03", "fig03", "fig04", "fig05"].contains(&id) {
+                assert_eq!(harness().id, report_id(id));
+            }
+        }
+    }
 
     #[test]
     fn table03_is_exact() {

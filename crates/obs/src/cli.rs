@@ -14,7 +14,8 @@
 //! * a value flag takes `--flag value` or `--flag=value`; integers parse
 //!   into the field's own width, in decimal or `0x` hex, and overflow is
 //!   an error; a `Vec<T>` value is a comma list and an `(A, B)` value an
-//!   `A:B` pair, and a repeated flag's values keep their order.
+//!   `A:B` pair, and a repeated flag's values keep their order, as do
+//!   those of a repeated last positional.
 
 use crate::log::{self, Level};
 use std::fmt::{Display, Write as _};
@@ -68,6 +69,7 @@ impl Flag {
 pub struct Arg {
     name: &'static str,
     required: bool,
+    repeat: bool,
     help: &'static str,
 }
 
@@ -77,6 +79,7 @@ impl Arg {
         Arg {
             name,
             required: true,
+            repeat: false,
             help,
         }
     }
@@ -86,6 +89,12 @@ impl Arg {
         let mut arg = Arg::required(name, help);
         arg.required = false;
         arg
+    }
+
+    /// The last positional may take any number of values ([`Args::args`]).
+    pub const fn repeated(mut self) -> Arg {
+        self.repeat = true;
+        self
     }
 }
 
@@ -154,9 +163,12 @@ impl Spec {
     /// ` <COMMAND>` when there are subcommands, then the positionals.
     fn synopsis(&self) -> String {
         let command = (!self.commands.is_empty()).then_some(" <COMMAND>".to_string());
-        let args = self.args.iter().map(|a| match a.required {
-            true => format!(" {}", a.name),
-            false => format!(" [{}]", a.name),
+        let args = self.args.iter().map(|a| {
+            let dots = if a.repeat { "..." } else { "" };
+            match a.required {
+                true => format!(" {}{dots}", a.name),
+                false => format!(" [{}{dots}]", a.name),
+            }
         });
         command.into_iter().chain(args).collect()
     }
@@ -313,6 +325,15 @@ impl Args {
         self.positionals.get(at?).map(String::as_str)
     }
 
+    /// Positional `name` and every one given after it: all the values of a
+    /// [repeated](Arg::repeated) positional, in order.
+    pub fn args(&self, name: &str) -> &[String] {
+        let at = self.scope().args.iter().position(|a| a.name == name);
+        debug_assert!(at.is_some(), "`{name}` is not a positional of the spec");
+        let at = at.map_or(self.positionals.len(), |at| at.min(self.positionals.len()));
+        &self.positionals[at..]
+    }
+
     /// Was switch `long` given?
     pub fn switch(&self, long: &str) -> bool {
         !self.values::<String>(long).is_empty()
@@ -357,7 +378,9 @@ impl Args {
         if self.command.is_none() && !self.spec.commands.is_empty() {
             let command = self.spec.commands.iter().find(|c| c.name == tok);
             self.command = Some(command.ok_or(format!("unknown command `{tok}`"))?);
-        } else if self.positionals.len() < self.scope().args.len() {
+        } else if self.positionals.len() < self.scope().args.len()
+            || self.scope().args.last().is_some_and(|a| a.repeat)
+        {
             self.positionals.push(tok);
         } else {
             return Err(format!("unexpected argument `{tok}`"));
@@ -525,6 +548,29 @@ mod tests {
             assert!(matches!(args, Ok(None)), "{help}");
         }
         assert_eq!(parse("run - -").arg("MORE"), Some("-"));
+    }
+
+    #[test]
+    fn a_repeated_positional_takes_the_rest_in_order() {
+        const LIST: Spec = Spec {
+            name: "list",
+            args: &[
+                Arg::required("FIRST", "one"),
+                Arg::optional("ID", "ids").repeated(),
+            ],
+            ..Spec::NONE
+        };
+        let parse = |line: &str| {
+            let argv = line.split_whitespace().map(String::from).collect();
+            Args::parse(&LIST, argv)
+                .unwrap()
+                .expect("not a help request")
+        };
+        let args = parse("a c b c");
+        assert_eq!((args.arg("FIRST"), args.arg("ID")), (Some("a"), Some("c")));
+        assert_eq!(args.args("ID"), ["c", "b", "c"]);
+        assert!(parse("a").args("ID").is_empty());
+        assert!(LIST.help().contains("    list [OPTIONS] FIRST [ID...]\n"));
     }
 
     #[test]

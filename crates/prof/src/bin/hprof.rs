@@ -1,15 +1,18 @@
 //! `hprof` — Nsight-Compute-style profiler CLI for the simulator.
 //!
 //! Runs a built-in workload on a simulated device and prints the sectioned
-//! kernel report (Speed-of-Light, occupancy, memory, roofline, per-PC).
+//! kernel report (Speed-of-Light, occupancy, memory, roofline, per-PC),
+//! optionally recording a Chrome-trace timeline of the same run (open it
+//! in `chrome://tracing` or Perfetto).
 //!
 //! `hprof --help` lists the arguments.  The `--json` rendering is
-//! deterministic (sorted keys, no timestamps: two runs are byte-identical).
+//! deterministic (sorted keys, no timestamps: two runs are byte-identical),
+//! and `--chrome-trace` does not change it.
 
 use hopper_obs::cli::{Arg, Args, Flag, Spec};
 use hopper_prof::workloads::Workload;
-use hopper_prof::{profile_kernel, KernelReport};
-use hopper_sim::{DeviceConfig, Gpu};
+use hopper_prof::{profile_run, KernelReport};
+use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, Run};
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -22,14 +25,31 @@ const SPEC: Spec = Spec {
     flags: &[
         Flag::switch("json", "deterministic JSON instead of text"),
         Flag::value("out", "DIR", "write hprof_<device>_<workload>.{txt,json} files to DIR"),
+        Flag::value("chrome-trace", "PATH",
+            "also write a Chrome-trace timeline to PATH (PATH-<device>-<workload> for several)"),
     ],
     ..Spec::NONE
 };
 
-fn run_one(dev: DeviceConfig, workload: Workload) -> KernelReport {
+/// Profile one workload, teeing the run into `chrome` when given.
+fn run_one(
+    dev: DeviceConfig,
+    workload: Workload,
+    chrome: Option<&mut ChromeTrace>,
+) -> KernelReport {
     let mut gpu = Gpu::new(dev);
     let (kernel, launch) = workload.build(&mut gpu);
-    let report = profile_kernel(&mut gpu, &kernel, &launch).expect("built-in workload launches");
+    let run = Run {
+        sink: chrome.map(|c| c as _),
+        ..Run::default()
+    };
+    let report = profile_run(&mut gpu, &kernel, &launch, run).expect("built-in workload launches");
+    let s = &report.stalls;
+    assert_eq!(
+        s.issued + s.idle + s.stalled.iter().sum::<u64>(),
+        s.slot_cycles,
+        "stall accounting must conserve cycles"
+    );
     assert!(
         report.pc_stalls_match(),
         "per-PC stall cycles must sum to the launch's stall summary"
@@ -62,10 +82,27 @@ fn main() {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
     }
+    let chrome_path: Option<String> = args.value("chrome-trace");
+    let several = devices.len() * workloads.len() > 1;
 
     for dev in &devices {
         for &w in &workloads {
-            let report = run_one(dev.clone(), w);
+            let mut chrome = chrome_path.as_ref().map(|_| ChromeTrace::new());
+            let report = run_one(dev.clone(), w, chrome.as_mut());
+            if let (Some(p), Some(chrome)) = (&chrome_path, &chrome) {
+                // Several reports get one timeline each, so later runs do
+                // not overwrite earlier ones: out.json → out-h800-pchase.json.
+                let suffix = format!("-{}-{}", dev.wire_name(), w.name());
+                let path = match p.rsplit_once('.') {
+                    _ if !several => p.clone(),
+                    Some((stem, ext)) => format!("{stem}{suffix}.{ext}"),
+                    None => format!("{p}{suffix}"),
+                };
+                chrome
+                    .write_to(std::path::Path::new(&path))
+                    .unwrap_or_else(|e| fail(&path, e));
+                eprintln!("hprof: wrote {path} ({} events)", chrome.len());
+            }
             let rendered = if json {
                 report.to_json_string()
             } else {

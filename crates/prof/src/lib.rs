@@ -37,7 +37,7 @@ pub use json::run_stats_to_json;
 use hopper_isa::{disasm, DType, Kernel};
 use hopper_sim::{
     DeviceConfig, Gpu, Launch, LaunchError, PcSampleSink, Run, RunStats, StallProfile, StallReason,
-    StallSummary, TeeSink,
+    StallSummary, TeeSink, TraceSink,
 };
 use hopper_trace::{N_SLOT_REASONS, N_WAIT_BUCKETS};
 
@@ -266,8 +266,9 @@ pub fn profile_kernel(
 /// deadline path — a tripped budget or cancel flag surfaces as
 /// [`LaunchError::DeadlineExceeded`] / [`LaunchError::Cancelled`]), or
 /// replaying a captured trace, whose report is byte-identical to the
-/// functional run's.  The profiler's sinks are attached here; a sink
-/// already in `run` is replaced.
+/// functional run's.  The profiler's sinks are attached here, teed with
+/// a sink already in `run` (a [`ChromeTrace`](hopper_sim::ChromeTrace)
+/// timeline, say), which sees the run as if it were alone.
 pub fn profile_run(
     gpu: &mut Gpu,
     kernel: &Kernel,
@@ -276,9 +277,17 @@ pub fn profile_run(
 ) -> Result<KernelReport, LaunchError> {
     let mut prof = StallProfile::default();
     let mut pcs = PcSampleSink::default();
-    let mut tee = TeeSink::new(&mut prof, &mut pcs);
+    let mut ours = TeeSink::new(&mut prof, &mut pcs);
+    let mut both;
+    let sink: &mut dyn TraceSink = match run.sink {
+        Some(theirs) => {
+            both = TeeSink::new(&mut ours, theirs);
+            &mut both
+        }
+        None => &mut ours,
+    };
     let run = Run {
-        sink: Some(&mut tee),
+        sink: Some(sink),
         ..run
     };
     let mut stats = gpu.run(kernel, launch, run)?;

@@ -2,7 +2,8 @@
 //! have the structure of the checked-in golden report — the same set of
 //! key paths with the same JSON type at each — while values stay free, so
 //! a recalibration does not churn the goldens but a renamed key, a missing
-//! section or a type change fails.
+//! section or a type change fails.  Recording a Chrome trace of the same
+//! run must not change the report.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -42,7 +43,7 @@ fn schema_of(doc: &Value) -> BTreeMap<String, &'static str> {
 }
 
 fn golden(dev: &str) -> Value {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../prof/golden");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
     let text = std::fs::read_to_string(format!("{dir}/hprof_{dev}_pchase.json"));
     serde_json::from_str(&text.expect("golden report present")).expect("golden parses")
 }
@@ -86,21 +87,54 @@ fn doctored_reports_fail_the_structure_comparison() {
 }
 
 #[test]
-fn hprof_and_gen_experiments_keep_the_command_line_contract() {
-    let bad: [&[&str]; 3] = [&["h900"], &["h800", "nope"], &["h800", "pchase", "x"]];
-    let hprof = env!("CARGO_BIN_EXE_hprof");
-    cli_contract::assert_contract(hprof, &["DEVICE", "WORKLOAD", "--json", "--out"], &bad);
-    // An integer flag given 2^64 + 2 must not wrap to 2 and run the whole
-    // sweep; the engine-worker flag is gone, so it is an unknown flag.
-    let bad: [&[&str]; 3] = [
-        &["-j", "18446744073709551618"],
-        &["-j", "x"],
-        &["--sim-threads", "2"],
+fn hprof_keeps_the_command_line_contract() {
+    let bad: [&[&str]; 4] = [
+        &["h900"],
+        &["h800", "nope"],
+        &["h800", "pchase", "x"],
+        &["--block", "x"],
     ];
-    let gen = env!("CARGO_BIN_EXE_gen-experiments");
-    cli_contract::assert_contract(gen, &["-j, --jobs"], &bad);
-    let (_, help, _) = cli_contract::run(gen, &["--help"]);
-    assert!(!help.contains("--sim-threads"), "{help}");
+    let flags = ["DEVICE", "WORKLOAD", "--json", "--out", "--chrome-trace"];
+    cli_contract::assert_contract(env!("CARGO_BIN_EXE_hprof"), &flags, &bad);
+}
+
+#[test]
+fn hprof_reports_are_the_same_with_a_chrome_trace() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/hprof_chrome");
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("create the trace directory");
+    let plain = ["all", "pchase", "--json"];
+    let trace = format!("{dir}/t.json");
+    let traced = [&plain[..], &["--chrome-trace", &trace]].concat();
+    let (code, want, err) = cli_contract::run(env!("CARGO_BIN_EXE_hprof"), &plain);
+    assert_eq!(code, 0, "{err}");
+    let (code, got, err) = cli_contract::run(env!("CARGO_BIN_EXE_hprof"), &traced);
+    assert_eq!(code, 0, "{err}");
+    assert!(got == want, "--chrome-trace changed the --json report");
+    // Several reports: one timeline each, suffixed `-<device>-<workload>`.
+    for dev in ["h800", "a100", "rtx4090"] {
+        let path = format!("{dir}/t-{dev}-pchase.json");
+        let text = std::fs::read_to_string(&path).expect("one trace per report");
+        let doc: Value = serde_json::from_str(&text).expect("the trace is JSON");
+        let events = doc.get("traceEvents").and_then(Value::as_array);
+        let spans = events.expect("a traceEvents array").iter();
+        let spans = spans.filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"));
+        assert!(spans.count() > 0, "{path} has no events");
+    }
+    assert!(!std::path::Path::new(&trace).exists(), "{trace}");
+}
+
+#[test]
+fn hprof_reports_an_unwritable_chrome_trace() {
+    // A regular file cannot hold a directory.
+    let file = concat!(env!("CARGO_TARGET_TMPDIR"), "/hprof_trace_is_a_file");
+    std::fs::write(file, "").expect("write a regular file");
+    let path = format!("{file}/x.json");
+    let args = ["h800", "stream", "--chrome-trace", &path];
+    let (code, _, err) = cli_contract::run(env!("CARGO_BIN_EXE_hprof"), &args);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.starts_with(&format!("hprof: {path}: ")), "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
 }
 
 #[test]

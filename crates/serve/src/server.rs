@@ -52,7 +52,7 @@ use hopper_sim::{
 use serde_json::Value;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -61,6 +61,11 @@ use std::time::{Duration, Instant};
 
 /// How often idle connection reads wake up to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line (or HTTP header line) the daemon buffers,
+/// newline excluded; a longer one is answered with one `bad_request` and
+/// the connection closed, so no client can grow the daemon without bound.
+pub const MAX_LINE: usize = 64 << 20;
 
 /// Log target of daemon-lifecycle and per-request events.
 const LOG: &str = "hsimd";
@@ -170,8 +175,7 @@ struct ReaperState {
 
 /// One thread watching a min-heap of deadlines; when a deadline passes
 /// it sets the job's cancel token, which the engine polls.  Tokens of
-/// jobs that finished in time are set harmlessly (nothing polls them
-/// any more).
+/// jobs that finished in time leave the heap at the next registration.
 struct Reaper {
     state: Arc<(Mutex<ReaperState>, Condvar)>,
     handle: Mutex<Option<JoinHandle<()>>>,
@@ -214,12 +218,14 @@ impl Reaper {
         }
     }
 
+    /// Watch `token` until `at`.  Entries whose job is gone (the heap
+    /// holds the only reference left) are dropped first, so a long
+    /// deadline does not keep every answered job's token in the heap.
     fn register(&self, at: Instant, token: Arc<AtomicBool>) {
         let (lock, cond) = &*self.state;
-        lock.lock()
-            .unwrap()
-            .heap
-            .push(Reverse(Deadline { at, token }));
+        let mut st = lock.lock().unwrap();
+        st.heap.retain(|d| Arc::strong_count(&d.0.token) > 1);
+        st.heap.push(Reverse(Deadline { at, token }));
         cond.notify_one();
     }
 
@@ -412,6 +418,21 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Append the next line to `buf` (which keeps what a timed-out read left
+/// there), stopping at `\n`, EOF, or one byte past [`MAX_LINE`].
+fn read_line_capped(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    let room = (MAX_LINE + 1).saturating_sub(buf.len());
+    reader.by_ref().take(room as u64).read_until(b'\n', buf)
+}
+
+/// Is `buf` more than [`MAX_LINE`] bytes without its newline?
+fn over_cap(buf: &[u8]) -> bool {
+    buf.len() > MAX_LINE && buf.last() != Some(&b'\n')
+}
+
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let Ok(read_half) = stream.try_clone() else {
@@ -421,13 +442,27 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let mut out = stream;
     // The line buffer persists across timed-out reads: a partial line
     // accumulated before a timeout is completed by later reads.
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
+        match read_line_capped(&mut reader, &mut buf) {
             Ok(0) => break, // EOF
+            Ok(_) if over_cap(&buf) => {
+                let corr_id = corr::mint();
+                let e = ProtoError::new(
+                    "bad_request",
+                    format!("request line longer than {MAX_LINE} bytes"),
+                );
+                shared.note_error(&corr_id, &e);
+                let resp = error_response(&None, &corr_id, &e, None);
+                let _ = writeln!(out, "{resp}").and_then(|_| out.flush());
+                break;
+            }
             Ok(_) => {
-                let at_eof = !buf.ends_with('\n');
-                let line = buf.trim();
+                let at_eof = buf.last() != Some(&b'\n');
+                let Ok(text) = std::str::from_utf8(&buf) else {
+                    break;
+                };
+                let line = text.trim();
                 if line.starts_with("GET ") {
                     // The HTTP scrape shim: one request, then close.
                     handle_http(shared, &mut reader, &mut out, line);
@@ -475,13 +510,14 @@ fn handle_http(
     request_line: &str,
 ) {
     // Drain the request headers up to the blank line (tolerating the
-    // poll-timeout reads the listener uses everywhere).
-    let mut line = String::new();
+    // poll-timeout reads the listener uses everywhere); a header line
+    // over the cap ends the drain.
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match read_line_capped(reader, &mut line) {
             Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
+            Ok(_) if line.trim_ascii().is_empty() || over_cap(&line) => break,
             Ok(_) => continue,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1072,6 +1108,23 @@ fn run_infer_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_reaper_forgets_finished_jobs() {
+        let reaper = Reaper::spawn();
+        let far = Instant::now() + Duration::from_secs(3600);
+        for _ in 0..10_000 {
+            reaper.register(far, Arc::new(AtomicBool::new(false)));
+        }
+        let live = Arc::new(AtomicBool::new(false));
+        reaper.register(far, live.clone());
+        assert_eq!(reaper.state.0.lock().unwrap().heap.len(), 1);
+        reaper.stop();
+        assert!(
+            !live.load(Ordering::Relaxed),
+            "a far deadline never tripped"
+        );
+    }
 
     #[test]
     fn finished_connection_handles_are_dropped_on_accept() {

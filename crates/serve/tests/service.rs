@@ -12,6 +12,7 @@
 
 use hopper_obs::Registry;
 use hopper_serve::protocol::ReportKind;
+use hopper_serve::server::MAX_LINE;
 use hopper_serve::{canonical_response, Client, RunSpec, Server, ServerConfig};
 use serde_json::Value;
 use std::sync::Arc;
@@ -267,6 +268,35 @@ fn kernel_faults_are_launch_errors_and_the_worker_survives() {
         assert_eq!(error_kind(&v), "launch_error", "{line}");
         assert!(line.contains(&format!("kernel fault at {fault}")), "{line}");
     }
+    let saxpy = include_str!("../../../examples/kernels/saxpy.asm");
+    let line = client.run(&RunSpec::new(saxpy, "h800", 2, 64)).unwrap();
+    assert_eq!(status(&parse(&line)), "ok", "{line}");
+    server.shutdown();
+    server.join();
+}
+
+/// A request line without a newline used to grow the daemon for as long
+/// as the client kept sending.  One byte over `MAX_LINE` is answered with
+/// one `bad_request` line and the connection closes; the daemon serves on.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_serves_on() {
+    use std::io::{Read, Write};
+    let (server, client) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A daemon that keeps buffering never answers: fail, do not hang.
+    let patience = std::time::Duration::from_secs(60);
+    conn.set_read_timeout(Some(patience)).unwrap();
+    conn.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply)
+        .expect("one answer, then EOF");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "{reply}");
+    assert_eq!(error_kind(&parse(lines[0])), "bad_request", "{reply}");
+    assert_eq!(status(&parse(&client.ping().unwrap())), "ok");
     let saxpy = include_str!("../../../examples/kernels/saxpy.asm");
     let line = client.run(&RunSpec::new(saxpy, "h800", 2, 64)).unwrap();
     assert_eq!(status(&parse(&line)), "ok", "{line}");

@@ -167,105 +167,6 @@ impl StallProfile {
         }
         sum
     }
-
-    /// Human-readable report: stall histogram per scheduler reason,
-    /// functional-unit occupancy, cache totals.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let sum = self.summary();
-        let slot_cycles = sum.slot_cycles.max(1) as f64;
-        let _ = writeln!(
-            out,
-            "stall attribution over {} cycles x {} scheduler slots ({} wave{}):",
-            self.total_cycles,
-            self.slots.len(),
-            self.waves,
-            if self.waves == 1 { "" } else { "s" }
-        );
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>14} {:>8}",
-            "issued",
-            sum.issued,
-            pct(sum.issued as f64 / slot_cycles)
-        );
-        let mut buckets: Vec<(StallReason, u64)> = StallReason::SLOT_REASONS
-            .iter()
-            .map(|&r| (r, sum.stalled[r.bucket()]))
-            .collect();
-        buckets.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (r, v) in buckets {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>14} {:>8}",
-                r.name(),
-                v,
-                pct(v as f64 / slot_cycles)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>14} {:>8}",
-            "idle",
-            sum.idle,
-            pct(sum.idle as f64 / slot_cycles)
-        );
-        if self.dvfs_throttle_cycles > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>14}   (device-level, not in slot totals)",
-                "dvfs_throttle", self.dvfs_throttle_cycles
-            );
-        }
-        if !self.units.is_empty() {
-            let _ = writeln!(out, "functional-unit occupancy (mean over SMs):");
-            for (unit, busy, total, n) in self.units_by_name() {
-                let occ = if total == 0.0 { 0.0 } else { busy / total };
-                let _ = writeln!(
-                    out,
-                    "  {:<18} {:>8}   ({} instance{})",
-                    unit,
-                    pct(occ),
-                    n,
-                    if n == 1 { "" } else { "s" }
-                );
-            }
-        }
-        let c = &self.cache;
-        if c.l1_hits + c.l1_misses + c.l2_hits + c.l2_misses > 0 {
-            let _ = writeln!(
-                out,
-                "caches: L1 {}/{} hits, L2 {}/{} hits, {} TLB misses",
-                c.l1_hits,
-                c.l1_hits + c.l1_misses,
-                c.l2_hits,
-                c.l2_hits + c.l2_misses,
-                c.tlb_misses
-            );
-        }
-        out
-    }
-
-    /// Merge unit occupancies across SMs, preserving first-seen unit
-    /// order: `(unit, busy_sum, total_sum, instances)`.
-    fn units_by_name(&self) -> Vec<(&'static str, f64, f64, usize)> {
-        let mut rows: Vec<(&'static str, f64, f64, usize)> = Vec::new();
-        for u in &self.units {
-            if let Some(row) = rows.iter_mut().find(|r| r.0 == u.unit) {
-                row.1 += u.busy;
-                row.2 += u.total as f64;
-                row.3 += 1;
-            } else {
-                rows.push((u.unit, u.busy, u.total as f64, 1));
-            }
-        }
-        rows
-    }
-}
-
-fn pct(f: f64) -> String {
-    format!("{:5.1}%", f * 100.0)
 }
 
 impl TraceSink for StallProfile {
@@ -427,30 +328,5 @@ mod tests {
         p.slot_totals(&t);
         p.end_wave(100);
         assert!(!p.conservation_ok());
-    }
-
-    #[test]
-    fn render_mentions_top_reason() {
-        let mut p = StallProfile::default();
-        p.begin_wave(0, 1, 4);
-        p.slot_totals(&totals(0, 0));
-        p.unit_busy(&UnitBusy {
-            sm: 0,
-            unit: "int",
-            busy: 25.0,
-            total: 100,
-        });
-        p.cache_totals(&CacheTotals {
-            l1_hits: 3,
-            l1_misses: 1,
-            l2_hits: 1,
-            l2_misses: 0,
-            tlb_misses: 0,
-        });
-        p.end_wave(100);
-        let r = p.render();
-        assert!(r.contains("scoreboard"), "{r}");
-        assert!(r.contains("int"), "{r}");
-        assert!(r.contains("L1 3/4 hits"), "{r}");
     }
 }

@@ -1,5 +1,5 @@
-//! The command lines of `hopper-run` and `profile_kernel`: the shared
-//! contract, and the checks each makes before it simulates or writes.
+//! The command line of `hopper-run`: the shared contract, and the checks
+//! it makes before it simulates.
 
 #[path = "../../crates/obs/tests/support/cli_contract.rs"]
 mod cli_contract;
@@ -73,35 +73,4 @@ fn hopper_run_json_prints_the_hsimd_stats_payload() {
     let stats = gpu.launch(&kernel, &launch).expect("launch");
     let want = serde_json::to_string_pretty(&hopper_prof::run_stats_to_json(&stats)).unwrap();
     assert_eq!(out, format!("{want}\n"));
-}
-
-#[test]
-fn profile_kernel_keeps_the_command_line_contract() {
-    let flags = ["DEVICE", "KERNEL", "--chrome-trace"];
-    let bad: [&[&str]; 4] = [
-        &["h900"],
-        &["h800", "nope"],
-        &["h800", "stream", "x"],
-        &["--block", "x"],
-    ];
-    assert_contract(env!("CARGO_BIN_EXE_profile_kernel"), &flags, &bad);
-}
-
-#[test]
-fn profile_kernel_reports_an_unwritable_chrome_trace() {
-    // A regular file cannot hold a directory.
-    let file = concat!(
-        env!("CARGO_TARGET_TMPDIR"),
-        "/profile_kernel_trace_is_a_file"
-    );
-    std::fs::write(file, "").expect("write a regular file");
-    let path = format!("{file}/x.json");
-    let args = ["h800", "stream", "--chrome-trace", &path];
-    let (code, _, err) = run(env!("CARGO_BIN_EXE_profile_kernel"), &args);
-    assert_eq!(code, 1, "{err}");
-    assert!(
-        err.starts_with(&format!("profile_kernel: {path}: ")),
-        "{err}"
-    );
-    assert!(!err.contains("panicked at"), "{err}");
 }

@@ -40,8 +40,15 @@ if grep -rnwE 'sim_threads|set_sweep_jobs' --include='*.rs' crates examples test
 
 echo "== seam: one flag parser — argv is read only in crates/obs/src/cli.rs, no bin keeps a usage text"
 if grep -rn 'std::env::args' crates examples tests | grep -v '^crates/obs/src/cli.rs:'; then exit 1; fi
-bins=(examples/src/{hopper_run,profile_kernel}.rs crates/{bench,replay,audit,serve}/src/bin/*.rs)
+bins=(examples/src/hopper_run.rs crates/{bench,prof,replay,audit,serve}/src/bin/*.rs
+      crates/bench/benches/paper.rs)
 if grep -nE 'fn usage|USAGE' "${bins[@]}"; then exit 1; fi
+
+echo "== seam: one harness list — bins and benches reach the paper harnesses only through HARNESSES"
+if grep -rnE 'hopper_bench::(table|fig)' crates/bench/src/bin crates/bench/benches; then exit 1; fi
+if [ "$(ls crates/bench/benches | wc -l)" -gt 5 ]; then
+    ls crates/bench/benches; echo "crates/bench/benches: more than five files"; exit 1
+fi
 
 echo "== seam: one JSON writer — no derived Serialize, one object builder, one escaper"
 json_src=(--include='*.rs' crates examples tests vendor)
@@ -54,6 +61,18 @@ if grep -rnE 'fn (json_escape|esc)\(' "${json_src[@]}"; then exit 1; fi
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
+
+echo "== paper bench: an unknown id is a usage error — exit 2, one event line, then the help"
+# Tests cannot spawn a bench target (cargo names no path for it), so the
+# contract of `cargo bench --bench paper` is checked on the binary here.
+paper=$(cargo bench -q --bench paper --no-run --message-format=json \
+    | grep -o '"executable":"[^"]*/paper-[^"]*"' | cut -d'"' -f4)
+"$paper" --help > target/paper-help.txt
+if env -u HOPPER_LOG "$paper" nope > /dev/null 2> target/paper-err.txt; then code=0; else code=$?; fi
+if [ "$code" -ne 2 ] || ! head -1 target/paper-err.txt | grep -q '"msg":"invalid arguments"' \
+    || ! tail -n +2 target/paper-err.txt | cmp -s - target/paper-help.txt; then
+    echo "paper nope: exit $code"; cat target/paper-err.txt; exit 1
+fi
 
 echo "== hopper-replay under the threaded rayon shim (4-wide)"
 # The replay crate decodes a trace in parallel chunks; its goldens pin the
