@@ -88,12 +88,7 @@ fn doctored_reports_fail_the_structure_comparison() {
 
 #[test]
 fn hprof_keeps_the_command_line_contract() {
-    let bad: [&[&str]; 4] = [
-        &["h900"],
-        &["h800", "nope"],
-        &["h800", "pchase", "x"],
-        &["--block", "x"],
-    ];
+    let bad: [&[&str]; 3] = [&["h900"], &["h800", "nope"], &["h800", "pchase", "x"]];
     let flags = ["DEVICE", "WORKLOAD", "--json", "--out", "--chrome-trace"];
     cli_contract::assert_contract(env!("CARGO_BIN_EXE_hprof"), &flags, &bad);
 }
