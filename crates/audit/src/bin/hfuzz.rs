@@ -127,6 +127,7 @@ fn main() -> ExitCode {
     );
 
     let (mut textual, mut herds) = (0u64, 0u64);
+    let (mut tensor_live, mut tensor_skipped) = (0u64, 0u64);
     let (mut infer_checks, mut infer_preempting) = (0u64, 0u64);
     for i in 0..iters {
         let dev = &devices[(i % devices.len() as u64) as usize];
@@ -135,6 +136,8 @@ fn main() -> ExitCode {
         let plan = KernelPlan::generate(seed, hopper);
         textual += u64::from(plan.is_textual());
         herds += u64::from(plan.is_herd());
+        let (live, skipped) = plan.tensor_draws();
+        (tensor_live, tensor_skipped) = (tensor_live + live, tensor_skipped + skipped);
         let use_serve = if serve_every > 0 && i % serve_every == 0 {
             serve.as_ref()
         } else {
@@ -201,11 +204,15 @@ fn main() -> ExitCode {
     }
     println!(
         "hfuzz: PASS — {} kernels ({} textual) clean across {} device(s); \
-         {} herd draws; {} infer scenarios, {} preempting",
+         {} herd draws; {} tensor draws ({} live, {} skipped); \
+         {} infer scenarios, {} preempting",
         iters,
         textual,
         devices.len(),
         herds,
+        tensor_live + tensor_skipped,
+        tensor_live,
+        tensor_skipped,
         infer_checks,
         infer_preempting
     );

@@ -8,8 +8,9 @@
 //! * every memory address is masked into its buffer (`GBUF_BYTES` global
 //!   scratch passed as `%r0`, a fixed 2 KiB shared allocation), so the
 //!   engine's bounds traps can't fire;
-//! * branches only test loop counters initialised from immediates, so
-//!   control flow stays warp-uniform (the engine traps on divergence);
+//! * branches only test loop counters initialised from immediates, or
+//!   whether the warp leads its warp group, so control flow stays
+//!   warp-uniform (the engine traps on divergence);
 //! * `cp.async` always appears as copy→commit→wait, `wgmma` as
 //!   fence→fill→issue→commit→wait, so nothing dangles at `exit`;
 //! * cluster ops are only emitted for Hopper cluster launches, `wgmma`
@@ -36,12 +37,19 @@ const GMASK: i64 = (GBUF_BYTES as i64 - 1) & !15;
 const SMEM: u32 = 2048;
 /// Mask keeping a ≤16-byte access inside shared memory, 16-byte aligned.
 const SMASK: i64 = (SMEM as i64 - 1) & !15;
+/// Stored tensor-core accumulators (`store`) land in the global buffer
+/// at per-warp offsets, so no two warps write the same bytes: `wgmma`
+/// leaders below this offset, `mma` warps from it up.
+const WG_STORE_BYTES: i64 = GBUF_BYTES as i64 / 2;
+/// Bytes per warp of a stored `mma` accumulator (16×8 32-bit elements).
+const MMA_STORE_BYTES: i64 = 16 * 8 * 4;
 
 // Register conventions (small fixed footprint keeps occupancy high and
 // segments freely composable):
 //   %r0 buffer param · %r1 tid · %r2 ctaid · %r4 int accumulator ·
 //   %r5 float accumulator · %r8-%r11 per-segment scratch ·
-//   %r13 loop counter · %p3 loop predicate · %p1 sel predicate.
+//   %r13 loop counter · %p3 loop predicate · %p1 sel predicate ·
+//   %p2 not-a-warp-group-leader predicate.
 const R_BUF: Reg = Reg(0);
 const R_TID: Reg = Reg(1);
 const R_ACC: Reg = Reg(4);
@@ -52,6 +60,7 @@ const R_TMP: Reg = Reg(11);
 const R_LOOP: Reg = Reg(13);
 const P_LOOP: Pred = Pred(3);
 const P_SEL: Pred = Pred(1);
+const P_FOLLOWER: Pred = Pred(2);
 
 fn imm(v: i64) -> Operand {
     Operand::Imm(v)
@@ -143,6 +152,9 @@ pub enum Seg {
         desc: MmaDesc,
         /// Operand fill pattern.
         pat: TilePattern,
+        /// Store D to the global buffer, so the product is computed
+        /// (an accumulator nothing reads is skipped).
+        store: bool,
     },
     /// `stmatrix` then `ldmatrix` of a freshly filled 8×8 f16 tile at a
     /// warp-uniform in-range address.
@@ -160,6 +172,9 @@ pub enum Seg {
         desc: MmaDesc,
         /// Operand fill pattern.
         pat: TilePattern,
+        /// The group leader stores D to the global buffer, so the product
+        /// is computed (an accumulator nothing reads is skipped).
+        store: bool,
     },
     /// `mapa` + cluster-shared atomic + cluster barrier (cluster launches
     /// only).
@@ -291,9 +306,15 @@ impl KernelPlan {
             cluster,
         };
         let nseg = 3 + g.below(8) as usize;
-        let segs = (0..nseg)
+        let mut segs: Vec<Seg> = (0..nseg)
             .map(|_| gen_seg(&mut g, &geom, hopper, true))
             .collect();
+        // About half the tensor segments store their accumulator, decided
+        // on a stream of their own so every plan keeps its draw.
+        let mut st = SplitMix64::new(seed ^ 0x5707_e5d0_5707_e5d0);
+        for s in &mut segs {
+            mark_stores(s, &mut st, &geom);
+        }
         KernelPlan {
             seed,
             hopper,
@@ -362,6 +383,33 @@ impl KernelPlan {
         self.segs.iter().all(textual)
     }
 
+    /// Tensor-core segments drawn, as `(live, skipped)`: live when some
+    /// instruction reads the segment's accumulator (`Kernel::tile_uses`),
+    /// so the engine computes its product.  Segments share tile ids, so
+    /// one stored accumulator makes every segment of its kind live.
+    pub fn tensor_draws(&self) -> (u64, u64) {
+        fn count(s: &Seg, uses: &hopper_isa::TileUses, n: &mut (u64, u64)) {
+            let live = match s {
+                Seg::Mma { .. } => uses.read(MMA_D, false),
+                Seg::Wgmma { .. } => uses.read(WG_D, true),
+                Seg::Loop { body, .. } => {
+                    body.iter().for_each(|s| count(s, uses, n));
+                    return;
+                }
+                _ => return,
+            };
+            if live {
+                n.0 += 1;
+            } else {
+                n.1 += 1;
+            }
+        }
+        let uses = self.kernel().tile_uses();
+        let mut n = (0, 0);
+        self.segs.iter().for_each(|s| count(s, &uses, &mut n));
+        n
+    }
+
     /// Build the kernel (deterministic in the plan).
     pub fn kernel(&self) -> Kernel {
         let mut b = KernelBuilder::new(format!("fuzz_{:016x}", self.seed));
@@ -371,7 +419,7 @@ impl KernelPlan {
         b.mov(R_ACC, imm((self.seed & 0xFFFF) as i64));
         b.mov(R_FACC, imm(((self.seed >> 16) & 0xFFFF) as i64));
         for s in &self.segs {
-            emit_seg(&mut b, s);
+            emit_seg(&mut b, s, &self.geom);
         }
         b.exit();
         b.build()
@@ -541,12 +589,14 @@ fn gen_seg(g: &mut SplitMix64, geom: &Geometry, hopper: bool, allow_loop: bool) 
                     return Seg::Wgmma {
                         desc: *g.pick(&descs),
                         pat,
+                        store: false,
                     };
                 }
                 let descs = mma_descs();
                 return Seg::Mma {
                     desc: *g.pick(&descs),
                     pat,
+                    store: false,
                 };
             }
             _ => {
@@ -559,6 +609,44 @@ fn gen_seg(g: &mut SplitMix64, geom: &Geometry, hopper: bool, allow_loop: bool) 
             }
         }
     }
+}
+
+/// Set `store` on about half the tensor segments in `s` (loop bodies
+/// included).  A `wgmma` leader stores only where every leader of the grid
+/// gets a slot of the accumulator's size below [`WG_STORE_BYTES`].
+fn mark_stores(s: &mut Seg, st: &mut SplitMix64, geom: &Geometry) {
+    match s {
+        Seg::Mma { store, .. } => *store = st.chance(1, 2),
+        Seg::Wgmma { desc, store, .. } => {
+            *store = st.chance(1, 2) && leaders(geom) * wg_bytes(desc) <= WG_STORE_BYTES;
+        }
+        Seg::Loop { body, .. } => body.iter_mut().for_each(|s| mark_stores(s, st, geom)),
+        _ => {}
+    }
+}
+
+/// Warp-group leaders in the grid (`wgmma` blocks are whole groups).
+fn leaders(geom: &Geometry) -> i64 {
+    (geom.grid * geom.block / 128) as i64
+}
+
+/// Bytes of a `wgmma` accumulator tile (32-bit elements).
+fn wg_bytes(desc: &MmaDesc) -> i64 {
+    desc.m as i64 * desc.n as i64 * 4
+}
+
+/// The accumulator tiles of the tensor segments.
+const MMA_D: TileId = TileId(3);
+const WG_D: TileId = TileId(6);
+
+/// Compute into `dst` the global address of this warp's slot: the
+/// buffer plus `base + (index of the warp's `1 << shift`-thread group in
+/// the grid) · bytes`.
+fn emit_slot(b: &mut KernelBuilder, dst: Reg, geom: &Geometry, shift: i64, base: i64, bytes: i64) {
+    b.imad(dst, reg(Reg(2)), imm(geom.block as i64), reg(R_TID));
+    b.ialu(IAluOp::Shr, dst, reg(dst), imm(shift));
+    b.imad(dst, reg(dst), imm(bytes), imm(base));
+    b.ialu(IAluOp::Add, dst, reg(dst), reg(R_BUF));
 }
 
 /// Compute a masked per-lane global address into `R_ADDR`.
@@ -574,7 +662,7 @@ fn emit_saddr(b: &mut KernelBuilder, dst: Reg, stride: i64, offset: i64) {
     b.ialu(IAluOp::And, dst, reg(dst), imm(SMASK));
 }
 
-fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
+fn emit_seg(b: &mut KernelBuilder, s: &Seg, geom: &Geometry) {
     match s {
         Seg::IntChain(ops) => {
             for (op, v) in ops {
@@ -653,12 +741,16 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.sel(R_TMP, P_SEL, reg(R_ACC), imm(7));
             b.ialu(IAluOp::Xor, R_ACC, reg(R_ACC), reg(R_TMP));
         }
-        Seg::Mma { desc, pat } => {
+        Seg::Mma { desc, pat, store } => {
             let (m, n, k) = (desc.m as u16, desc.n as u16, desc.k as u16);
             b.fill_tile(TileId(0), desc.ab, m, k, *pat);
             b.fill_tile(TileId(1), desc.ab, k, n, *pat);
             b.fill_tile(TileId(2), desc.cd, m, n, TilePattern::Zero);
-            b.mma(*desc, TileId(3), TileId(0), TileId(1), TileId(2));
+            b.mma(*desc, MMA_D, TileId(0), TileId(1), TileId(2));
+            if *store {
+                emit_slot(b, R_ADDR, geom, 5, WG_STORE_BYTES, MMA_STORE_BYTES);
+                b.st_tile(MMA_D, MemSpace::Global, R_ADDR, 0);
+            }
         }
         Seg::TileRw {
             shared,
@@ -676,15 +768,28 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.st_tile(TileId(7), space, R_ADDR, 0);
             b.ld_tile(TileId(8), DType::F16, 8, 8, space, R_ADDR, 0);
         }
-        Seg::Wgmma { desc, pat } => {
+        Seg::Wgmma { desc, pat, store } => {
             let (m, n, k) = (desc.m as u16, desc.n as u16, desc.k as u16);
             b.fill_tile(TileId(4), desc.ab, m, k, *pat);
             b.fill_tile(TileId(5), desc.ab, k, n, *pat);
-            b.fill_tile(TileId(6), desc.cd, m, n, TilePattern::Zero);
+            b.fill_tile(WG_D, desc.cd, m, n, TilePattern::Zero);
             b.wgmma_fence();
-            b.wgmma(*desc, TileId(6), TileId(4), TileId(5));
+            b.wgmma(*desc, WG_D, TileId(4), TileId(5));
             b.wgmma_commit();
             b.wgmma_wait(0);
+            if *store {
+                // Only the leader holds the product; the other warps of
+                // the group branch around the store (warp-uniformly).
+                let slot = WG_STORE_BYTES / leaders(geom);
+                let skip = b.forward_label();
+                b.special(R_TMP, Special::WarpId);
+                b.ialu(IAluOp::And, R_TMP, reg(R_TMP), imm(3));
+                b.setp(P_FOLLOWER, CmpOp::Ne, reg(R_TMP), imm(0));
+                b.bra_if(skip, P_FOLLOWER, true);
+                emit_slot(b, R_ADDR, geom, 7, 0, slot);
+                b.st_tile(WG_D, MemSpace::Global, R_ADDR, 0);
+                b.place(skip);
+            }
         }
         Seg::ClusterExchange { offset } => {
             b.mapa(R_ADDR, imm(*offset), imm(1));
@@ -718,7 +823,7 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg) {
             b.mov(R_LOOP, imm(0));
             let top = b.label_here();
             for s in body {
-                emit_seg(b, s);
+                emit_seg(b, s, geom);
             }
             b.ialu(IAluOp::Add, R_LOOP, reg(R_LOOP), imm(1));
             b.setp(P_LOOP, CmpOp::Lt, reg(R_LOOP), imm(*trips as i64));

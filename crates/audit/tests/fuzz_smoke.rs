@@ -60,6 +60,36 @@ fn herd_draws() {
 }
 
 #[test]
+fn tensor_draws_are_live_and_skipped() {
+    // About half the tensor segments store their accumulator, so 200
+    // plans must draw products the engine computes and products it skips.
+    let plan = |i: u64| KernelPlan::generate(kernel_seed(BASE ^ 0x7E45, i), i.is_multiple_of(2));
+    let (mut live, mut skipped) = (0, 0);
+    for i in 0..200 {
+        let (l, e) = plan(i).tensor_draws();
+        (live, skipped) = (live + l, skipped + e);
+    }
+    assert!(live > 0 && skipped > 0, "{live} live, {skipped} skipped");
+    // The first plans with a live mma and with a live wgmma (rarer: the
+    // leaders' accumulators must fit the buffer) pass the battery.
+    let computes = |p: &KernelPlan, wgmma: bool| {
+        let k = p.kernel();
+        let uses = k.tile_uses();
+        k.instrs.iter().any(|i| match *i {
+            hopper_isa::Instr::Mma { d, .. } => !wgmma && uses.read(d, false),
+            hopper_isa::Instr::Wgmma { d, .. } => wgmma && uses.read(d, true),
+            _ => false,
+        })
+    };
+    for wgmma in [false, true] {
+        let p = (0..2000).map(plan).find(|p| computes(p, wgmma));
+        let p = p.unwrap_or_else(|| panic!("no live draw (wgmma: {wgmma}) in 2000"));
+        check_plan(&p, &DeviceConfig::h800(), None)
+            .unwrap_or_else(|e| panic!("live seed {:#018x} on h800: {e}", p.seed));
+    }
+}
+
+#[test]
 fn infer_oracle_battery() {
     // Scenario-level determinism through the daemon: a handful of
     // seed-derived serving scenarios on both architectures.  The full

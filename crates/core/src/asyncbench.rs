@@ -313,9 +313,19 @@ pub fn gemm_throughput(gpu: &mut Gpu, edge: u32, blocks_per_sm: u32, variant: Va
     let grid = blocks_per_sm * sms;
     let a = gpu.alloc(edge as u64 * K_DIM as u64 * 4).expect("A");
     let bm = gpu.alloc(K_DIM as u64 * edge as u64 * 4).expect("B");
-    let launch = Launch::new(grid, edge * edge).with_params(vec![a, bm]);
-    // Warm-up run fills L2 with the shared panels, then measure.
-    gpu.launch(&k, &launch).expect("warm-up");
+    let params = vec![a, bm];
+    // Warm-up fills L2 with the panels, then measure.  SyncShare and
+    // AsyncPipe blocks all read the same panels, so one block per SM
+    // leaves L2 as warm as the whole grid would (DESIGN.md §4a); TmaPipe
+    // blocks own distinct slices, so it warms with the whole grid.
+    let warm_grid = if variant == Variant::TmaPipe {
+        grid
+    } else {
+        sms
+    };
+    let warm = Launch::new(warm_grid, edge * edge).with_params(params.clone());
+    gpu.launch(&k, &warm).expect("warm-up");
+    let launch = Launch::new(grid, edge * edge).with_params(params);
     let stats = gpu.launch(&k, &launch).expect("gemm launch");
     let flops = 2.0 * grid as f64 * (edge * edge) as f64 * K_DIM as f64;
     flops / stats.seconds() / 1e9

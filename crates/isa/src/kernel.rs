@@ -2,7 +2,7 @@
 
 use crate::instr::{
     AddrExpr, CacheOp, CmpOp, FAluOp, FloatPrec, IAluOp, Instr, MemSpace, Operand, Pred, Reg,
-    Special, Width,
+    Special, TileId, Width,
 };
 use std::collections::HashMap;
 
@@ -143,6 +143,91 @@ impl Kernel {
     /// [`Self::digest`] as a fixed-width 16-char lowercase hex string.
     pub fn digest_hex(&self) -> String {
         format!("{:016x}", self.digest())
+    }
+
+    /// Which tile ids' *values* this kernel can ever read, for a warp-group
+    /// leader and for every other warp.  Tile ids are static operands, so
+    /// one pass over the instructions decides it for every warp of a
+    /// launch.  A tile's values are read when
+    /// 1. an `st.tile` stores it;
+    /// 2. it is the A or B operand of an `mma`, or, for a leader, of a
+    ///    `wgmma` (the other warps of a group never touch `wgmma` tiles);
+    /// 3. it is the C operand of an `mma` whose D is read (a fixed point).
+    ///
+    /// `wgmma` reads its own D as the accumulator, which rule 3 needs not
+    /// list: D is read exactly when something else reads it.
+    pub fn tile_uses(&self) -> TileUses {
+        TileUses {
+            warp: self.tiles_read(false),
+            leader: self.tiles_read(true),
+        }
+    }
+
+    fn tiles_read(&self, leader: bool) -> TileSet {
+        let mut read = TileSet::default();
+        for i in &self.instrs {
+            match *i {
+                Instr::StTile { tile, .. } => read.insert(tile),
+                Instr::Mma { a, b, .. } => {
+                    read.insert(a);
+                    read.insert(b);
+                }
+                Instr::Wgmma { a, b, .. } if leader => {
+                    read.insert(a);
+                    read.insert(b);
+                }
+                _ => {}
+            }
+        }
+        loop {
+            let before = read;
+            for i in &self.instrs {
+                if let Instr::Mma { d, c, .. } = *i {
+                    if read.contains(d) {
+                        read.insert(c);
+                    }
+                }
+            }
+            if read == before {
+                return read;
+            }
+        }
+    }
+}
+
+/// A set of tile ids (one bit per possible [`TileId`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TileSet([u64; 4]);
+
+impl TileSet {
+    fn insert(&mut self, t: TileId) {
+        self.0[t.0 as usize / 64] |= 1 << (t.0 % 64);
+    }
+
+    fn contains(&self, t: TileId) -> bool {
+        self.0[t.0 as usize / 64] & (1 << (t.0 % 64)) != 0
+    }
+}
+
+/// The answer of [`Kernel::tile_uses`]: per warp role, the tile ids whose
+/// values some instruction of the kernel reads.  A value nobody reads
+/// need not be computed; its tile's shape still must be, for the shape
+/// checks of the instructions that name it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TileUses {
+    warp: TileSet,
+    leader: TileSet,
+}
+
+impl TileUses {
+    /// Can a warp ever read tile `t`'s values?  `leader` = the warp leads
+    /// its warp group (warp 4k of its block), the one that runs `wgmma`.
+    pub fn read(&self, t: TileId, leader: bool) -> bool {
+        if leader {
+            self.leader.contains(t)
+        } else {
+            self.warp.contains(t)
+        }
     }
 }
 
@@ -554,6 +639,7 @@ impl KernelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DType, MmaDesc, OperandSource};
 
     #[test]
     fn loop_with_backward_label() {
@@ -693,5 +779,83 @@ mod tests {
         b2.mov(Reg(1), Operand::Imm(1));
         b2.exit();
         assert_ne!(b1.build().digest(), b2.build().digest());
+    }
+    fn tensor_kernel(body: impl FnOnce(&mut KernelBuilder)) -> TileUses {
+        let mut b = KernelBuilder::new("tiles");
+        body(&mut b);
+        b.exit();
+        b.build().tile_uses()
+    }
+
+    fn read_ids(u: &TileUses, leader: bool) -> Vec<u8> {
+        (0..=255).filter(|&t| u.read(TileId(t), leader)).collect()
+    }
+
+    #[test]
+    fn unread_accumulators_are_dead() {
+        let desc = MmaDesc::mma(16, 8, 16, DType::F16, DType::F32, false).unwrap();
+        // The throughput shape: A·B accumulated into tiles nobody stores.
+        let u = tensor_kernel(|b| {
+            b.mma(desc, TileId(2), TileId(0), TileId(1), TileId(2));
+            b.mma(desc, TileId(3), TileId(0), TileId(1), TileId(3));
+        });
+        assert_eq!(read_ids(&u, false), [0, 1]);
+        assert_eq!(read_ids(&u, true), [0, 1]);
+    }
+
+    #[test]
+    fn a_stored_accumulator_makes_its_chain_live() {
+        let desc = MmaDesc::mma(16, 8, 16, DType::F16, DType::F32, false).unwrap();
+        // 9 <- 8 <- 7 <- 6 through C operands, listed out of program order
+        // so one sweep cannot finish the fixed point; 5 feeds a dead D.
+        let u = tensor_kernel(|b| {
+            b.mma(desc, TileId(9), TileId(0), TileId(1), TileId(8));
+            b.mma(desc, TileId(8), TileId(0), TileId(1), TileId(7));
+            b.mma(desc, TileId(4), TileId(0), TileId(1), TileId(5));
+            b.mma(desc, TileId(7), TileId(0), TileId(1), TileId(6));
+            b.st_tile(TileId(9), MemSpace::Global, Reg(0), 0);
+        });
+        assert_eq!(read_ids(&u, false), [0, 1, 6, 7, 8, 9]);
+        assert_eq!(read_ids(&u, true), [0, 1, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn wgmma_operands_are_read_by_the_leader_only() {
+        let desc = MmaDesc::wgmma(
+            64,
+            DType::F16,
+            DType::F32,
+            false,
+            OperandSource::SharedShared,
+        )
+        .unwrap();
+        let mma = MmaDesc::mma(16, 8, 16, DType::F16, DType::F32, false).unwrap();
+        let u = tensor_kernel(|b| {
+            b.wgmma(desc, TileId(2), TileId(0), TileId(1));
+            // An mma result consumed only as a wgmma operand.
+            b.mma(mma, TileId(0), TileId(3), TileId(4), TileId(5));
+        });
+        assert_eq!(read_ids(&u, false), [3, 4]);
+        assert_eq!(read_ids(&u, true), [0, 1, 3, 4, 5]);
+        // Storing the accumulator makes it read by every warp that stores.
+        let u = tensor_kernel(|b| {
+            b.wgmma(desc, TileId(2), TileId(0), TileId(1));
+            b.st_tile(TileId(2), MemSpace::Shared, Reg(0), 0);
+        });
+        assert_eq!(read_ids(&u, false), [2]);
+        assert_eq!(read_ids(&u, true), [0, 1, 2]);
+    }
+
+    #[test]
+    fn tile_loads_and_fills_read_nothing() {
+        let u = tensor_kernel(|b| {
+            b.fill_tile(TileId(0), DType::F16, 8, 8, crate::TilePattern::Zero);
+            b.ld_tile(TileId(255), DType::F16, 8, 8, MemSpace::Global, Reg(0), 0);
+        });
+        assert_eq!(u, TileUses::default());
+        let u = tensor_kernel(|b| {
+            b.st_tile(TileId(255), MemSpace::Global, Reg(0), 0);
+        });
+        assert_eq!(read_ids(&u, false), [255]);
     }
 }

@@ -56,5 +56,5 @@ pub use instr::{
     AddrExpr, CacheOp, CmpOp, FAluOp, FloatPrec, IAluOp, Instr, InstrInfo, MemSpace, Operand,
     Operands, Pred, Reg, Special, TileId, TilePattern, TracePayload, Width,
 };
-pub use kernel::{Kernel, KernelBuilder, KernelError, Label};
+pub use kernel::{Kernel, KernelBuilder, KernelError, Label, TileUses};
 pub use mma::{MmaDesc, MmaKind, OperandSource};

@@ -54,27 +54,7 @@ impl<T: SoftFloat> Sparse24<T> {
         let mut values = Vec::with_capacity(dense.len() / 2);
         let mut meta = Vec::with_capacity(dense.len() / 2);
         for (g, group) in dense.chunks_exact(4).enumerate() {
-            let nz: Vec<usize> = (0..4).filter(|&i| group[i].to_f64() != 0.0).collect();
-            if nz.len() > 2 {
-                return Err(SparsityError {
-                    group: g,
-                    nonzeros: nz.len(),
-                });
-            }
-            // Keep the (up to two) non-zeros; pad with position 0/1 zeros so
-            // every group contributes exactly two survivors, as the
-            // hardware layout requires.
-            let mut picks = nz.clone();
-            let mut fill = 0usize;
-            while picks.len() < 2 {
-                while picks.contains(&fill) {
-                    fill += 1;
-                }
-                picks.push(fill);
-                fill += 1;
-            }
-            picks.sort_unstable();
-            for &p in &picks {
+            for p in Self::group_picks(g, group)? {
                 values.push(group[p]);
                 meta.push(p as u8);
             }
@@ -84,6 +64,39 @@ impl<T: SoftFloat> Sparse24<T> {
             meta,
             k: dense.len(),
         })
+    }
+
+    /// The 2:4 verdict on group `g` (four consecutive K-elements) of a
+    /// dense row, without allocating: the in-group positions of its two
+    /// survivors, ascending, or the error naming the group.  The survivors
+    /// are the (up to two) non-zeros, padded with the lowest remaining
+    /// positions so every group contributes exactly two, as the hardware
+    /// layout requires.
+    pub fn group_picks(g: usize, group: &[T]) -> Result<[usize; 2], SparsityError> {
+        debug_assert_eq!(group.len(), 4, "a 2:4 group holds four elements");
+        let mut picks = [0usize; 2];
+        let mut nonzeros = 0;
+        for (p, v) in group.iter().enumerate() {
+            if v.to_f64() != 0.0 {
+                if nonzeros < 2 {
+                    picks[nonzeros] = p;
+                }
+                nonzeros += 1;
+            }
+        }
+        if nonzeros > 2 {
+            return Err(SparsityError { group: g, nonzeros });
+        }
+        let mut fill = 0;
+        for n in nonzeros..2 {
+            while picks[..n].contains(&fill) {
+                fill += 1;
+            }
+            picks[n] = fill;
+            fill += 1;
+        }
+        picks.sort_unstable();
+        Ok(picks)
     }
 
     /// Prune a dense row *into* 2:4 form by keeping the two largest-
@@ -200,5 +213,69 @@ mod tests {
         assert_eq!(s.values.len(), 4);
         assert!(s.values.iter().all(|v| v.to_f64() == 0.0));
         assert_eq!(s.decompress(), dense);
+    }
+
+    /// The allocating `compress` this module shipped before
+    /// [`Sparse24::group_picks`], kept as the reference it must match.
+    fn compress_reference(dense: &[F16]) -> Result<Sparse24<F16>, SparsityError> {
+        let mut values = Vec::new();
+        let mut meta = Vec::new();
+        for (g, group) in dense.chunks_exact(4).enumerate() {
+            let nz: Vec<usize> = (0..4).filter(|&i| group[i].to_f64() != 0.0).collect();
+            if nz.len() > 2 {
+                return Err(SparsityError {
+                    group: g,
+                    nonzeros: nz.len(),
+                });
+            }
+            let mut picks = nz.clone();
+            let mut fill = 0usize;
+            while picks.len() < 2 {
+                while picks.contains(&fill) {
+                    fill += 1;
+                }
+                picks.push(fill);
+                fill += 1;
+            }
+            picks.sort_unstable();
+            for &p in &picks {
+                values.push(group[p]);
+                meta.push(p as u8);
+            }
+        }
+        Ok(Sparse24 {
+            values,
+            meta,
+            k: dense.len(),
+        })
+    }
+
+    #[test]
+    fn compress_matches_the_reference_on_every_group() {
+        // Zero, ±x, a value F16 flushes to zero, NaN: every group of four
+        // drawn from them, alone and behind a valid group (so errors must
+        // name group 1), and one ordered pair of groups in seven.
+        let elems = [0.0, 1.5, -1.5, 1e-12, f64::NAN].map(F16::from_f64);
+        let groups: Vec<[F16; 4]> = (0..625)
+            .map(|i: usize| std::array::from_fn(|p| elems[i / 5usize.pow(p as u32) % 5]))
+            .collect();
+        let bits = |s: &Sparse24<F16>| {
+            let v: Vec<u64> = s.values.iter().map(|v| v.to_bits()).collect();
+            (v, s.meta.clone(), s.k)
+        };
+        let same = |row: &[F16]| {
+            let (got, want) = (Sparse24::compress(row), compress_reference(row));
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{row:?}"),
+                _ => assert_eq!(got.err(), want.err(), "{row:?}"),
+            }
+        };
+        for (i, g) in groups.iter().enumerate() {
+            same(g);
+            same(&[groups[0], *g].concat());
+            for h in groups.iter().skip(i % 7).step_by(7) {
+                same(&[*g, *h].concat());
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@ use hopper_obs::cli::{Arg, Args, Flag, Spec};
 use hopper_prof::workloads::Workload;
 use hopper_prof::{profile_run, KernelReport};
 use hopper_sim::{ChromeTrace, DeviceConfig, Gpu, Run};
+use std::io::Write as _;
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -84,40 +85,49 @@ fn main() {
     }
     let chrome_path: Option<String> = args.value("chrome-trace");
     let several = devices.len() * workloads.len() > 1;
-
+    // Every report with its timeline file, created before the first run so
+    // an unwritable path fails before anything is simulated.  Several
+    // reports get one timeline each, so later runs do not overwrite
+    // earlier ones: out.json → out-h800-pchase.json.
+    let mut jobs = Vec::new();
     for dev in &devices {
         for &w in &workloads {
-            let mut chrome = chrome_path.as_ref().map(|_| ChromeTrace::new());
-            let report = run_one(dev.clone(), w, chrome.as_mut());
-            if let (Some(p), Some(chrome)) = (&chrome_path, &chrome) {
-                // Several reports get one timeline each, so later runs do
-                // not overwrite earlier ones: out.json → out-h800-pchase.json.
+            let trace = chrome_path.as_ref().map(|p| {
                 let suffix = format!("-{}-{}", dev.wire_name(), w.name());
                 let path = match p.rsplit_once('.') {
                     _ if !several => p.clone(),
                     Some((stem, ext)) => format!("{stem}{suffix}.{ext}"),
                     None => format!("{p}{suffix}"),
                 };
-                chrome
-                    .write_to(std::path::Path::new(&path))
-                    .unwrap_or_else(|e| fail(&path, e));
-                eprintln!("hprof: wrote {path} ({} events)", chrome.len());
+                let file = std::fs::File::create(&path).unwrap_or_else(|e| fail(&path, e));
+                (path, file)
+            });
+            jobs.push((dev, w, trace));
+        }
+    }
+
+    for (dev, w, trace) in jobs {
+        let mut chrome = trace.as_ref().map(|_| ChromeTrace::new());
+        let report = run_one(dev.clone(), w, chrome.as_mut());
+        if let (Some((path, mut file)), Some(chrome)) = (trace, &chrome) {
+            file.write_all(chrome.to_json().as_bytes())
+                .unwrap_or_else(|e| fail(&path, e));
+            eprintln!("hprof: wrote {path} ({} events)", chrome.len());
+        }
+        let rendered = if json {
+            report.to_json_string()
+        } else {
+            report.render()
+        };
+        match &out_dir {
+            Some(dir) => {
+                let ext = if json { "json" } else { "txt" };
+                let name = format!("hprof_{}_{}.{ext}", dev.wire_name(), w.name());
+                let path = std::path::Path::new(dir).join(name);
+                std::fs::write(&path, rendered).unwrap_or_else(|e| fail(path.display(), e));
+                println!("wrote {}", path.display());
             }
-            let rendered = if json {
-                report.to_json_string()
-            } else {
-                report.render()
-            };
-            match &out_dir {
-                Some(dir) => {
-                    let ext = if json { "json" } else { "txt" };
-                    let name = format!("hprof_{}_{}.{ext}", dev.wire_name(), w.name());
-                    let path = std::path::Path::new(dir).join(name);
-                    std::fs::write(&path, rendered).unwrap_or_else(|e| fail(path.display(), e));
-                    println!("wrote {}", path.display());
-                }
-                None => println!("{rendered}"),
-            }
+            None => println!("{rendered}"),
         }
     }
 }

@@ -133,6 +133,20 @@ fn hprof_reports_an_unwritable_chrome_trace() {
 }
 
 #[test]
+fn hprof_checks_every_chrome_trace_path_before_it_simulates() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/hprof_trace_dir_missing");
+    let _ = std::fs::remove_dir_all(dir);
+    let path = format!("{dir}/missing/t.json");
+    let args = ["all", "all", "--chrome-trace", &path];
+    let (code, out, err) = cli_contract::run(env!("CARGO_BIN_EXE_hprof"), &args);
+    assert_eq!(code, 1, "{err}");
+    let first = format!("{dir}/missing/t-h800-pchase.json");
+    let want = format!("hprof: {first}: No such file or directory");
+    assert!(err.starts_with(&want), "{err}");
+    assert!(out.is_empty(), "a report was printed: {out}");
+}
+
+#[test]
 fn hprof_reports_an_unwritable_output_directory() {
     // A regular file cannot hold a directory.
     let file = concat!(env!("CARGO_TARGET_TMPDIR"), "/hprof_out_is_a_file");

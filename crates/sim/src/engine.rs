@@ -21,7 +21,7 @@ use crate::mem::{GlobalMem, Limiter, TagArray};
 use crate::metrics::Metrics;
 use crate::replay::{ReplayRec, ReplaySource};
 use crate::tiles::Tile;
-use hopper_isa::{Kernel, Operands};
+use hopper_isa::{Kernel, Operands, TileUses};
 use hopper_trace::{
     wait_bucket, CacheTotals, InstrEvent, IssueEvent, PcTotals, SlotTotals, StallReason, StallSpan,
     TraceSink, UnitBusy, UnitSpan, Wants, N_SLOT_REASONS, N_WAIT_BUCKETS,
@@ -336,6 +336,10 @@ pub struct Engine<'a> {
     /// per wave so an issue attempt is a slice walk, not a per-variant
     /// `match` (all in range: `Kernel::validate` ran at launch).
     ops: Vec<Operands>,
+    /// Which tiles' values each warp role can ever read, decided once per
+    /// wave beside `ops`: a tensor-core value nobody reads is never
+    /// computed (DESIGN.md §4).
+    tile_uses: TileUses,
     cfg: EngineConfig,
     /// Everything the SMs share; SM code goes through [`Self::shared`].
     mem: MemSide<'a>,
@@ -442,6 +446,7 @@ impl<'a> Engine<'a> {
         let num_sms = cfg.blocks.iter().map(|b| b.sm).max().unwrap() + 1;
         let nregs = (kernel.regs_per_thread as usize).max(cfg.params.len() + 1);
         let ops = kernel.instrs.iter().map(|i| i.operands()).collect();
+        let tile_uses = kernel.tile_uses();
         let warps_per_block = cfg.threads_per_block.div_ceil(32) as usize;
 
         let mut warps = Vec::new();
@@ -551,6 +556,7 @@ impl<'a> Engine<'a> {
             dev,
             kernel,
             ops,
+            tile_uses,
             cfg,
             mem,
             l1,

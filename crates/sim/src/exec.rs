@@ -9,7 +9,7 @@ use super::{
 use crate::power;
 use crate::replay::ReplayRec;
 use crate::tc_timing;
-use crate::tiles::{execute_mma, Tile};
+use crate::tiles::{check_mma, execute_mma, Tile};
 use hopper_isa::{
     AddrExpr, DpxFunc, FAluOp, FloatPrec, IAluOp, Instr, Kernel, MmaDesc, MmaKind, Operand, Pred,
     Reg, Special, TileId,
@@ -494,17 +494,14 @@ impl<'a> Engine<'a> {
                 cols,
                 pattern,
             } => {
-                // Replay keeps only the shape (the data is never read:
-                // activity factors come from the trace).
-                let t = if self.replaying() {
-                    Tile {
-                        dtype: *dtype,
-                        rows: *rows as usize,
-                        cols: *cols as usize,
-                        data: Vec::new(),
-                    }
+                // Replay, and a warp that can never read the values, keep
+                // only the shape (activity factors come from the trace or
+                // from the A and B tiles, which are always read).
+                let (rows, cols) = (*rows as usize, *cols as usize);
+                let t = if self.replaying() || !self.tile_read(w, *tile) {
+                    Tile::shape(*dtype, rows, cols)
                 } else {
-                    Tile::from_pattern(*dtype, *rows as usize, *cols as usize, *pattern)
+                    Tile::from_pattern(*dtype, rows, cols, *pattern)
                 };
                 self.put_tile(w, *tile, t);
             }
@@ -687,6 +684,12 @@ impl<'a> Engine<'a> {
         self.warps[w].warp_in_block as u32
     }
 
+    /// Can warp `w` ever read tile `id`'s values (`Kernel::tile_uses`)?
+    pub(super) fn tile_read(&self, w: usize, id: TileId) -> bool {
+        let leader = self.warps[w].warp_in_block.is_multiple_of(4);
+        self.tile_uses.read(id, leader)
+    }
+
     /// Install `t` as tile `id` of warp `w`.
     pub(super) fn put_tile(&mut self, w: usize, id: TileId, t: Tile) {
         let key = self.tile_owner(w);
@@ -805,10 +808,12 @@ impl<'a> Engine<'a> {
     /// Run the functional datapath of an `mma`/`wgmma` and return the
     /// operand activity factor for the power model (capture mode records
     /// it), or `None` after recording a fault for a missing or ill-fitting
-    /// operand tile.  Replay takes the factor from the trace instead — it is
-    /// tile-*value*-dependent and the values are gone, the one non-address
-    /// operand a trace must carry — and registers only the destination
-    /// tile's shape, so downstream `st.tile`/`mma` find it.
+    /// operand tile.  A D that this warp can never read gets every check
+    /// and its shape, not its values.  Replay takes the factor from the
+    /// trace instead — it is tile-*value*-dependent and the values are
+    /// gone, the one non-address operand a trace must carry — and
+    /// registers only the destination tile's shape, so downstream
+    /// `st.tile`/`mma` find it.
     fn mma_act(
         &mut self,
         w: usize,
@@ -818,17 +823,14 @@ impl<'a> Engine<'a> {
     ) -> Option<f64> {
         let (bi, key) = (self.warps[w].block, self.tile_owner(w));
         if let Some(rec) = self.replay_rec(w) {
-            let shape = Tile {
-                dtype: desc.cd,
-                rows: desc.m as usize,
-                cols: desc.n as usize,
-                data: Vec::new(),
-            };
+            let shape = Tile::shape(desc.cd, desc.m as usize, desc.n as usize);
             self.blocks[bi].tiles.insert((key, d.0), shape);
             let act = rec.payload.first();
             return Some(act.map_or(1.0, |&bits| f64::from_bits(bits)));
         }
-        let (out, act) = match mma_functional(desc, &self.blocks[bi].tiles, key, [d, a, b], c) {
+        let live = self.tile_read(w, d);
+        let tiles = &self.blocks[bi].tiles;
+        let (out, act) = match mma_functional(desc, tiles, key, [d, a, b], c, live) {
             Ok(done) => done,
             Err(kind) => {
                 self.fault(w, kind);
@@ -846,6 +848,8 @@ impl<'a> Engine<'a> {
 
 /// `D = A·B + C` over warp `key`'s tiles (`C` is `D` itself for `wgmma`,
 /// zeros if it was never written): the result and the raw operand activity.
+/// When D is not `live` (nothing ever reads its values), every check of the
+/// product still runs, in the same order, and D is its shape alone.
 /// Operands are used by reference — cloning A/B/C (hundreds of KB for a
 /// full-size wgmma) per instruction would dwarf the datapath cost.
 fn mma_functional(
@@ -854,12 +858,14 @@ fn mma_functional(
     key: u32,
     [d, a, b]: [TileId; 3],
     c: Option<TileId>,
+    live: bool,
 ) -> Result<(Tile, f64), SimFaultKind> {
     let get = |id: TileId| {
         let missing = SimFaultKind::TileNotInitialised { tile: id.0 };
         tiles.get(&(key, id.0)).ok_or(missing)
     };
     let (ta, tb) = (get(a)?, get(b)?);
+    debug_assert!(ta.has_values() && tb.has_values(), "A/B read as shapes");
     // 2:4-sparse A stores half its elements as structural zeros; the
     // *compressed* data the hardware toggles is the non-zero half.
     let act_a = if desc.sparse {
@@ -867,19 +873,30 @@ fn mma_functional(
     } else {
         ta.activity()
     };
-    let zeros;
+    let act = (act_a + tb.activity()) / 2.0;
+    let (m, n) = (desc.m as usize, desc.n as usize);
+    let absent;
     let tc = match c {
         Some(ct) => get(ct)?,
         None => match tiles.get(&(key, d.0)) {
             Some(t) => t,
             None => {
-                zeros = Tile::zeros(desc.cd, desc.m as usize, desc.n as usize);
-                &zeros
+                absent = if live {
+                    Tile::zeros(desc.cd, m, n)
+                } else {
+                    Tile::shape(desc.cd, m, n)
+                };
+                &absent
             }
         },
     };
-    let out = execute_mma(desc, ta, tb, tc).map_err(|_| SimFaultKind::TileMismatch)?;
-    Ok((out, (act_a + tb.activity()) / 2.0))
+    let mismatch = |_| SimFaultKind::TileMismatch;
+    if !live {
+        check_mma(desc, ta, tb, tc).map_err(mismatch)?;
+        return Ok((Tile::shape(desc.cd, m, n), act));
+    }
+    debug_assert!(tc.has_values(), "C read as a shape");
+    Ok((execute_mma(desc, ta, tb, tc).map_err(mismatch)?, act))
 }
 
 /// Lane-wise `f` over two operand rows.

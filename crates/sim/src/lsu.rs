@@ -612,6 +612,7 @@ impl Engine<'_> {
         let base = self.uniform_base(w, addr);
         let ebytes = t.dtype.bits().max(8) as u64 / 8;
         if !self.replaying() {
+            debug_assert!(t.has_values(), "st.tile of tile {} read a shape", tile.0);
             for (i, &v) in t.data.iter().enumerate() {
                 let raw = encode_elem(t.dtype, v);
                 self.write_mem((w, sm), space, base + i as u64 * ebytes, ebytes, raw);

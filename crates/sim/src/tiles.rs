@@ -62,6 +62,22 @@ impl Tile {
         }
     }
 
+    /// A tile that carries its shape but no values: what replay keeps, and
+    /// what a tile whose values nothing reads holds (`Kernel::tile_uses`).
+    pub fn shape(dtype: DType, rows: usize, cols: usize) -> Self {
+        Tile {
+            dtype,
+            rows,
+            cols,
+            data: Vec::new(),
+        }
+    }
+
+    /// Whether the tile holds its values, not just its shape.
+    pub fn has_values(&self) -> bool {
+        self.data.len() == self.rows * self.cols
+    }
+
     /// Build from a fill pattern.
     pub fn from_pattern(dtype: DType, rows: usize, cols: usize, pattern: TilePattern) -> Self {
         let mut t = Self::zeros(dtype, rows, cols);
@@ -159,26 +175,8 @@ fn accum_mode(cd: DType) -> AccumMode {
 /// structure and prune through the metadata path), `B` is `k×n`, `C` is
 /// `m×n`.  Returns the `m×n` D tile in the destination dtype.
 pub fn execute_mma(desc: &MmaDesc, a: &Tile, b: &Tile, c: &Tile) -> Result<Tile, TcError> {
+    check_shapes(desc, a, b, c)?;
     let (m, n, k) = (desc.m as usize, desc.n as usize, desc.k as usize);
-    if a.rows != m || a.cols != k {
-        return Err(TcError(format!(
-            "{desc}: A must be {m}x{k}, got {}x{}",
-            a.rows, a.cols
-        )));
-    }
-    if b.rows != k || b.cols != n {
-        return Err(TcError(format!(
-            "{desc}: B must be {k}x{n}, got {}x{}",
-            b.rows, b.cols
-        )));
-    }
-    if c.rows != m || c.cols != n {
-        return Err(TcError(format!(
-            "{desc}: C must be {m}x{n}, got {}x{}",
-            c.rows, c.cols
-        )));
-    }
-
     let mode = accum_mode(desc.cd);
     let mut d = Tile::zeros(desc.cd, m, n);
 
@@ -234,59 +232,112 @@ pub fn execute_mma(desc: &MmaDesc, a: &Tile, b: &Tile, c: &Tile) -> Result<Tile,
         Vec::new()
     };
 
+    let mut surv: Vec<(usize, f64)> = Vec::with_capacity(k / 2);
     for i in 0..m {
-        let arow: Vec<f64> = (0..k).map(|kk| a.get(i, kk)).collect();
-        let sp: Option<Vec<(usize, f64)>> = if desc.sparse {
-            let row = compress_row(desc.ab, &arow)
-                .map_err(|e| TcError(format!("{desc}: A row {i} violates 2:4 sparsity: {e}")))?;
-            Some(row.survivors().collect())
-        } else {
-            None
-        };
+        let arow = &a.data[i * k..(i + 1) * k];
+        if desc.sparse {
+            surv.clear();
+            row_survivors(desc, a, i, |pos, v| surv.push((pos, v.to_f64())))?;
+        }
         for j in 0..n {
-            let acc = match &sp {
-                None => {
-                    let bcol = &bt[j * k..(j + 1) * k];
-                    // Dense: products formed exactly, running sum rounded
-                    // per the accumulator precision each step.
-                    match mode {
-                        AccumMode::F32 => {
-                            let mut a32 = c.get(i, j) as f32;
-                            for (kk, &av) in arow.iter().enumerate() {
-                                a32 = ((a32 as f64) + av * bcol[kk]) as f32;
-                            }
-                            a32 as f64
-                        }
-                        AccumMode::F16 => {
-                            let mut a16 = F16::from_f64(c.get(i, j));
-                            for (kk, &av) in arow.iter().enumerate() {
-                                a16 = F16::from_f64(a16.to_f64() + av * bcol[kk]);
-                            }
-                            a16.to_f64()
-                        }
-                        AccumMode::I32 => unreachable!(),
-                    }
+            let acc = if desc.sparse {
+                // `Sparse24::dot_dense` inlined over the pre-converted
+                // survivors (same products, same f32 accumulation chain);
+                // fold C in per mode.
+                let bcol = &btf[j * k..(j + 1) * k];
+                let mut acc32 = 0.0f32;
+                for &(pos, v) in &surv {
+                    acc32 = ((acc32 as f64) + v * bcol[pos]) as f32;
                 }
-                Some(surv) => {
-                    // `dot_dense` inlined over the pre-converted survivors
-                    // (same products, same f32 accumulation chain); fold C
-                    // in per mode.
-                    let bcol = &btf[j * k..(j + 1) * k];
-                    let mut acc32 = 0.0f32;
-                    for &(pos, v) in surv {
-                        acc32 = ((acc32 as f64) + v * bcol[pos]) as f32;
+                let dot = acc32 as f64;
+                match mode {
+                    AccumMode::F16 => F16::from_f64(c.get(i, j) + dot).to_f64(),
+                    _ => ((c.get(i, j) as f32 as f64) + dot) as f32 as f64,
+                }
+            } else {
+                let bcol = &bt[j * k..(j + 1) * k];
+                // Dense: products formed exactly, running sum rounded
+                // per the accumulator precision each step.
+                match mode {
+                    AccumMode::F32 => {
+                        let mut a32 = c.get(i, j) as f32;
+                        for (kk, &av) in arow.iter().enumerate() {
+                            a32 = ((a32 as f64) + av * bcol[kk]) as f32;
+                        }
+                        a32 as f64
                     }
-                    let dot = acc32 as f64;
-                    match mode {
-                        AccumMode::F16 => F16::from_f64(c.get(i, j) + dot).to_f64(),
-                        _ => ((c.get(i, j) as f32 as f64) + dot) as f32 as f64,
+                    AccumMode::F16 => {
+                        let mut a16 = F16::from_f64(c.get(i, j));
+                        for (kk, &av) in arow.iter().enumerate() {
+                            a16 = F16::from_f64(a16.to_f64() + av * bcol[kk]);
+                        }
+                        a16.to_f64()
                     }
+                    AccumMode::I32 => unreachable!(),
                 }
             };
             d.data[i * n + j] = round_to(desc.cd, acc);
         }
     }
     Ok(d)
+}
+
+/// Every check [`execute_mma`] makes, without computing the product: the
+/// A, B and C shapes, then the 2:4 structure of a sparse float A through
+/// the F16 carriers the product compresses it with.  `C` may be a
+/// shape-only tile ([`Tile::shape`]); A must hold its values.
+pub(crate) fn check_mma(desc: &MmaDesc, a: &Tile, b: &Tile, c: &Tile) -> Result<(), TcError> {
+    check_shapes(desc, a, b, c)?;
+    if !desc.sparse || accum_mode(desc.cd) == AccumMode::I32 {
+        return Ok(());
+    }
+    (0..a.rows).try_for_each(|i| row_survivors(desc, a, i, |_, _| {}))
+}
+
+/// Feed `keep` the 2:4 survivors of A's row `i` — `(K position, F16
+/// carrier)`, in `Sparse24::compress` order — without allocating, or name
+/// the first group with more than two non-zeros.  Value-domain
+/// compression via FP16 carriers: every dtype's values are exactly
+/// representable after `round_to`, and FP16 is wide enough for the
+/// (−1, 1) benchmark ranges used throughout.
+fn row_survivors(
+    desc: &MmaDesc,
+    a: &Tile,
+    i: usize,
+    mut keep: impl FnMut(usize, F16),
+) -> Result<(), TcError> {
+    for g in 0..a.cols / 4 {
+        let group: [F16; 4] = std::array::from_fn(|p| F16::from_f64(a.get(i, g * 4 + p)));
+        let picks = Sparse24::group_picks(g, &group)
+            .map_err(|e| TcError(format!("{desc}: A row {i} violates 2:4 sparsity: {e}")))?;
+        for p in picks {
+            keep(g * 4 + p, group[p]);
+        }
+    }
+    Ok(())
+}
+
+fn check_shapes(desc: &MmaDesc, a: &Tile, b: &Tile, c: &Tile) -> Result<(), TcError> {
+    let (m, n, k) = (desc.m as usize, desc.n as usize, desc.k as usize);
+    if a.rows != m || a.cols != k {
+        return Err(TcError(format!(
+            "{desc}: A must be {m}x{k}, got {}x{}",
+            a.rows, a.cols
+        )));
+    }
+    if b.rows != k || b.cols != n {
+        return Err(TcError(format!(
+            "{desc}: B must be {k}x{n}, got {}x{}",
+            b.rows, b.cols
+        )));
+    }
+    if c.rows != m || c.cols != n {
+        return Err(TcError(format!(
+            "{desc}: C must be {m}x{n}, got {}x{}",
+            c.rows, c.cols
+        )));
+    }
+    Ok(())
 }
 
 /// For sparse integer tiles: keep the first two non-zeros per group of 4
@@ -305,15 +356,6 @@ fn sparse_position_kept(a: &Tile, row: usize, kk: usize) -> bool {
         }
     }
     false
-}
-
-fn compress_row(ab: DType, row: &[f64]) -> Result<Sparse24<F16>, String> {
-    // Value-domain compression via FP16 carriers: every dtype's values are
-    // exactly representable after `round_to`, and FP16 is wide enough for
-    // the (−1, 1) benchmark ranges used throughout.
-    let _ = ab;
-    let vals: Vec<F16> = row.iter().map(|&v| F16::from_f64(v)).collect();
-    Sparse24::compress(&vals).map_err(|e| e.to_string())
 }
 
 /// Decode a raw little-endian element into its numeric value.
