@@ -38,8 +38,8 @@ const SMEM: u32 = 2048;
 /// Mask keeping a ≤16-byte access inside shared memory, 16-byte aligned.
 const SMASK: i64 = (SMEM as i64 - 1) & !15;
 /// Stored tensor-core accumulators (`store`) land in the global buffer
-/// at per-warp offsets, so no two warps write the same bytes: `wgmma`
-/// leaders below this offset, `mma` warps from it up.
+/// at per-warp offsets, so no two warps write the same bytes: the one
+/// storing `wgmma` leader below this offset, `mma` warps from it up.
 const WG_STORE_BYTES: i64 = GBUF_BYTES as i64 / 2;
 /// Bytes per warp of a stored `mma` accumulator (16×8 32-bit elements).
 const MMA_STORE_BYTES: i64 = 16 * 8 * 4;
@@ -49,7 +49,7 @@ const MMA_STORE_BYTES: i64 = 16 * 8 * 4;
 //   %r0 buffer param · %r1 tid · %r2 ctaid · %r4 int accumulator ·
 //   %r5 float accumulator · %r8-%r11 per-segment scratch ·
 //   %r13 loop counter · %p3 loop predicate · %p1 sel predicate ·
-//   %p2 not-a-warp-group-leader predicate.
+//   %p2 not-the-storing-leader predicate.
 const R_BUF: Reg = Reg(0);
 const R_TID: Reg = Reg(1);
 const R_ACC: Reg = Reg(4);
@@ -313,7 +313,7 @@ impl KernelPlan {
         // on a stream of their own so every plan keeps its draw.
         let mut st = SplitMix64::new(seed ^ 0x5707_e5d0_5707_e5d0);
         for s in &mut segs {
-            mark_stores(s, &mut st, &geom);
+            mark_stores(s, &mut st);
         }
         KernelPlan {
             seed,
@@ -612,22 +612,17 @@ fn gen_seg(g: &mut SplitMix64, geom: &Geometry, hopper: bool, allow_loop: bool) 
 }
 
 /// Set `store` on about half the tensor segments in `s` (loop bodies
-/// included).  A `wgmma` leader stores only where every leader of the grid
-/// gets a slot of the accumulator's size below [`WG_STORE_BYTES`].
-fn mark_stores(s: &mut Seg, st: &mut SplitMix64, geom: &Geometry) {
+/// included).  A `wgmma` stores only where its accumulator fits the one
+/// slot below [`WG_STORE_BYTES`] that the grid's first leader owns.
+fn mark_stores(s: &mut Seg, st: &mut SplitMix64) {
     match s {
         Seg::Mma { store, .. } => *store = st.chance(1, 2),
         Seg::Wgmma { desc, store, .. } => {
-            *store = st.chance(1, 2) && leaders(geom) * wg_bytes(desc) <= WG_STORE_BYTES;
+            *store = st.chance(1, 2) && wg_bytes(desc) <= WG_STORE_BYTES;
         }
-        Seg::Loop { body, .. } => body.iter_mut().for_each(|s| mark_stores(s, st, geom)),
+        Seg::Loop { body, .. } => body.iter_mut().for_each(|s| mark_stores(s, st)),
         _ => {}
     }
-}
-
-/// Warp-group leaders in the grid (`wgmma` blocks are whole groups).
-fn leaders(geom: &Geometry) -> i64 {
-    (geom.grid * geom.block / 128) as i64
 }
 
 /// Bytes of a `wgmma` accumulator tile (32-bit elements).
@@ -778,16 +773,17 @@ fn emit_seg(b: &mut KernelBuilder, s: &Seg, geom: &Geometry) {
             b.wgmma_commit();
             b.wgmma_wait(0);
             if *store {
-                // Only the leader holds the product; the other warps of
-                // the group branch around the store (warp-uniformly).
-                let slot = WG_STORE_BYTES / leaders(geom);
+                // Only a leader holds the product, and only the grid's
+                // first one (warp 0 of block 0) stores it, so its slot is
+                // the whole `wgmma` region; every other warp branches
+                // around the store (warp-uniformly).  The store still makes
+                // every leader's product live: `tile_uses` is per kernel.
                 let skip = b.forward_label();
                 b.special(R_TMP, Special::WarpId);
-                b.ialu(IAluOp::And, R_TMP, reg(R_TMP), imm(3));
+                b.ialu(IAluOp::Or, R_TMP, reg(R_TMP), reg(Reg(2)));
                 b.setp(P_FOLLOWER, CmpOp::Ne, reg(R_TMP), imm(0));
                 b.bra_if(skip, P_FOLLOWER, true);
-                emit_slot(b, R_ADDR, geom, 7, 0, slot);
-                b.st_tile(WG_D, MemSpace::Global, R_ADDR, 0);
+                b.st_tile(WG_D, MemSpace::Global, R_BUF, 0);
                 b.place(skip);
             }
         }

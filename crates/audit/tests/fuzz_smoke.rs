@@ -63,15 +63,15 @@ fn herd_draws() {
 fn tensor_draws_are_live_and_skipped() {
     // About half the tensor segments store their accumulator, so 200
     // plans must draw products the engine computes and products it skips.
-    let plan = |i: u64| KernelPlan::generate(kernel_seed(BASE ^ 0x7E45, i), i.is_multiple_of(2));
+    let plan = |i: u64, hopper: bool| KernelPlan::generate(kernel_seed(BASE ^ 0x7E45, i), hopper);
     let (mut live, mut skipped) = (0, 0);
     for i in 0..200 {
-        let (l, e) = plan(i).tensor_draws();
+        let (l, e) = plan(i, i.is_multiple_of(2)).tensor_draws();
         (live, skipped) = (live + l, skipped + e);
     }
     assert!(live > 0 && skipped > 0, "{live} live, {skipped} skipped");
-    // The first plans with a live mma and with a live wgmma (rarer: the
-    // leaders' accumulators must fit the buffer) pass the battery.
+    // The 200 plans hold a live mma, and their Hopper twins (only Hopper
+    // plans draw wgmma) a live wgmma; the first of each passes the battery.
     let computes = |p: &KernelPlan, wgmma: bool| {
         let k = p.kernel();
         let uses = k.tile_uses();
@@ -82,8 +82,9 @@ fn tensor_draws_are_live_and_skipped() {
         })
     };
     for wgmma in [false, true] {
-        let p = (0..2000).map(plan).find(|p| computes(p, wgmma));
-        let p = p.unwrap_or_else(|| panic!("no live draw (wgmma: {wgmma}) in 2000"));
+        let mut plans = (0..200u64).map(|i| plan(i, wgmma || i.is_multiple_of(2)));
+        let p = plans.find(|p| computes(p, wgmma));
+        let p = p.unwrap_or_else(|| panic!("no live draw (wgmma: {wgmma}) in 200"));
         check_plan(&p, &DeviceConfig::h800(), None)
             .unwrap_or_else(|e| panic!("live seed {:#018x} on h800: {e}", p.seed));
     }

@@ -213,10 +213,16 @@ pub fn histogram_throughput(gpu: &mut Gpu, cluster: u32, block: u32, nbins: u32)
     let data = gpu
         .alloc(stride_bytes * elems_per_thread as u64 + 4096)
         .expect("elems");
-    let vals: Vec<u32> = (0..(1 << 20) as u32)
-        .map(|i| i.wrapping_mul(2654435761))
-        .collect();
-    gpu.write_u32s(data, &vals); // seed the head; the address mix covers the tail
+    // Seed the head, 1 Mi words a page at a time; the address mix covers
+    // the tail.
+    let mut page = [0u8; 4096];
+    for p in 0..(1u32 << 20) / 1024 {
+        for (k, word) in page.chunks_exact_mut(4).enumerate() {
+            let i = p * 1024 + k as u32;
+            word.copy_from_slice(&i.wrapping_mul(2654435761).to_le_bytes());
+        }
+        gpu.write(data + p as u64 * 4096, &page);
+    }
     let mut params = vec![0u64; 17];
     params[0] = data;
     params[16] = stride_bytes;
@@ -228,6 +234,9 @@ pub fn histogram_throughput(gpu: &mut Gpu, cluster: u32, block: u32, nbins: u32)
                 .with_params(params),
         )
         .expect("histogram launch");
+    // Nothing reads the elements again; the next configuration allocates
+    // its own at a fresh address.
+    gpu.free(data).expect("the buffer allocated above");
     let elements = grid as u64 * block as u64 * elems_per_thread as u64;
     elements as f64 / stats.seconds()
 }

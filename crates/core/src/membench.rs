@@ -40,6 +40,16 @@ impl AccessKind {
 
 const ILP: usize = 4;
 
+/// Read-loop trips of the measured Table V L1 and L2 launches.
+const L1_TRIPS: u32 = 256;
+const L2_TRIPS: u32 = 192;
+
+/// Trips of the read loop the Table V warm-ups run.  Every trip re-reads
+/// the same lines (`%r6` never advances), so the one product of the
+/// warm-up the measured launch can see, the L1/L2/TLB tag state, is
+/// complete after one (DESIGN.md §4a).
+const WARM_TRIPS: u32 = 1;
+
 /// Body of an L1/L2 read loop with `ILP` independent, fully-coalesced loads
 /// per iteration: thread `t` touches `base + t·width + j·threads·width`.
 fn read_loop_kernel(kind: AccessKind, cop: &str, iters: u32, threads: u32) -> String {
@@ -80,16 +90,23 @@ fn read_loop_kernel(kind: AccessKind, cop: &str, iters: u32, threads: u32) -> St
 /// Sustained L1 throughput in bytes/clk/SM (useful bytes, as the paper
 /// counts them).
 pub fn l1_throughput(gpu: &mut Gpu, kind: AccessKind) -> f64 {
-    let iters = 256u32;
+    l1_run(gpu, kind, WARM_TRIPS)
+}
+
+/// [`l1_throughput`] after a warm-up of `warm_trips` loop trips.
+fn l1_run(gpu: &mut Gpu, kind: AccessKind, warm_trips: u32) -> f64 {
+    let iters = L1_TRIPS;
     let threads = 1024u32;
     // Footprint: threads × ILP × width — well inside every L1.
     let buf_bytes = threads as u64 * ILP as u64 * kind.bytes();
     let buf = gpu.alloc(buf_bytes.next_power_of_two()).expect("alloc");
-    let src = read_loop_kernel(kind, "ca", iters, threads);
-    let k = assemble_named(&src, "l1_throughput").expect("assembles");
     let launch = Launch::new(1, threads).with_params(vec![buf, 0]);
-    gpu.launch(&k, &launch).expect("warm-up");
-    let stats = gpu.launch(&k, &launch).expect("run");
+    let kernel = |trips| {
+        let src = read_loop_kernel(kind, "ca", trips, threads);
+        assemble_named(&src, "l1_throughput").expect("assembles")
+    };
+    gpu.launch(&kernel(warm_trips), &launch).expect("warm-up");
+    let stats = gpu.launch(&kernel(iters), &launch).expect("run");
     let useful = threads as u64 * iters as u64 * ILP as u64 * kind.bytes();
     useful as f64 / stats.metrics.cycles as f64
 }
@@ -165,7 +182,12 @@ pub fn shared_conflict_cycles(gpu: &mut Gpu, stride_words: u32) -> f64 {
 
 /// Sustained L2 throughput in bytes/clk (whole device).
 pub fn l2_throughput(gpu: &mut Gpu, kind: AccessKind) -> f64 {
-    let iters = 192u32;
+    l2_run(gpu, kind, WARM_TRIPS)
+}
+
+/// [`l2_throughput`] after a warm-up of `warm_trips` loop trips.
+fn l2_run(gpu: &mut Gpu, kind: AccessKind, warm_trips: u32) -> f64 {
+    let iters = L2_TRIPS;
     // 32 warps per SM: enough in-flight loads to cover the L2 latency at
     // the H800's per-SM bandwidth share.
     let threads = 512u32;
@@ -174,11 +196,13 @@ pub fn l2_throughput(gpu: &mut Gpu, kind: AccessKind) -> f64 {
     // Per-block slice; total footprint stays inside L2.
     let slice = threads as u64 * ILP as u64 * kind.bytes();
     let buf = gpu.alloc(slice * blocks as u64).expect("alloc");
-    let src = read_loop_kernel(kind, "cg", iters, threads);
-    let k = assemble_named(&src, "l2_throughput").expect("assembles");
     let launch = Launch::new(blocks, threads).with_params(vec![buf, slice]);
-    gpu.launch(&k, &launch).expect("warm-up");
-    let stats = gpu.launch(&k, &launch).expect("run");
+    let kernel = |trips| {
+        let src = read_loop_kernel(kind, "cg", trips, threads);
+        assemble_named(&src, "l2_throughput").expect("assembles")
+    };
+    gpu.launch(&kernel(warm_trips), &launch).expect("warm-up");
+    let stats = gpu.launch(&kernel(iters), &launch).expect("run");
     let useful = blocks as u64 * threads as u64 * iters as u64 * ILP as u64 * kind.bytes();
     useful as f64 / stats.metrics.cycles as f64
 }
@@ -311,6 +335,36 @@ pub fn table_v() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-trip warm-ups leave the measured launches exactly where
+    /// warm-ups of the measured length did: Table V's L1, shared and L2
+    /// rows, in its order on one `Gpu`, bit for bit on all three devices.
+    #[test]
+    fn one_trip_warm_ups_are_exact() {
+        let kinds = [AccessKind::Fp32, AccessKind::Fp64, AccessKind::Fp32V4];
+        let rows = |dev: &DeviceConfig, full: bool| {
+            let mut gpu = Gpu::new(dev.clone());
+            let (l1, l2) = if full {
+                (L1_TRIPS, L2_TRIPS)
+            } else {
+                (WARM_TRIPS, WARM_TRIPS)
+            };
+            let mut bits: Vec<u64> = kinds
+                .iter()
+                .map(|&k| l1_run(&mut gpu, k, l1).to_bits())
+                .collect();
+            bits.push(shared_throughput(&mut gpu).to_bits());
+            bits.extend(kinds.iter().map(|&k| l2_run(&mut gpu, k, l2).to_bits()));
+            bits
+        };
+        for dev in [
+            DeviceConfig::rtx4090(),
+            DeviceConfig::a100(),
+            DeviceConfig::h800(),
+        ] {
+            assert_eq!(rows(&dev, false), rows(&dev, true), "{}", dev.name);
+        }
+    }
 
     #[test]
     fn h800_l1_near_paper() {

@@ -225,6 +225,22 @@ impl<'a> Engine<'a> {
         IssueResult::Issued
     }
 
+    /// For a warp that just issued at `now`: the wakeup of the scoreboard
+    /// refusal its attempt at `now + 1` is certain to meet, or `None` when
+    /// that attempt may issue or meet another refusal first (DESIGN.md §4d
+    /// point 9).  Only the warp's own issues move its `reg_ready` and
+    /// `pred_ready`, and a refusal in front of the scoreboard needs a
+    /// barrier or a dispatch delay, both checked here.
+    pub(super) fn scoreboard_wakeup(&self, w: usize, now: u64) -> Option<u64> {
+        let ws = &self.warps[w];
+        if ws.status != WarpStatus::Ready || ws.next_ready > now + 1 {
+            return None;
+        }
+        debug_assert!(ws.refused_by.is_none(), "an issue clears the memo");
+        let ready_at = self.deps_ready_at(w, ws.pc);
+        (ready_at > now + 1).then_some(ready_at)
+    }
+
     /// Latest ready time over every register the instruction at `pc` reads
     /// or writes (write-after-write ordering included) and the predicate
     /// it reads.
@@ -309,7 +325,7 @@ impl<'a> Engine<'a> {
             &Instr::IMad { dst, a, b, c } => {
                 self.reserve(sm, w, Unit::INT, now, 32.0 / self.dev.int_per_clk as f64)?;
                 self.write_row(w, dst, |e| {
-                    let [x, y, z] = [a, b, c].map(|o| e.lanes(w, o));
+                    let (x, y, z) = (e.lanes(w, a), e.lanes(w, b), e.lanes(w, c));
                     from_fn(|l| x[l].wrapping_mul(y[l]).wrapping_add(z[l]))
                 });
                 self.finish_reg(w, dst, nowc + self.dev.alu_latency as u64 + 1);
@@ -351,7 +367,7 @@ impl<'a> Engine<'a> {
                     self.finish_reg(w, dst, nowc + (ops * self.dev.alu_latency) as u64);
                 }
                 self.write_row(w, dst, |e| {
-                    let [x, y, z] = [a, b, c].map(|o| e.lanes(w, o));
+                    let (x, y, z) = (e.lanes(w, a), e.lanes(w, b), e.lanes(w, c));
                     // One lane loop per function, each with `eval` folded
                     // to that function's arithmetic.
                     macro_rules! per_func {
@@ -647,7 +663,9 @@ impl<'a> Engine<'a> {
         };
         self.reserve(sm, w, unit, nowc as f64, 32.0 / per_clk as f64)?;
         self.write_row(w, dst, |e| {
-            let v = srcs.map(|o| e.lanes(w, o));
+            // Row by row into place: `srcs.map` would copy each 256-byte
+            // row again on its way through `array::try_map`.
+            let v: [[u64; 32]; N] = from_fn(|k| e.lanes(w, srcs[k]));
             match prec {
                 FloatPrec::F32 => from_fn(|l| {
                     let r = f(from_fn(|k| f32::from_bits(v[k][l] as u32) as f64));

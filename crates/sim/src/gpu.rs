@@ -10,7 +10,7 @@
 
 use crate::device::{DeviceConfig, SimOptions};
 use crate::engine::{BlockSpec, CacheState, Engine, EngineConfig, RunLimit, SimFault, MAX_CYCLES};
-use crate::mem::GlobalMem;
+use crate::mem::{GlobalMem, UnknownAllocation};
 use crate::metrics::{Metrics, RunStats};
 use crate::power::resolve_dvfs;
 use crate::replay::{CaptureSink, Replay, ReplaySource};
@@ -299,6 +299,13 @@ impl Gpu {
             });
         }
         Ok(self.mem.alloc(bytes))
+    }
+
+    /// Release the allocation that starts at `addr` ([`GlobalMem::free`]):
+    /// its pages and its share of the capacity return, and addresses
+    /// handed out later do not move.
+    pub fn free(&mut self, addr: u64) -> Result<(), UnknownAllocation> {
+        self.mem.free(addr)
     }
 
     /// Host→device copy.

@@ -58,7 +58,7 @@ pub mod tiles;
 pub use device::{DeviceConfig, LevelBw, Scheduler, SimOptions, TcRate};
 pub use engine::{BlockSpec, Engine, EngineConfig, RunLimit, SimFault, SimFaultKind};
 pub use gpu::{Gpu, Launch, LaunchError, PhaseSink, Run, RunBudget, RunPhase};
-pub use mem::GlobalMem;
+pub use mem::{GlobalMem, UnknownAllocation};
 pub use metrics::{Metrics, RunStats};
 pub use replay::{CaptureSink, Replay, ReplayRec, ReplaySource};
 pub use tiles::Tile;

@@ -7,7 +7,7 @@
 use super::exec::Unit;
 use super::memside::Fetch;
 use super::{Engine, Gate, SimFaultKind, Stalled, CP_ASYNC_EXTRA_LATENCY, DSM_TAG};
-use crate::mem::{bank_conflict_degree, coalesce_sectors_into};
+use crate::mem::{bank_conflict_degree, coalesce_sectors_into, le_read};
 use crate::power;
 use crate::replay::ReplayRec;
 use crate::tiles::{decode_elem, encode_elem, Tile};
@@ -97,11 +97,7 @@ impl Engine<'_> {
         if space == MemSpace::Global {
             return self.shared(sm).0.global().read_scalar(addr, n);
         }
-        let mut le = [0u8; 8];
-        if let Some(span) = self.smem_span(w, addr, n) {
-            le[..span.len()].copy_from_slice(span);
-        }
-        u64::from_le_bytes(le)
+        self.smem_span(w, addr, n).map_or(0, |span| le_read(span))
     }
 
     /// Functional write of the low `n ≤ 8` bytes of `v` in `space`; a
@@ -128,9 +124,29 @@ impl Engine<'_> {
         if space == MemSpace::Global {
             return self.shared(sm).0.global().read_scalars(n, addrs, out);
         }
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.read_mem((w, sm), space, a, n);
+        if !self.smem_read_warp(w, n, addrs, out) {
+            for (o, &a) in out.iter_mut().zip(addrs) {
+                *o = self.read_mem((w, sm), space, a, n);
+            }
         }
+    }
+
+    /// The warp-level shared read: the block is resolved once and, when no
+    /// lane carries a `mapa` tag and every lane's span is in bounds, each
+    /// lane reads at a fixed width.  Otherwise it reads nothing and returns
+    /// `false`, and the caller's per-lane [`Self::read_mem`] raises the
+    /// first fault exactly as before.
+    fn smem_read_warp(&self, w: usize, n: u64, addrs: &[u64], out: &mut [u64]) -> bool {
+        let smem = &self.blocks[self.warps[w].block].smem;
+        let size = smem.len() as u64;
+        let fits = |&a: &u64| a & DSM_TAG == 0 && a.checked_add(n).is_some_and(|end| end <= size);
+        if !addrs.iter().all(fits) {
+            return false;
+        }
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = le_read(&smem[a as usize..(a + n) as usize]);
+        }
+        true
     }
 
     /// [`Self::write_mem`] of each `(addr, v)` in order; global memory
@@ -151,7 +167,7 @@ impl Engine<'_> {
     }
 
     /// Bank-conflict degree, honouring the ablation toggle.
-    fn conflict_degree(&self, addrs: impl Iterator<Item = u64>, width: u64) -> f64 {
+    fn conflict_degree(&self, addrs: impl Iterator<Item = u64> + Clone, width: u64) -> f64 {
         if self.cfg.opts.model_bank_conflicts {
             bank_conflict_degree(addrs, width) as f64
         } else {

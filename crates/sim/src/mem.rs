@@ -43,11 +43,27 @@ pub struct GlobalMem {
     pages: PageMap,
     next: u64,
     allocated: u64,
+    /// Live allocations as `(base, len)`, sorted by base (the arena only
+    /// grows, so `alloc` appends).  No access is checked against it yet.
+    allocs: Vec<(u64, u64)>,
 }
 
+/// [`GlobalMem::free`] of an address no live allocation starts at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownAllocation(pub u64);
+
+impl std::fmt::Display for UnknownAllocation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no live allocation starts at {:#x}", self.0)
+    }
+}
+
+impl std::error::Error for UnknownAllocation {}
+
 impl GlobalMem {
-    /// Base of the allocation arena (non-zero so that null-ish addresses
-    /// trap in tests).
+    /// Base of the allocation arena.  It is non-zero, but nothing traps
+    /// below it: an unmapped read returns zero and a write materialises
+    /// its page, wherever it lands.
     pub const BASE: u64 = 0x1000_0000;
 
     /// New empty memory.
@@ -56,6 +72,7 @@ impl GlobalMem {
             pages: PageMap::default(),
             next: Self::BASE,
             allocated: 0,
+            allocs: Vec::new(),
         }
     }
 
@@ -68,9 +85,41 @@ impl GlobalMem {
         let addr = self.next;
         self.next = (self.next + bytes.max(1) + 255) & !255;
         self.allocated += bytes;
+        self.allocs.push((addr, bytes));
         debug_assert_eq!(addr % 256, 0, "allocator returned unaligned pointer");
         debug_assert!(self.next > addr, "allocation must advance the arena");
         addr
+    }
+
+    /// Release the allocation that starts at `addr`: its bytes leave
+    /// [`Self::allocated`] and every page no other live allocation shares
+    /// is dropped.  The arena never rewinds, so later allocations land
+    /// where they would have without the free.
+    pub fn free(&mut self, addr: u64) -> Result<(), UnknownAllocation> {
+        let i = self
+            .allocs
+            .binary_search_by_key(&addr, |&(base, _)| base)
+            .map_err(|_| UnknownAllocation(addr))?;
+        let (base, len) = self.allocs.remove(i);
+        self.allocated -= len;
+        if len == 0 {
+            return Ok(());
+        }
+        let (first, last) = (base >> PAGE_SHIFT, (base + len - 1) >> PAGE_SHIFT);
+        let allocs = &self.allocs;
+        let dead = |p: u64| !owned(allocs, p << PAGE_SHIFT, (p + 1) << PAGE_SHIFT);
+        if last - first >= self.pages.len() as u64 {
+            // Fewer resident pages than the span covers: walk the map.
+            self.pages
+                .retain(|&p, _| !(first..=last).contains(&p) || !dead(p));
+        } else {
+            for p in first..=last {
+                if dead(p) {
+                    self.pages.remove(&p);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total bytes allocated so far (for OOM modelling).
@@ -210,11 +259,31 @@ impl GlobalMem {
     }
 }
 
-/// Little-endian value of up to 8 bytes.
-fn le_read(bytes: &[u8]) -> u64 {
-    let mut le = [0u8; 8];
-    le[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(le)
+/// Does a live allocation own a byte of `[lo, hi)`?
+fn owned(allocs: &[(u64, u64)], lo: u64, hi: u64) -> bool {
+    let from = allocs.partition_point(|&(base, len)| base + len <= lo);
+    allocs[from..]
+        .iter()
+        .take_while(|&&(base, _)| base < hi)
+        .any(|&(_, len)| len > 0)
+}
+
+/// Little-endian value of up to 8 bytes.  The natural widths read at a
+/// fixed size (a `copy_from_slice` of a runtime length is a libc
+/// `memcpy` call per lane).
+#[inline(always)]
+pub(crate) fn le_read(bytes: &[u8]) -> u64 {
+    match *bytes {
+        [a, b, c, d, e, f, g, h] => u64::from_le_bytes([a, b, c, d, e, f, g, h]),
+        [a, b, c, d] => u32::from_le_bytes([a, b, c, d]) as u64,
+        [a, b] => u16::from_le_bytes([a, b]) as u64,
+        [a] => a as u64,
+        _ => {
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(le)
+        }
+    }
 }
 
 /// A throughput limiter: a pipe that serves work at a fixed rate.
@@ -372,36 +441,57 @@ pub fn coalesce_sectors(addrs: impl Iterator<Item = u64>, width: u64) -> Vec<u64
 /// Shared-memory bank-conflict degree: the maximum number of *distinct*
 /// 4-byte words in the same bank across the active lanes (32 banks × 4 B).
 ///
-/// A word maps to exactly one bank, so the per-bank distinct-word counts
-/// can be kept in stack buffers: ≤32 lanes × ≤4 words (a `b128` access)
-/// bounds the distinct set at 128 — no allocation on the shared-memory
-/// hot path.
-pub fn bank_conflict_degree(addrs: impl Iterator<Item = u64>, width: u64) -> u32 {
-    let mut seen = [0u64; 128];
-    let mut n = 0usize;
-    let mut per_bank = [0u32; 32];
+/// A first pass keeps one word per bank: when no bank sees two different
+/// words (a conflict-free or broadcast warp) the degree is 1.  Only a
+/// clash counts exactly, by sorting the words into a stack buffer: ≤32
+/// lanes × ≤4 words (a `b128` access) bounds it at 128 — no allocation on
+/// the shared-memory hot path.
+pub fn bank_conflict_degree(addrs: impl Iterator<Item = u64> + Clone, width: u64) -> u32 {
     // Wide accesses occupy multiple words; a zero-width access degrades to
     // a single-word probe (mirrors the clamp in `coalesce_sectors_into`).
     let words = (width.max(1) / 4).max(1);
-    for a in addrs {
-        for w in 0..words {
-            let word = a / 4 + w;
-            if !seen[..n].contains(&word) {
-                debug_assert!(n < seen.len(), "conflict probe wider than a warp");
-                if n < seen.len() {
-                    seen[n] = word;
-                    n += 1;
+    // `a / 4 + w` never reaches `u64::MAX`, so it marks an unseen bank.
+    let mut bank = [u64::MAX; 32];
+    let clash = 'scan: {
+        for a in addrs.clone() {
+            for word in a / 4..a / 4 + words {
+                let seen = &mut bank[(word % 32) as usize];
+                if *seen == u64::MAX {
+                    *seen = word;
+                } else if *seen != word {
+                    break 'scan true;
                 }
-                per_bank[(word % 32) as usize] += 1;
+            }
+        }
+        false
+    };
+    if !clash {
+        return 1;
+    }
+    let mut buf = [0u64; 128];
+    let mut n = 0usize;
+    for a in addrs {
+        for word in a / 4..a / 4 + words {
+            debug_assert!(n < buf.len(), "conflict probe wider than a warp");
+            if n < buf.len() {
+                buf[n] = word;
+                n += 1;
             }
         }
     }
-    per_bank.iter().copied().max().unwrap_or(1).max(1)
+    let sorted = &mut buf[..n];
+    sorted.sort_unstable();
+    let mut per_bank = [0u32; 32];
+    for run in sorted.chunk_by(|a, b| a == b) {
+        per_bank[(run[0] % 32) as usize] += 1;
+    }
+    per_bank.iter().copied().max().unwrap_or(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DSM_TAG;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -538,6 +628,93 @@ mod tests {
         assert_eq!(bank_conflict_degree((0..32u64).map(|l| l * 8), 4), 2);
     }
 
+    /// `free` drops the freed allocation's pages, keeps a page it shares
+    /// with a live neighbour, never rewinds the arena, and refuses an
+    /// address no live allocation starts at.
+    #[test]
+    fn free_drops_only_the_freed_pages() {
+        let mut g = GlobalMem::new();
+        let page = PAGE_SIZE as u64;
+        let a = g.alloc(3 * page);
+        // `b` starts at `a + 3 pages` and ends 256 bytes into the next
+        // page, which it shares with `c`.
+        let b = g.alloc(page + 256);
+        let c = g.alloc(512);
+        assert_eq!((b, c), (a + 3 * page, b + page + 256));
+        for addr in [a, a + page, a + 2 * page, b, b + page, c] {
+            g.write_u8(addr, 1);
+        }
+        assert_eq!(g.pages.len(), 5);
+        let next = g.next;
+        g.free(b).unwrap();
+        // `b`'s first page is gone, its second is `c`'s too; `a` keeps all.
+        assert_eq!(g.pages.len(), 4);
+        assert!(!g.pages.contains_key(&(b >> PAGE_SHIFT)));
+        assert_eq!((g.read_u8(c), g.read_u8(a + 2 * page)), (1, 1));
+        assert_eq!(g.allocated(), 3 * page + 512);
+        assert_eq!(g.free(b), Err(UnknownAllocation(b)));
+        assert_eq!(g.free(a + 8), Err(UnknownAllocation(a + 8)));
+        // With `c` gone too, the shared page has no owner left.
+        g.free(c).unwrap();
+        assert_eq!(g.pages.len(), 3);
+        assert_eq!(g.next, next, "free must not rewind the arena");
+        assert_eq!(g.alloc(8), next);
+        // A zero-size allocation frees like any other.
+        let z = g.alloc(0);
+        g.free(z).unwrap();
+        assert_eq!(g.free(z), Err(UnknownAllocation(z)));
+        // A span far wider than the resident pages walks the map instead.
+        let wide = g.alloc(1 << 40);
+        g.write_u8(wide + (1 << 39), 1);
+        g.free(wide).unwrap();
+        assert_eq!(g.pages.len(), 3);
+        assert_eq!(g.allocated(), 3 * page + 8);
+    }
+
+    /// `bank_conflict_degree` before its one-pass first check: the oracle
+    /// for the property below.
+    fn bank_conflict_reference(addrs: &[u64], width: u64) -> u32 {
+        let mut seen = [0u64; 128];
+        let mut n = 0usize;
+        let mut per_bank = [0u32; 32];
+        let words = (width.max(1) / 4).max(1);
+        for a in addrs {
+            for w in 0..words {
+                let word = a / 4 + w;
+                if !seen[..n].contains(&word) {
+                    seen[n] = word;
+                    n += 1;
+                    per_bank[(word % 32) as usize] += 1;
+                }
+            }
+        }
+        per_bank.iter().copied().max().unwrap_or(1).max(1)
+    }
+
+    /// A warp's shared-access lane addresses: a broadcast, word strides of
+    /// 1–32 from a random base, or random offsets, each over a random set
+    /// of active lanes; half of them carry the `mapa` tag and rank that
+    /// shared atomics strip before the degree.
+    fn smem_lanes() -> impl Strategy<Value = Vec<u64>> {
+        let addrs = prop_oneof![
+            (0u64..1 << 14).prop_map(|a| vec![a; 32]),
+            (0u64..1 << 14, 1u64..33).prop_map(|(b, s)| (0..32).map(|l| b + l * s * 4).collect()),
+            vec(0u64..1 << 14, 32),
+        ];
+        (addrs, 0u64..1 << 32, 0u8..2, 0u64..16).prop_map(|(addrs, active, tag, rank)| {
+            let lanes = addrs.into_iter().enumerate();
+            let live = lanes.filter(|&(l, _)| active & (1 << l) != 0);
+            let tagged = |a: u64| {
+                if tag == 1 {
+                    a | DSM_TAG | rank << 32
+                } else {
+                    a
+                }
+            };
+            live.map(|(_, a)| tagged(a)).collect()
+        })
+    }
+
     /// The coalescer before its fast path: the oracle for the property below.
     fn coalesce_reference(addrs: &[u64], width: u64) -> Vec<u64> {
         let mut out = Vec::new();
@@ -569,6 +746,22 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// Equal to the pairwise count on every warp, width and stride,
+        /// and on the tag-stripped offsets shared atomics pass in.
+        #[test]
+        fn bank_conflict_degree_matches_reference(
+            addrs in smem_lanes(),
+            width in prop_oneof![Just(4u64), Just(8), Just(16)],
+        ) {
+            let stripped: Vec<u64> = addrs.iter().map(|&a| a & !DSM_TAG & 0xffff_ffff).collect();
+            for (addrs, width) in [(&addrs, width), (&stripped, 4)] {
+                prop_assert_eq!(
+                    bank_conflict_degree(addrs.iter().copied(), width),
+                    bank_conflict_reference(addrs, width)
+                );
+            }
+        }
 
         /// Same sectors in the same order (it feeds L1/L2 LRU order).
         #[test]

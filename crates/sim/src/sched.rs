@@ -258,6 +258,15 @@ impl Engine<'_> {
                     if self.warps[w].status == WarpStatus::Done {
                         run.live -= 1;
                         st.ready &= !bit;
+                    } else if let (false, Some(wk)) = (TRACED, self.scoreboard_wakeup(w, cycle)) {
+                        // Its next attempt is a certain scoreboard refusal
+                        // with this wakeup: park it now (point 9).
+                        self.warps[w].retry_at = wk;
+                        if parking.0 != wk {
+                            st.park(parking.0, parking.1);
+                            parking = (wk, 0);
+                        }
+                        parking.1 |= bit;
                     }
                     if TRACED {
                         self.note_issue(sm, sched, w, pc_before);

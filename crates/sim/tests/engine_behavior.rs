@@ -1007,3 +1007,113 @@ fn unmapped_cluster_rank_is_a_launch_error() {
         (1, SimFaultKind::RankNotResident { rank: 5 })
     );
 }
+
+/// Shared loads give every lane the bytes at its own span, at unaligned
+/// offsets and at each width (`b32`, `b64` and `v4`, whose lanes read
+/// two spans 8 bytes apart).
+#[test]
+fn shared_loads_read_each_lane_span() {
+    let mut gpu = h800();
+    let out = gpu.alloc(256 * 32).unwrap();
+    let k = assemble(
+        r#"
+        .shared 1024;
+        mov %r1, %tid.x;
+        shl.s32 %r2, %r1, 2;
+        mul.s32 %r3, %r1, 2654435761;
+        st.shared.b32 [%r2], %r3;
+        bar.sync;
+        mul.s32 %r4, %r1, 3;
+        ld.shared.b32 %r10, [%r4];
+        ld.shared.b64 %r12, [%r4+1];
+        ld.shared.v4 %r14, [%r4+2];
+        shl.s32 %r5, %r1, 5;
+        add.s32 %r5, %r5, %r0;
+        st.global.b64 [%r5], %r10;
+        st.global.b64 [%r5+8], %r12;
+        st.global.v4 [%r5+16], %r14;
+        exit;
+    "#,
+    )
+    .unwrap();
+    gpu.launch(&k, &Launch::new(1, 256).with_params(vec![out]))
+        .unwrap();
+    let smem: Vec<u8> = (0..256u32)
+        .flat_map(|j| j.wrapping_mul(2654435761).to_le_bytes())
+        .collect();
+    let span = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&smem[at..at + n]);
+        u64::from_le_bytes(le)
+    };
+    let got = gpu.read(out, 256 * 32);
+    for t in 0..256usize {
+        let word = |k: usize| u64::from_le_bytes(got[t * 32 + k * 8..][..8].try_into().unwrap());
+        let a = t * 3;
+        assert_eq!(
+            [word(0), word(1), word(2), word(3)],
+            [span(a, 4), span(a + 1, 8), span(a + 2, 8), span(a + 10, 8)],
+            "thread {t}"
+        );
+    }
+}
+
+/// A shared load that faults on some of its lanes reports the fault of
+/// the first lane to fault, in lane order (a `v4` lane's low half before
+/// its high half), at the load's PC — out-of-range and unmapped-rank
+/// lanes alike.
+#[test]
+fn shared_load_faults_name_the_first_faulting_lane() {
+    use hopper_sim::{LaunchError, SimFaultKind};
+    // Every lane but the ones a case moves reads in range: `%r2` is the
+    // in-range address, `%r3` its `mapa` to rank 5 (not resident).
+    let prologue = |stride: u32| {
+        format!(
+            ".shared 1024;\nmov %r1, %tid.x;\nmul.s32 %r2, %r1, {stride};\n\
+             mapa %r3, %r2, 5;\n"
+        )
+    };
+    let oob = |offset| SimFaultKind::SharedOutOfBounds { offset, size: 1024 };
+    let cases = [
+        (
+            "b32, lanes 5 and 9 out of range",
+            prologue(4)
+                + "setp.eq.s32 %p0, %r1, 5;\nsel %r2, %p0, 4096, %r2;\n\
+                   setp.eq.s32 %p1, %r1, 9;\nsel %r2, %p1, 2048, %r2;\n\
+                   ld.shared.b32 %r4, [%r2];\n",
+            oob(4096),
+        ),
+        (
+            "v4, lane 3's high half and lane 5 out of range",
+            prologue(16)
+                + "setp.eq.s32 %p0, %r1, 3;\nsel %r2, %p0, 1016, %r2;\n\
+                   setp.eq.s32 %p1, %r1, 5;\nsel %r2, %p1, 2000, %r2;\n\
+                   ld.shared.v4 %r4, [%r2];\n",
+            oob(1024),
+        ),
+        (
+            "b64, lane 7 names an unmapped rank",
+            prologue(8)
+                + "setp.eq.s32 %p0, %r1, 7;\nsel %r2, %p0, %r3, %r2;\n\
+                   ld.shared::cluster.b64 %r4, [%r2];\n",
+            SimFaultKind::RankNotResident { rank: 5 },
+        ),
+        (
+            "b32, lane 2 out of range before lane 7's unmapped rank",
+            prologue(4)
+                + "setp.eq.s32 %p0, %r1, 7;\nsel %r2, %p0, %r3, %r2;\n\
+                   setp.eq.s32 %p1, %r1, 2;\nsel %r2, %p1, 1022, %r2;\n\
+                   ld.shared::cluster.b32 %r4, [%r2];\n",
+            oob(1022),
+        ),
+    ];
+    let mut gpu = h800();
+    for (what, body, want) in cases {
+        let k = assemble(&(body + "exit;\n")).unwrap();
+        let want_pc = k.instrs.len() as u32 - 2;
+        match gpu.launch(&k, &Launch::new(2, 32).with_cluster(2)) {
+            Err(LaunchError::Fault(f)) => assert_eq!((f.pc, f.kind), (want_pc, want), "{what}"),
+            other => panic!("{what}: expected a fault, got {other:?}"),
+        }
+    }
+}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, lints, the tier-1 build/test pair (which
 # drives the real binaries: crates/*/tests/*_bin.rs, bins_smoke.rs), the
-# threaded-shim and vendored-crate extras, a fuzz pass, and the benchmark
-# workspace's own gate.
+# byte-identical paper sweep, the threaded-shim and vendored-crate extras,
+# a fuzz pass, and the benchmark workspace's own gate.
 #
 # The engine's operand touch-audit (every register the datapath touches must
 # be in `Instr::operands()`, DESIGN §2) needs no step of its own: it is a
@@ -61,6 +61,11 @@ if grep -rnE 'fn (json_escape|esc)\(' "${json_src[@]}"; then exit 1; fi
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --workspace
+
+echo "== the paper sweep: gen-experiments regenerates EXPERIMENTS.md and experiments.json byte for byte"
+# Every host-speed change claims bit-exact tables; this checks the claim.
+target/release/gen-experiments --jobs 2
+git diff --exit-code -- EXPERIMENTS.md experiments.json
 
 echo "== paper bench: an unknown id is a usage error — exit 2, one event line, then the help"
 # Tests cannot spawn a bench target (cargo names no path for it), so the
